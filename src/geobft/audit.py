@@ -140,11 +140,6 @@ def check_validity(trace, cfg) -> Verdict:
     return Verdict("validity", True, f"{checked} executions re-verified")
 
 
-def _canon(msg):
-    from .core.codec import canonical_encode
-    return canonical_encode(msg)
-
-
 def check_realtime_order(trace, cfg) -> Verdict:
     """Accepted-before-issued implies lower agreement sequence (E-Safety II core)."""
     correct_clients, correct_replicas, _ = _correct(cfg)

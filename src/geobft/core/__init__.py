@@ -16,5 +16,4 @@ from .ids import (
     FaultParams,
     NodeId,
     ReplicaId,
-    parse_node,
 )

@@ -32,15 +32,6 @@ class ClientId:
 NodeId = Union[ReplicaId, ClientId]
 
 
-def parse_node(text: str) -> NodeId:
-    """Inverse of str() for trace files and scenario fault selectors."""
-    if text.startswith("c"):
-        return ClientId(int(text[1:]))
-    role = text[:2]
-    group, index = text[2:].split(":")
-    return ReplicaId(role, int(group), int(index))
-
-
 @dataclass(frozen=True)
 class FaultParams:
     """Tolerated fault counts; group sizes and channel quorums derive from them."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .application import KvApplication, PLACEHOLDER, RESUBMIT
 from .checkpoint import CheckpointComponent
-from .core import Mac, hash_bytes
+from .core import hash_bytes
 from .core.codec import canonical_decode, canonical_encode
 from .core.messages import (
     AddGroup,
@@ -70,18 +70,6 @@ class ExecutionReplica(ProtocolNode):
             self.on_weak_read(src, msg, env)
         elif isinstance(msg, RegistryInfo):
             self.registry.on_info(src, msg)
-
-    def _client_auth_ok(self, msg, env, need_sig: bool) -> bool:
-        client = msg.client
-        if client not in self.authorized:
-            return False
-        if not any(isinstance(a, Mac) and a.src == client for a in env.auth):
-            return False
-        if need_sig:
-            sig = env.first_sig()
-            if sig is None or sig.signer != client:
-                return False
-        return True
 
     def on_write_request(self, src, msg, env):
         """Writes, strong reads and admin reconfiguration requests."""

@@ -7,7 +7,6 @@ point without a hierarchical protocol.
 from __future__ import annotations
 
 from .application import KvApplication
-from .core import Mac
 from .core.messages import ReadWeak, Request, Result, Write
 from .ordering import MiniBft
 from .protocol import ProtocolNode
@@ -43,17 +42,6 @@ class FlatBftReplica(ProtocolNode):
             self._on_weak(src, msg, env)
         else:
             self.ordering.handle(src, msg, env.first_sig())
-
-    def _client_auth_ok(self, msg, env, need_sig):
-        if msg.client not in self.authorized:
-            return False
-        if not any(isinstance(a, Mac) and a.src == msg.client for a in env.auth):
-            return False
-        if need_sig:
-            sig = env.first_sig()
-            if sig is None or sig.signer != msg.client:
-                return False
-        return True
 
     def _on_write(self, src, msg: Write, env):
         if not self._client_auth_ok(msg, env, need_sig=True):

@@ -74,26 +74,15 @@ def leader_crash_report(trace, cfg, crash_at_ms: float,
         by_region.setdefault(spec.region, []).append(f"c{i}")
     before, after, shifts = {}, {}, {}
     for region, names in sorted(by_region.items()):
-        pre = accepts_in_window_named(trace, names, "write",
-                                      cfg.warmup_ms, crash_at_ms)
-        post = accepts_in_window_named(trace, names, "write",
-                                       crash_at_ms + settle_ms, float("inf"))
+        pre = accepts_in_window(trace, names, "write", cfg.warmup_ms, crash_at_ms)
+        post = accepts_in_window(trace, names, "write",
+                                 crash_at_ms + settle_ms, float("inf"))
         if not pre or not post:
             continue
         before[region] = nearest_rank(pre, 50)
         after[region] = nearest_rank(post, 50)
         shifts[region] = abs(after[region] - before[region])
     return LeaderCrashReport(crash_at_ms, before, after, shifts)
-
-
-def accepts_in_window_named(trace, names, kind, t_lo, t_hi):
-    out = []
-    names = set(names)
-    for t, event, src, dst, k, digest, data in trace.records:
-        if event == "client_accept" and k == kind and src in names \
-                and t_lo <= t <= t_hi:
-            out.append(data["latency"])
-    return out
 
 
 def smallest_wan_difference(cfg) -> float:

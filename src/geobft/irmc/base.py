@@ -1,15 +1,18 @@
-"""Shared language of inter-regional message channels.
+"""Shared language and flow control of inter-regional message channels.
 
-Subchannel windows, the quorum/window arithmetic both implementations
-reuse, send/receive outcome classification and the endpoint plumbing
-common to receiver-side and sender-side collection.
+Subchannel windows, the quorum/window arithmetic, send/receive outcome
+classification, blocked sends, window moves in both directions and
+TooOld all live here, in SenderEndpoint and ReceiverEndpoint. The two
+variants differ only in how the f_s+1 quorum is collected (rc: at each
+receiver; sc: at a sender-side collector) and in how a receiver move is
+announced to the senders.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..core.messages import ChannelId
+from ..core.messages import ChannelId, ChMove
 
 
 @dataclass
@@ -84,6 +87,14 @@ class Delivered:
     payload: object
 
 
+def drop_below(table: dict, sc: int, start: int) -> None:
+    """Forget the positions of subchannel sc that lie below start."""
+    held = table.get(sc)
+    if held:
+        for p in [p for p in held if p < start]:
+            del held[p]
+
+
 def classify_receive(p: int, window: SubchannelWindow) -> Optional[TooOld]:
     """TooOld when the window has passed p; otherwise the caller waits."""
     if p < window.start:
@@ -119,6 +130,9 @@ class EndpointBase:
         self.closed = False
         self.on_new_subchannel: Optional[Callable[[int], None]] = None
         self._known_sc: set[int] = set()
+        self.moves_sent: dict[int, int] = {}  # sc -> highest move announced
+        if cfg.retransmit_ms > 0:
+            node.every(cfg.retransmit_ms, self._retransmit)
 
     def window(self, sc: int) -> SubchannelWindow:
         win = self.windows.get(sc)
@@ -132,29 +146,104 @@ class EndpointBase:
             if self.on_new_subchannel is not None:
                 self.on_new_subchannel(sc)
 
-    def _trace_move(self, sc: int, start: int) -> None:
-        self.node.sim.trace.add(self.node.sim.now, "win_move", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, start=start)
+    def _trace(self, event: str, digest: str = "-", **data) -> None:
+        self.node.sim.trace.add(self.node.sim.now, event, self.node.nid, "-",
+                                str(self.cfg.channel), digest, **data)
+
+    def _broadcast(self, dsts, msg) -> None:
+        for dst in dsts:
+            self.node.send_signed(dst, msg, channel=str(self.cfg.channel))
 
     def close(self) -> None:
         self.closed = True
 
 
 class SenderEndpoint(EndpointBase):
-    """Interface: send(sc, p, m, on_complete), move_window(sc, p)."""
+    """send(sc, p, m, on_complete) and move_window(sc, p) for any variant.
 
-    pending: dict
+    A send beyond the window blocks until f_r+1 receiver moves advance
+    it; a send below the window completes without transmitting. Variants
+    supply _transmit(sc, p, m), _gc(sc, start) and _resend().
+    """
 
-    def send(self, sc, p, m, on_complete=None):  # pragma: no cover
-        raise NotImplementedError
+    def __init__(self, cfg: ChannelConfig, node):
+        super().__init__(cfg, node)
+        self.recv_moves: dict[int, dict] = {}  # sc -> receiver -> requested p
+        self.pending: dict[int, list] = {}     # sc -> blocked (p, m, on_complete)
 
-    def move_window(self, sc, p):  # pragma: no cover
-        raise NotImplementedError
+    def send(self, sc, p, m, on_complete=None):
+        if self.closed:
+            return
+        self._trace("ch_send_call", self.node.crypto.digest(m).hex(), sc=sc, p=p)
+        outcome = classify_send(p, self.window(sc))
+        if outcome == BLOCKED:
+            self.pending.setdefault(sc, []).append((p, m, on_complete))
+            return
+        if outcome != DROP:
+            self._transmit(sc, p, m)
+        self._complete(sc, p, on_complete)
+
+    def _complete(self, sc, p, on_complete):
+        self._trace("ch_send_done", sc=sc, p=p)
+        if on_complete is not None:
+            on_complete()
+
+    def move_window(self, sc, p):
+        if self.closed:
+            return
+        self._trace("ch_move_call", sc=sc, p=p, side="s")
+        self._sync_receivers(sc, p)
+
+    def _sync_receivers(self, sc, start):
+        # also tells lagging receivers the window passed them; quorum-backed
+        # by the receiver moves that advanced this window in the first place
+        if start <= self.moves_sent.get(sc, 0):
+            return
+        self.moves_sent[sc] = start
+        self._broadcast(self.cfg.receivers, ChMove(self.cfg.channel, sc, start))
+
+    def _receiver_moved(self, src, sc, p):
+        """Receiver src asked for p; the window follows the f_r+1-highest ask."""
+        held = self.recv_moves.setdefault(sc, {})
+        if p <= held.get(src, 0):
+            return  # stale or replayed
+        held[src] = p
+        win = self.window(sc)
+        new_start = sender_window_after_moves(held, self.cfg.f_r, win.start)
+        if new_start > win.start:
+            win.start = new_start
+            self._trace("win_move", sc=sc, start=new_start)
+            self._gc(sc, new_start)
+            self._sync_receivers(sc, new_start)
+            self._flush_pending(sc)
+
+    def _flush_pending(self, sc):
+        waiting = self.pending.get(sc)
+        if not waiting:
+            return
+        win = self.window(sc)
+        still = []
+        for p, m, done in waiting:
+            outcome = classify_send(p, win)
+            if outcome == BLOCKED:
+                still.append((p, m, done))
+                continue
+            if outcome != DROP:
+                self._transmit(sc, p, m)
+            self._complete(sc, p, done)
+        self.pending[sc] = still
+
+    def _retransmit(self):
+        if self.closed:
+            return
+        self._resend()
+        for sc, p in self.moves_sent.items():
+            self._broadcast(self.cfg.receivers, ChMove(self.cfg.channel, sc, p))
 
     def close(self) -> None:
         # blocked sends resolve as no-ops so fan-out joins cannot deadlock
         super().close()
-        for sc, waiting in getattr(self, "pending", {}).items():
+        for waiting in self.pending.values():
             for _, _, done in waiting:
                 if done is not None:
                     done()
@@ -162,10 +251,80 @@ class SenderEndpoint(EndpointBase):
 
 
 class ReceiverEndpoint(EndpointBase):
-    """Interface: receive(sc, p, callback), move_window(sc, p)."""
+    """receive(sc, p, callback) and move_window(sc, p) for any variant.
 
-    def receive(self, sc, p, callback):  # pragma: no cover
-        raise NotImplementedError
+    The window follows the receiver's own moves and the f_s+1-highest
+    sender move; positions it passes resolve as TooOld. Variants supply
+    _announce(sc, p) and call _deliver once a quorum vouches for p.
+    """
 
-    def move_window(self, sc, p):  # pragma: no cover
-        raise NotImplementedError
+    def __init__(self, cfg: ChannelConfig, node):
+        super().__init__(cfg, node)
+        self.delivered: dict[int, dict] = {}     # sc -> p -> payload
+        self.pending_recv: dict[tuple, list] = {}  # (sc, p) -> callbacks
+        self.sender_moves: dict[int, dict] = {}  # sc -> sender -> requested p
+
+    def receive(self, sc, p, callback):
+        if self.closed:
+            return
+        self._trace("ch_recv_call", sc=sc, p=p)
+        self._note_subchannel(sc)
+        too_old = classify_receive(p, self.window(sc))
+        if too_old is not None:
+            self._resolve(sc, p, callback, too_old)
+            return
+        held = self.delivered.get(sc, {}).get(p)
+        if held is not None:
+            self._resolve(sc, p, callback, Delivered(held))
+            return
+        self.pending_recv.setdefault((sc, p), []).append(callback)
+
+    def _resolve(self, sc, p, callback, outcome):
+        if isinstance(outcome, TooOld):
+            self._trace("ch_recv_tooold", sc=sc, p=p, new_start=outcome.start)
+        else:
+            self._trace("ch_recv_msg", sc=sc, p=p)
+        callback(outcome)
+
+    def _deliver(self, sc, p, payload, digest: bytes, senders):
+        """Record p as delivered, vouched for by senders, and wake its readers."""
+        self.delivered.setdefault(sc, {})[p] = payload
+        self._trace("irmc_deliver", digest.hex(), sc=sc, p=p,
+                    senders=";".join(str(s) for s in sorted(senders, key=str)))
+        for cb in self.pending_recv.pop((sc, p), []):
+            self._resolve(sc, p, cb, Delivered(payload))
+
+    def move_window(self, sc, p):
+        if self.closed:
+            return
+        self._trace("ch_move_call", sc=sc, p=p, side="r")
+        if p > self.moves_sent.get(sc, 0):
+            self.moves_sent[sc] = p
+            self._announce(sc, p)
+        if self.window(sc).advance_to(p):
+            self._trace("win_move", sc=sc, start=p)
+            self._gc(sc, p)
+
+    def _on_move(self, src, msg):
+        sc = msg.sc
+        self._note_subchannel(sc)
+        held = self.sender_moves.setdefault(sc, {})
+        if msg.p <= held.get(src, 0):
+            return
+        held[src] = msg.p
+        win = self.window(sc)
+        new_start = receiver_window_after_sender_moves(held, self.cfg.f_s, win.start)
+        if new_start > win.start:
+            self.move_window(sc, new_start)
+
+    def _gc(self, sc, start):
+        drop_below(self.delivered, sc, start)
+        for key in [k for k in self.pending_recv if k[0] == sc and k[1] < start]:
+            for cb in self.pending_recv.pop(key):
+                self._resolve(key[0], key[1], cb, TooOld(start))
+
+    def _retransmit(self):
+        if self.closed:
+            return
+        for sc, p in self.moves_sent.items():
+            self._announce(sc, p)

@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass, field
 
 from ..core import CryptoProvider, BoundCrypto, ReplicaId
-from ..core.messages import ChannelId, ChCert, ChMove, ChProgress, ChSend, ChShare
+from ..core.messages import ChannelId
+from ..protocol import CHANNEL_MSGS
 from ..simnet import FaultPlan, Node, NodeFault, Simulator, Topology
 from .base import ChannelConfig, TooOld
 
@@ -50,7 +51,7 @@ class ChannelNode(Node):
 
     def on_payload(self, src, env):
         msg = env.payload
-        if isinstance(msg, (ChSend, ChMove, ChShare, ChCert, ChProgress)):
+        if isinstance(msg, CHANNEL_MSGS):
             if self.endpoint is not None:
                 self.endpoint.handle(src, msg, env.first_sig())
 
@@ -274,10 +275,6 @@ def audit_schedule(trace, cfg, correct_s, correct_r, outstanding, report):
         if remaining > 0:
             violations.append(f"L1 receiver {r} left {remaining} positions unresolved")
     return violations
-
-
-def _in(name: str, nodes) -> bool:
-    return any(str(n) == name for n in nodes)
 
 
 def make_factory(sender_cls, receiver_cls):

@@ -2,208 +2,51 @@
 
 Every sender broadcasts its signed Send to every receiver endpoint;
 each receiver individually collects f_s+1 matching copies before a
-position becomes deliverable. Moves flow both ways and windows follow
-the shared quorum arithmetic.
+position becomes deliverable. Windows, blocked sends and moves come
+from the shared endpoints in base.py.
 """
 from __future__ import annotations
 
 from ..core.messages import ChMove, ChSend
-from .base import (
-    BLOCKED,
-    DROP,
-    ChannelConfig,
-    Delivered,
-    ReceiverEndpoint,
-    SenderEndpoint,
-    TooOld,
-    classify_receive,
-    classify_send,
-    receiver_window_after_sender_moves,
-    sender_window_after_moves,
-)
+from .base import ChannelConfig, ReceiverEndpoint, SenderEndpoint, drop_below
 
 
 class RcSender(SenderEndpoint):
     def __init__(self, cfg: ChannelConfig, node):
         super().__init__(cfg, node)
-        self.moves_sent: dict[int, int] = {}
-        self.recv_moves: dict[int, dict] = {}
-        self.pending: dict[int, list] = {}
-        self.outbox: dict[int, dict] = {}
-        if cfg.retransmit_ms > 0:
-            node.every(cfg.retransmit_ms, self._retransmit)
-
-    def send(self, sc, p, m, on_complete=None):
-        if self.closed:
-            return
-        self.node.sim.trace.add(self.node.sim.now, "ch_send_call", self.node.nid, "-",
-                                str(self.cfg.channel),
-                                self.node.crypto.digest(m).hex(), sc=sc, p=p)
-        win = self.window(sc)
-        outcome = classify_send(p, win)
-        if outcome == BLOCKED:
-            self.pending.setdefault(sc, []).append((p, m, on_complete))
-            return
-        if outcome != DROP:
-            self._transmit(sc, p, m)
-        self._complete(sc, p, on_complete)
-
-    def _complete(self, sc, p, on_complete):
-        self.node.sim.trace.add(self.node.sim.now, "ch_send_done", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, p=p)
-        if on_complete is not None:
-            on_complete()
+        self.outbox: dict[int, dict] = {}  # sc -> p -> payload
 
     def _transmit(self, sc, p, m):
         self.outbox.setdefault(sc, {})[p] = m
-        msg = ChSend(self.cfg.channel, sc, p, m)
-        for r in self.cfg.receivers:
-            self.node.send_signed(r, msg, channel=str(self.cfg.channel))
-
-    def move_window(self, sc, p):
-        if self.closed:
-            return
-        self.node.sim.trace.add(self.node.sim.now, "ch_move_call", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, p=p, side="s")
-        if p <= self.moves_sent.get(sc, 0):
-            return
-        self.moves_sent[sc] = p
-        msg = ChMove(self.cfg.channel, sc, p)
-        for r in self.cfg.receivers:
-            self.node.send_signed(r, msg, channel=str(self.cfg.channel))
+        self._broadcast(self.cfg.receivers, ChSend(self.cfg.channel, sc, p, m))
 
     def handle(self, src, msg, sig=None):
         """Signed Move from a receiver endpoint."""
-        if self.closed or src not in self.cfg.receivers:
-            return
-        if not isinstance(msg, ChMove):
-            return
-        sc = msg.sc
-        held = self.recv_moves.setdefault(sc, {})
-        if msg.p <= held.get(src, 0):
-            return  # stale or replayed
-        held[src] = msg.p
-        win = self.window(sc)
-        new_start = sender_window_after_moves(held, self.cfg.f_r, win.start)
-        if new_start > win.start:
-            win.start = new_start
-            self._trace_move(sc, new_start)
-            self._gc(sc, new_start)
-            self._sync_receivers(sc, new_start)
-            self._flush_pending(sc)
-
-    def _sync_receivers(self, sc, start):
-        # lagging receivers learn the window passed them; quorum-backed by
-        # the receiver moves that advanced this window in the first place
-        if start <= self.moves_sent.get(sc, 0):
-            return
-        self.moves_sent[sc] = start
-        msg = ChMove(self.cfg.channel, sc, start)
-        for r in self.cfg.receivers:
-            self.node.send_signed(r, msg, channel=str(self.cfg.channel))
+        if not self.closed and src in self.cfg.receivers and isinstance(msg, ChMove):
+            self._receiver_moved(src, msg.sc, msg.p)
 
     def _gc(self, sc, start):
-        box = self.outbox.get(sc)
-        if box:
-            for p in [p for p in box if p < start]:
-                del box[p]
+        drop_below(self.outbox, sc, start)
 
-    def _flush_pending(self, sc):
-        waiting = self.pending.get(sc)
-        if not waiting:
-            return
-        win = self.window(sc)
-        still = []
-        for p, m, done in waiting:
-            outcome = classify_send(p, win)
-            if outcome == BLOCKED:
-                still.append((p, m, done))
-                continue
-            if outcome != DROP:
-                self._transmit(sc, p, m)
-            self._complete(sc, p, done)
-        self.pending[sc] = still
-
-    def _retransmit(self):
-        if self.closed:
-            return
+    def _resend(self):
         for sc, box in self.outbox.items():
             win = self.window(sc)
             for p, m in sorted(box.items()):
                 if win.covers(p):
-                    msg = ChSend(self.cfg.channel, sc, p, m)
-                    for r in self.cfg.receivers:
-                        self.node.send_signed(r, msg, channel=str(self.cfg.channel))
-        for sc, p in self.moves_sent.items():
-            msg = ChMove(self.cfg.channel, sc, p)
-            for r in self.cfg.receivers:
-                self.node.send_signed(r, msg, channel=str(self.cfg.channel))
+                    self._broadcast(self.cfg.receivers, ChSend(self.cfg.channel, sc, p, m))
 
 
 class RcReceiver(ReceiverEndpoint):
     def __init__(self, cfg: ChannelConfig, node):
         super().__init__(cfg, node)
-        self.store: dict[int, dict] = {}        # sc -> p -> sender -> (digest, payload)
-        self.delivered: dict[int, dict] = {}    # sc -> p -> payload
-        self.pending_recv: dict[tuple, list] = {}
-        self.sender_moves: dict[int, dict] = {}
-        self.moves_sent: dict[int, int] = {}
-        if cfg.retransmit_ms > 0:
-            node.every(cfg.retransmit_ms, self._retransmit)
+        self.store: dict[int, dict] = {}  # sc -> p -> sender -> (digest, payload)
 
-    def receive(self, sc, p, callback):
-        if self.closed:
-            return
-        self.node.sim.trace.add(self.node.sim.now, "ch_recv_call", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, p=p)
-        self._note_subchannel(sc)
-        too_old = classify_receive(p, self.window(sc))
-        if too_old is not None:
-            self._resolve(sc, p, callback, too_old)
-            return
-        held = self.delivered.get(sc, {}).get(p)
-        if held is not None:
-            self._resolve(sc, p, callback, Delivered(held))
-            return
-        self.pending_recv.setdefault((sc, p), []).append(callback)
-
-    def _resolve(self, sc, p, callback, outcome):
-        kind = "ch_recv_msg" if isinstance(outcome, Delivered) else "ch_recv_tooold"
-        info = {"sc": sc, "p": p}
-        if isinstance(outcome, TooOld):
-            info["new_start"] = outcome.start
-        self.node.sim.trace.add(self.node.sim.now, kind, self.node.nid, "-",
-                                str(self.cfg.channel), **info)
-        callback(outcome)
-
-    def move_window(self, sc, p):
-        if self.closed:
-            return
-        self.node.sim.trace.add(self.node.sim.now, "ch_move_call", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, p=p, side="r")
-        if p > self.moves_sent.get(sc, 0):
-            self.moves_sent[sc] = p
-            msg = ChMove(self.cfg.channel, sc, p)
-            for s in self.cfg.senders:
-                self.node.send_signed(s, msg, channel=str(self.cfg.channel))
-        win = self.window(sc)
-        if win.advance_to(p):
-            self._trace_move(sc, p)
-            self._gc(sc, p)
+    def _announce(self, sc, p):
+        self._broadcast(self.cfg.senders, ChMove(self.cfg.channel, sc, p))
 
     def _gc(self, sc, start):
-        held = self.store.get(sc)
-        if held:
-            for p in [p for p in held if p < start]:
-                del held[p]
-        memo = self.delivered.get(sc)
-        if memo:
-            for p in [p for p in memo if p < start]:
-                del memo[p]
-        for (psc, p) in [k for k in self.pending_recv if k[0] == sc and k[1] < start]:
-            callbacks = self.pending_recv.pop((psc, p))
-            for cb in callbacks:
-                self._resolve(psc, p, cb, TooOld(start))
+        drop_below(self.store, sc, start)
+        super()._gc(sc, start)
 
     def handle(self, src, msg, sig=None):
         if self.closed or src not in self.cfg.senders:
@@ -236,30 +79,4 @@ class RcReceiver(ReceiverEndpoint):
             return
         contributors = [s for s, (d, _) in slot.items() if d == winner]
         payload = next(m for s, (d, m) in slot.items() if d == winner)
-        self.delivered.setdefault(sc, {})[p] = payload
-        self.node.sim.trace.add(
-            self.node.sim.now, "irmc_deliver", self.node.nid, "-",
-            str(self.cfg.channel), winner.hex(), sc=sc, p=p,
-            senders=";".join(str(s) for s in sorted(contributors, key=str)))
-        for cb in self.pending_recv.pop((sc, p), []):
-            self._resolve(sc, p, cb, Delivered(payload))
-
-    def _on_move(self, src, msg):
-        sc = msg.sc
-        self._note_subchannel(sc)
-        held = self.sender_moves.setdefault(sc, {})
-        if msg.p <= held.get(src, 0):
-            return
-        held[src] = msg.p
-        win = self.window(sc)
-        new_start = receiver_window_after_sender_moves(held, self.cfg.f_s, win.start)
-        if new_start > win.start:
-            self.move_window(sc, new_start)
-
-    def _retransmit(self):
-        if self.closed:
-            return
-        for sc, p in self.moves_sent.items():
-            msg = ChMove(self.cfg.channel, sc, p)
-            for s in self.cfg.senders:
-                self.node.send_signed(s, msg, channel=str(self.cfg.channel))
+        self._deliver(sc, p, payload, winner, contributors)

@@ -4,23 +4,13 @@ Senders exchange signed hashes of their Sends inside the sender group;
 a collector assembles f_s+1 matching shares into one Certificate per
 receiver. Periodic Progress claims let receivers police collectors that
 withhold certificates and switch to a different one after a timeout.
+Windows, blocked sends and moves come from the shared endpoints in
+base.py; a receiver's moves also name its collector.
 """
 from __future__ import annotations
 
 from ..core.messages import ChCert, ChMove, ChProgress, ChSend, ChShare
-from .base import (
-    BLOCKED,
-    DROP,
-    ChannelConfig,
-    Delivered,
-    ReceiverEndpoint,
-    SenderEndpoint,
-    TooOld,
-    classify_receive,
-    classify_send,
-    receiver_window_after_sender_moves,
-    sender_window_after_moves,
-)
+from .base import ChannelConfig, ReceiverEndpoint, SenderEndpoint, drop_below
 
 
 def _share_digest(crypto, channel, sc, p, payload) -> bytes:
@@ -29,11 +19,12 @@ def _share_digest(crypto, channel, sc, p, payload) -> bytes:
 
 class ScSender(SenderEndpoint):
     def __init__(self, cfg: ChannelConfig, node):
+        # armed before the base class arms the retransmit timer: timers due
+        # at the same instant fire in arming order, progress tick first
+        node.every(cfg.progress_ms, self._progress_tick)
         super().__init__(cfg, node)
         self.my_index = cfg.senders.index(node.nid)
-        self.moves_sent: dict[int, int] = {}
-        self.recv_moves: dict[int, dict] = {}
-        self.pending: dict[int, list] = {}
+        self.peers = tuple(s for s in cfg.senders if s != node.nid)
         self.content: dict[int, dict] = {}   # sc -> p -> payload (own sends)
         self.shares: dict[int, dict] = {}    # sc -> p -> signer -> (digest, Sig)
         self.certs: dict[int, dict] = {}     # sc -> p -> ChCert
@@ -41,52 +32,18 @@ class ScSender(SenderEndpoint):
         self.collector_of: dict = {
             r: r.index % len(cfg.senders) for r in cfg.receivers
         }
-        node.every(cfg.progress_ms, self._progress_tick)
-        if cfg.retransmit_ms > 0:
-            node.every(cfg.retransmit_ms, self._retransmit)
 
-    def send(self, sc, p, m, on_complete=None):
-        if self.closed:
-            return
-        self.node.sim.trace.add(self.node.sim.now, "ch_send_call", self.node.nid, "-",
-                                str(self.cfg.channel),
-                                self.node.crypto.digest(m).hex(), sc=sc, p=p)
-        outcome = classify_send(p, self.window(sc))
-        if outcome == BLOCKED:
-            self.pending.setdefault(sc, []).append((p, m, on_complete))
-            return
-        if outcome != DROP:
-            self._share(sc, p, m)
-        self._complete(sc, p, on_complete)
-
-    def _complete(self, sc, p, on_complete):
-        self.node.sim.trace.add(self.node.sim.now, "ch_send_done", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, p=p)
-        if on_complete is not None:
-            on_complete()
-
-    def _share(self, sc, p, m):
+    def _transmit(self, sc, p, m):
         self.content.setdefault(sc, {})[p] = m
         digest = _share_digest(self.node.crypto, self.cfg.channel, sc, p, m)
         share = ChShare(self.cfg.channel, sc, p, digest)
         own = self.node.crypto.sign(share)
         self.shares.setdefault(sc, {}).setdefault(p, {})[self.node.nid] = (digest, own)
-        for peer in self.cfg.senders:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, share, channel=str(self.cfg.channel))
+        self._broadcast(self.peers, share)
         self._try_assemble(sc, p)
 
-    def move_window(self, sc, p):
-        if self.closed:
-            return
-        self.node.sim.trace.add(self.node.sim.now, "ch_move_call", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, p=p, side="s")
-        if p <= self.moves_sent.get(sc, 0):
-            return
-        self.moves_sent[sc] = p
-        msg = ChMove(self.cfg.channel, sc, p)
-        for r in self.cfg.receivers:
-            self.node.send_signed(r, msg, channel=str(self.cfg.channel))
+    def _collected_by_me(self) -> list:
+        return [r for r in self.cfg.receivers if self.collector_of.get(r) == self.my_index]
 
     def handle(self, src, msg, sig=None):
         if self.closed:
@@ -123,9 +80,7 @@ class ScSender(SenderEndpoint):
         cert = ChCert(self.cfg.channel, sc, p, payload,
                       tuple(sig for _, sig in matching[: self.cfg.f_s + 1]))
         self.certs.setdefault(sc, {})[p] = cert
-        for r in self.cfg.receivers:
-            if self.collector_of.get(r) == self.my_index:
-                self.node.send_signed(r, cert, channel=str(self.cfg.channel))
+        self._broadcast(self._collected_by_me(), cert)
 
     def _on_move(self, src, msg):
         if msg.counter is not None:
@@ -137,18 +92,7 @@ class ScSender(SenderEndpoint):
             was = self.collector_of.get(src)
             self.collector_of[src] = msg.collector
             newly_selected = msg.collector == self.my_index and was != self.my_index
-        sc = msg.sc
-        held = self.recv_moves.setdefault(sc, {})
-        if msg.p > held.get(src, 0):
-            held[src] = msg.p
-            win = self.window(sc)
-            new_start = sender_window_after_moves(held, self.cfg.f_r, win.start)
-            if new_start > win.start:
-                win.start = new_start
-                self._trace_move(sc, new_start)
-                self._gc(sc, new_start)
-                self._sync_receivers(sc, new_start)
-                self._flush_pending(sc)
+        self._receiver_moved(src, msg.sc, msg.p)
         if newly_selected:
             # catch the switching receiver up on every subchannel we can serve
             for sc_q in sorted(self.certs):
@@ -160,36 +104,9 @@ class ScSender(SenderEndpoint):
                 self.node.send_signed(dst, self.certs[sc][p],
                                       channel=str(self.cfg.channel))
 
-    def _sync_receivers(self, sc, start):
-        if start <= self.moves_sent.get(sc, 0):
-            return
-        self.moves_sent[sc] = start
-        msg = ChMove(self.cfg.channel, sc, start)
-        for r in self.cfg.receivers:
-            self.node.send_signed(r, msg, channel=str(self.cfg.channel))
-
     def _gc(self, sc, start):
         for table in (self.content, self.shares, self.certs):
-            held = table.get(sc)
-            if held:
-                for p in [p for p in held if p < start]:
-                    del held[p]
-
-    def _flush_pending(self, sc):
-        waiting = self.pending.get(sc)
-        if not waiting:
-            return
-        win = self.window(sc)
-        still = []
-        for p, m, done in waiting:
-            outcome = classify_send(p, win)
-            if outcome == BLOCKED:
-                still.append((p, m, done))
-                continue
-            if outcome != DROP:
-                self._share(sc, p, m)
-            self._complete(sc, p, done)
-        self.pending[sc] = still
+            drop_below(table, sc, start)
 
     def _progress_tick(self):
         if self.closed:
@@ -204,33 +121,20 @@ class ScSender(SenderEndpoint):
             pvec.append((sc, p))
         if not pvec:
             return
-        msg = ChProgress(self.cfg.channel, tuple(pvec))
-        for r in self.cfg.receivers:
-            self.node.send_signed(r, msg, channel=str(self.cfg.channel))
+        self._broadcast(self.cfg.receivers, ChProgress(self.cfg.channel, tuple(pvec)))
 
-    def _retransmit(self):
-        if self.closed:
-            return
+    def _resend(self):
         for sc, held in self.content.items():
             win = self.window(sc)
             for p, m in sorted(held.items()):
                 if win.covers(p):
                     digest = _share_digest(self.node.crypto, self.cfg.channel, sc, p, m)
-                    share = ChShare(self.cfg.channel, sc, p, digest)
-                    for peer in self.cfg.senders:
-                        if peer != self.node.nid:
-                            self.node.send_signed(peer, share, channel=str(self.cfg.channel))
+                    self._broadcast(self.peers, ChShare(self.cfg.channel, sc, p, digest))
         for sc, held in self.certs.items():
             win = self.window(sc)
             for p, cert in sorted(held.items()):
                 if win.covers(p):
-                    for r in self.cfg.receivers:
-                        if self.collector_of.get(r) == self.my_index:
-                            self.node.send_signed(r, cert, channel=str(self.cfg.channel))
-        for sc, p in self.moves_sent.items():
-            msg = ChMove(self.cfg.channel, sc, p)
-            for r in self.cfg.receivers:
-                self.node.send_signed(r, msg, channel=str(self.cfg.channel))
+                    self._broadcast(self._collected_by_me(), cert)
 
 
 class ScReceiver(ReceiverEndpoint):
@@ -238,70 +142,15 @@ class ScReceiver(ReceiverEndpoint):
         super().__init__(cfg, node)
         self.my_index = cfg.receivers.index(node.nid)
         self.collector = self.my_index % len(cfg.senders)
-        self.delivered: dict[int, dict] = {}
-        self.pending_recv: dict[tuple, list] = {}
-        self.sender_moves: dict[int, dict] = {}
-        self.moves_sent: dict[int, int] = {}
         self.move_counter = 0
         self.progress_claims: dict[int, dict] = {}
         self._timer_pending = False
-        if cfg.retransmit_ms > 0:
-            node.every(cfg.retransmit_ms, self._retransmit)
-
-    def receive(self, sc, p, callback):
-        if self.closed:
-            return
-        self.node.sim.trace.add(self.node.sim.now, "ch_recv_call", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, p=p)
-        self._note_subchannel(sc)
-        too_old = classify_receive(p, self.window(sc))
-        if too_old is not None:
-            self._resolve(sc, p, callback, too_old)
-            return
-        held = self.delivered.get(sc, {}).get(p)
-        if held is not None:
-            self._resolve(sc, p, callback, Delivered(held))
-            return
-        self.pending_recv.setdefault((sc, p), []).append(callback)
-
-    def _resolve(self, sc, p, callback, outcome):
-        kind = "ch_recv_msg" if isinstance(outcome, Delivered) else "ch_recv_tooold"
-        info = {"sc": sc, "p": p}
-        if isinstance(outcome, TooOld):
-            info["new_start"] = outcome.start
-        self.node.sim.trace.add(self.node.sim.now, kind, self.node.nid, "-",
-                                str(self.cfg.channel), **info)
-        callback(outcome)
-
-    def move_window(self, sc, p):
-        if self.closed:
-            return
-        self.node.sim.trace.add(self.node.sim.now, "ch_move_call", self.node.nid, "-",
-                                str(self.cfg.channel), sc=sc, p=p, side="r")
-        if p > self.moves_sent.get(sc, 0):
-            self.moves_sent[sc] = p
-            self._announce(sc, p)
-        win = self.window(sc)
-        if win.advance_to(p):
-            self._trace_move(sc, p)
-            self._gc(sc, p)
 
     def _announce(self, sc, p):
         self.move_counter += 1
         msg = ChMove(self.cfg.channel, sc, p, collector=self.collector,
                      counter=self.move_counter)
-        for s in self.cfg.senders:
-            self.node.send_signed(s, msg, channel=str(self.cfg.channel))
-
-    def _gc(self, sc, start):
-        memo = self.delivered.get(sc)
-        if memo:
-            for p in [p for p in memo if p < start]:
-                del memo[p]
-        for key in [k for k in self.pending_recv if k[0] == sc and k[1] < start]:
-            callbacks = self.pending_recv.pop(key)
-            for cb in callbacks:
-                self._resolve(key[0], key[1], cb, TooOld(start))
+        self._broadcast(self.cfg.senders, msg)
 
     def handle(self, src, msg, sig=None):
         if self.closed or src not in self.cfg.senders:
@@ -333,14 +182,7 @@ class ScReceiver(ReceiverEndpoint):
             signers.add(sig.signer)
         if len(signers) < self.cfg.f_s + 1:
             return
-        self.delivered.setdefault(sc, {})[p] = msg.payload
-        self.node.sim.trace.add(
-            self.node.sim.now, "irmc_deliver", self.node.nid, "-",
-            str(self.cfg.channel), self.node.crypto.digest(msg.payload).hex(),
-            sc=sc, p=p,
-            senders=";".join(str(s) for s in sorted(signers, key=str)))
-        for cb in self.pending_recv.pop((sc, p), []):
-            self._resolve(sc, p, cb, Delivered(msg.payload))
+        self._deliver(sc, p, msg.payload, self.node.crypto.digest(msg.payload), signers)
 
     def _on_progress(self, src, msg):
         if msg.channel != self.cfg.channel:
@@ -377,26 +219,7 @@ class ScReceiver(ReceiverEndpoint):
         if not stalled:
             return
         self.collector = (self.collector + 1) % len(self.cfg.senders)
-        self.node.sim.trace.add(self.node.sim.now, "collector_switch", self.node.nid,
-                                "-", str(self.cfg.channel), collector=self.collector)
+        self._trace("collector_switch", collector=self.collector)
         for sc in stalled:
             self._announce(sc, self.window(sc).start)
         self._check_stall()
-
-    def _on_move(self, src, msg):
-        sc = msg.sc
-        self._note_subchannel(sc)
-        held = self.sender_moves.setdefault(sc, {})
-        if msg.p <= held.get(src, 0):
-            return
-        held[src] = msg.p
-        win = self.window(sc)
-        new_start = receiver_window_after_sender_moves(held, self.cfg.f_s, win.start)
-        if new_start > win.start:
-            self.move_window(sc, new_start)
-
-    def _retransmit(self):
-        if self.closed:
-            return
-        for sc, p in self.moves_sent.items():
-            self._announce(sc, p)

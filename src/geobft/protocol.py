@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import GroupKey
+from .core import GroupKey, Mac
 from .core.messages import (
     Checkpoint,
     ChCert,
@@ -39,6 +39,20 @@ class ProtocolNode(Node):
         endpoint = self.channels.get(msg.channel)
         if endpoint is not None:
             endpoint.handle(src, msg, env.first_sig())
+        return True
+
+    def _client_auth_ok(self, msg, env, need_sig: bool) -> bool:
+        """For replicas holding an `authorized` set: msg.client is in it and
+        MACed env, and with need_sig also signed it."""
+        client = msg.client
+        if client not in self.authorized:
+            return False
+        if not any(isinstance(a, Mac) and a.src == client for a in env.auth):
+            return False
+        if need_sig:
+            sig = env.first_sig()
+            if sig is None or sig.signer != client:
+                return False
         return True
 
     def route_checkpoint(self, src, env) -> bool:

@@ -138,25 +138,7 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
             sim.register(nid, node, region, i % zones)
             executions[gid].append(node)
 
-    client_nodes = []
-    for i, spec in enumerate(cfg.clients):
-        nid = clients[i]
-        workload = Workload(
-            strong_rate_per_s=spec.strong_rate_per_s,
-            weak_rate_per_s=spec.weak_rate_per_s,
-            write_fraction=spec.write_fraction,
-            value_size=spec.value_size,
-            key_space=spec.key_space,
-            issue_until_ms=cfg.issue_until_ms,
-            start_ms=spec.start_ms,
-        )
-        node = ClientNode(nid, sim, BoundCrypto(provider, nid),
-                          cfg.fault_params.f_a, cfg.fault_params.f_e,
-                          ag_members, workload, seed,
-                          retry_limit=p["retry_limit"],
-                          weak_rounds=p["weak_rounds"])
-        sim.register(nid, node, spec.region, spec.zone % cfg.topology.regions[spec.region])
-        client_nodes.append(node)
+    client_nodes = _build_clients(cfg, seed, sim, provider, clients, ag_members)
 
     admin_node = None
     if cfg.admin_actions:
@@ -194,9 +176,17 @@ def _build_flat(cfg, seed, sim, provider, authorized, clients, admin_id):
         sim.register(nid, node, region, i // len(regions) % cfg.topology.regions[region])
         flat.append(node)
 
+    client_nodes = _build_clients(cfg, seed, sim, provider, clients, members,
+                                  static_group=(0, members, cfg.fault_params.f_a + 1))
+    return System(sim, cfg, [], {}, client_nodes, None, flat)
+
+
+def _build_clients(cfg, seed, sim, provider, clients, contacts, static_group=None):
+    """One ClientNode per client spec, registered in spec order. contacts
+    answer registry queries; flat mode also pins the group (static_group)."""
+    p = cfg.params
     client_nodes = []
-    for i, spec in enumerate(cfg.clients):
-        nid = clients[i]
+    for nid, spec in zip(clients, cfg.clients):
         workload = Workload(
             strong_rate_per_s=spec.strong_rate_per_s,
             weak_rate_per_s=spec.weak_rate_per_s,
@@ -208,11 +198,10 @@ def _build_flat(cfg, seed, sim, provider, authorized, clients, admin_id):
         )
         node = ClientNode(nid, sim, BoundCrypto(provider, nid),
                           cfg.fault_params.f_a, cfg.fault_params.f_e,
-                          members, workload, seed,
+                          contacts, workload, seed,
                           retry_limit=p["retry_limit"],
                           weak_rounds=p["weak_rounds"],
-                          static_group=(0, members, cfg.fault_params.f_a + 1))
+                          static_group=static_group)
         sim.register(nid, node, spec.region, spec.zone % cfg.topology.regions[spec.region])
         client_nodes.append(node)
-
-    return System(sim, cfg, [], {}, client_nodes, None, flat)
+    return client_nodes

@@ -63,9 +63,6 @@ class FaultPlan:
     def is_correct(self, nid) -> bool:
         return nid not in self.faults
 
-    def correct(self, nodes):
-        return [n for n in nodes if self.is_correct(n)]
-
 
 class TraceLog:
     """Append-only record of every observable event, diffable across runs."""
@@ -168,9 +165,6 @@ class Simulator:
 
     def place(self, nid) -> tuple:
         return self._places[nid]
-
-    def node(self, nid):
-        return self._nodes[nid]
 
     def nodes(self):
         return dict(self._nodes)

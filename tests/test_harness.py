@@ -1,5 +1,13 @@
 """Harness-level properties: seed sweeps, report artifacts, loss recovery."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from geobft.harness import run_scenario
+from geobft.irmc import VARIANTS
 from geobft.irmc.base import Delivered
 from geobft.scenario import load_scenario
 from geobft.simnet import FaultPlan, NodeFault
@@ -35,19 +43,20 @@ def test_report_is_pure_function_of_run():
     assert a.to_text() == b.to_text()
 
 
-def test_lossy_links_recover_with_retransmission():
+@pytest.mark.parametrize("variant", ["rc", "sc"])
+def test_lossy_links_recover_with_retransmission(variant):
     from geobft.core import ReplicaId
     plan = FaultPlan()
     for i in range(3):
         plan.faults[ReplicaId("ex", 1, i)] = NodeFault(
             "lossy", at_ms=0.0, until_ms=400.0, rate=0.4)
     plan.beyond_threshold = True
-    ch = Channel("rc", fault_plan=plan, seed=12)
+    ch = Channel(variant, fault_plan=plan, seed=12)
     ch.cfg = ch.cfg.__class__(**{**ch.cfg.__dict__, "retransmit_ms": 50.0})
     # rebuild endpoints with retransmission enabled
-    from geobft.irmc import RcReceiver, RcSender
+    sender_cls, receiver_cls = VARIANTS[variant]
     for node in ch.nodes.values():
-        cls = RcSender if node.nid.role == "ex" else RcReceiver
+        cls = sender_cls if node.nid.role == "ex" else receiver_cls
         node.endpoint = cls(ch.cfg, node)
     got = {}
     for p in (1, 2):
@@ -60,6 +69,29 @@ def test_lossy_links_recover_with_retransmission():
     resolved = [outs for outs in got.values() if outs]
     assert len(resolved) == len(got)
     assert all(isinstance(outs[0], Delivered) for outs in resolved)
+
+
+_DIGEST_SCRIPT = (
+    "import sys\n"
+    "from geobft.harness import run_scenario\n"
+    "_, report = run_scenario('rc-vs-sc', 4, irmc=sys.argv[1])\n"
+    "print(report.trace_digest)\n"
+)
+
+
+@pytest.mark.parametrize("variant", ["rc", "sc"])
+def test_trace_digest_independent_of_hash_seed(variant):
+    """Same (scenario, seed), fresh interpreters with different string
+    hashing: the traces must be byte-identical."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = set()
+    for hashseed in ("1", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": hashseed,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, variant],
+                             env=env, capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1 and "" not in digests, digests
 
 
 def test_flow_control_stall_recovers_under_sc_channels():
