@@ -35,6 +35,7 @@ class CheckpointComponent:
         self.delivered_s = 0
         self.fetching: Optional[int] = None
         self._fetch_peers: list = []
+        self._announce: Optional[CpAnnounce] = None  # reused while delivered_s holds
         node.every(gossip_ms, self._gossip)
 
     # -- creating ------------------------------------------------------------
@@ -196,7 +197,9 @@ class CheckpointComponent:
     def _gossip(self):
         if self.delivered_s == 0:
             return
-        msg = CpAnnounce(self.scope, self.group, self.delivered_s)
+        msg = self._announce
+        if msg is None or msg.s != self.delivered_s:
+            msg = self._announce = CpAnnounce(self.scope, self.group, self.delivered_s)
         for peer in self.members:
             if peer != self.node.nid:
                 self.node.send_signed(peer, msg)

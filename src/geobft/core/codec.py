@@ -5,11 +5,22 @@ length-prefixed body, so the encoding is deterministic and injective;
 it is the byte form that gets hashed, signed and written to trace logs.
 Registered dataclasses encode as a type code plus their fields in
 declaration order.
+
+The bytes of a registered message are computed once per instance: the
+first encode stores them on the instance, outside its dataclass fields,
+and encoding an enclosing message or sequence splices the stored bytes
+in. ``message_store`` gives other layers the same per-instance store
+(the crypto provider keeps the digest there). Registered messages must
+therefore be frozen dataclasses that stay immutable: no list or dict
+fields, and no ``object.__setattr__`` on a field after construction.
+
+Decoding is total: malformed input of any kind raises ``CodecError``.
 """
 from __future__ import annotations
 
 import dataclasses
 import struct
+from typing import Optional
 
 _TAG_NONE = 0
 _TAG_FALSE = 1
@@ -20,11 +31,14 @@ _TAG_STR = 5
 _TAG_SEQ = 6
 _TAG_MSG = 7
 
+_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _HDR = struct.Struct(">BH")  # message tag + type code
 
-_type_code: dict[type, int] = {}
+_BYTES_KEY = "_canonical"  # where a message instance keeps its encoding
+
+_type_header: dict[type, bytes] = {}
 _code_type: dict[int, type] = {}
 _type_fields: dict[type, tuple[str, ...]] = {}
 
@@ -39,12 +53,34 @@ def register_message(code: int):
     def deco(cls):
         if code in _code_type:
             raise CodecError(f"duplicate message code {code}")
-        _type_code[cls] = code
+        if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
+            raise CodecError(f"{cls.__name__} must be a frozen dataclass")
+        _type_header[cls] = _HDR.pack(_TAG_MSG, code)
         _code_type[code] = cls
         _type_fields[cls] = tuple(f.name for f in dataclasses.fields(cls))
         return cls
 
     return deco
+
+
+def message_store(value) -> Optional[dict]:
+    """The per-instance store of a registered message, or None for other values.
+
+    Values kept there are derived from the message's fields, so equal
+    instances may hold them or not without any visible difference.
+    """
+    return value.__dict__ if type(value) in _type_header else None
+
+
+def _message_bytes(msg, header: bytes) -> bytes:
+    store = msg.__dict__
+    raw = store.get(_BYTES_KEY)
+    if raw is None:
+        out = bytearray(header)
+        for name in _type_fields[type(msg)]:
+            _encode_into(getattr(msg, name), out)
+        raw = store[_BYTES_KEY] = bytes(out)
+    return raw
 
 
 def _encode_into(value, out: bytearray) -> None:
@@ -74,21 +110,25 @@ def _encode_into(value, out: bytearray) -> None:
         for item in value:
             _encode_into(item, out)
     else:
-        code = _type_code.get(type(value))
-        if code is None:
+        header = _type_header.get(type(value))
+        if header is None:
             raise CodecError(f"unregistered type: {type(value).__name__}")
-        out += _HDR.pack(_TAG_MSG, code)
-        for name in _type_fields[type(value)]:
-            _encode_into(getattr(value, name), out)
+        out += _message_bytes(value, header)
 
 
 def canonical_encode(value) -> bytes:
+    header = _type_header.get(type(value))
+    if header is not None:
+        return _message_bytes(value, header)
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
 
 
 def _decode_from(buf: bytes, pos: int):
+    # A fixed-width read past the end raises IndexError or struct.error,
+    # which canonical_decode reports; a slice would come up short silently,
+    # so lengths are checked here.
     tag = buf[pos]
     pos += 1
     if tag == _TAG_NONE:
@@ -99,14 +139,18 @@ def _decode_from(buf: bytes, pos: int):
         return False, pos
     if tag == _TAG_INT:
         return _U64.unpack_from(buf, pos)[0], pos + 8
-    if tag == _TAG_BYTES:
+    if tag == _TAG_BYTES or tag == _TAG_STR:
         n = _U32.unpack_from(buf, pos)[0]
         pos += 4
-        return buf[pos:pos + n], pos + n
-    if tag == _TAG_STR:
-        n = _U32.unpack_from(buf, pos)[0]
-        pos += 4
-        return buf[pos:pos + n].decode("utf-8"), pos + n
+        end = pos + n
+        if end > len(buf):
+            raise CodecError(f"length {n} at offset {pos - 4} runs past the end")
+        if tag == _TAG_BYTES:
+            return buf[pos:end], end
+        try:
+            return buf[pos:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"bad UTF-8 at offset {pos}: {exc.reason}") from None
     if tag == _TAG_SEQ:
         n = _U32.unpack_from(buf, pos)[0]
         pos += 4
@@ -116,7 +160,7 @@ def _decode_from(buf: bytes, pos: int):
             items.append(item)
         return tuple(items), pos
     if tag == _TAG_MSG:
-        code = struct.unpack_from(">H", buf, pos)[0]
+        code = _U16.unpack_from(buf, pos)[0]
         pos += 2
         cls = _code_type.get(code)
         if cls is None:
@@ -130,7 +174,12 @@ def _decode_from(buf: bytes, pos: int):
 
 
 def canonical_decode(buf: bytes):
-    value, pos = _decode_from(buf, 0)
+    try:
+        value, pos = _decode_from(buf, 0)
+    except (IndexError, struct.error):
+        raise CodecError("truncated input") from None
+    except RecursionError:
+        raise CodecError("input nested too deeply") from None
     if pos != len(buf):
         raise CodecError(f"{len(buf) - pos} trailing bytes")
     return value

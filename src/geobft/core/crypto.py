@@ -1,10 +1,17 @@
 """Simulated authentication primitives.
 
 Authenticators are structural records binding a signer identity to the
-hash of a message's canonical bytes. Verification recomputes the hash,
-so any tampered byte fails; forgery is impossible because signing goes
-through a BoundCrypto handle pinned to the owning principal. A real
-cipher suite can replace this provider behind the same interface.
+hash of a message's canonical bytes. Verification compares that hash
+with the message's own, so any tampered byte fails; forgery is
+impossible because signing goes through a BoundCrypto handle pinned to
+the owning principal. A real cipher suite can replace this provider
+behind the same interface.
+
+The digest of a registered message is computed once per instance and
+kept beside its canonical bytes (see ``codec.message_store``), so the
+sender's sign and every receiver's verify of one instance hash it once.
+A rewritten message is a new instance with its own digest, which is why
+messages must stay immutable.
 """
 from __future__ import annotations
 
@@ -12,7 +19,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .codec import canonical_encode, register_message
+from .codec import canonical_encode, message_store, register_message
 from .ids import NodeId
 
 
@@ -72,7 +79,13 @@ class CryptoProvider:
         return self._groups.get(key, frozenset())
 
     def digest(self, msg) -> bytes:
-        return hash_bytes(canonical_encode(msg))
+        store = message_store(msg)
+        if store is None:
+            return hash_bytes(canonical_encode(msg))
+        digest = store.get("_digest")
+        if digest is None:
+            digest = store["_digest"] = hash_bytes(canonical_encode(msg))
+        return digest
 
     def sign(self, signer: NodeId, msg) -> Sig:
         if signer not in self._principals:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 AGREEMENT = "ag"
@@ -11,22 +12,50 @@ EXECUTION = "ex"
 AGREEMENT_GROUP = 0
 
 
+# Node ids are hashed and printed on every dispatch and trace record, so
+# each computes its hash and name once, on first use, and keeps them in
+# its instance dict outside the dataclass fields. The hash must stay
+# equal to the one dataclass would generate, hash(fields tuple): set
+# iteration order, and with it the byte identity of traces, depends on it.
+
 @dataclass(frozen=True)
 class ReplicaId:
     role: str  # AGREEMENT or EXECUTION
     group: int
     index: int
 
-    def __str__(self) -> str:
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.role, self.group, self.index))
+
+    @cached_property
+    def _name(self) -> str:
         return f"{self.role}{self.group}:{self.index}"
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return self._name
 
 
 @dataclass(frozen=True)
 class ClientId:
     index: int
 
-    def __str__(self) -> str:
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.index,))
+
+    @cached_property
+    def _name(self) -> str:
         return f"c{self.index}"
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        return self._name
 
 
 NodeId = Union[ReplicaId, ClientId]

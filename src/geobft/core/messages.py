@@ -4,14 +4,16 @@ Client-facing traffic (Write, ReadWeak, Result), channel-internal
 traffic (ChSend, ChMove, ChShare, ChCert, ChProgress), checkpoint
 traffic, ordering-internal traffic and reconfiguration requests. Each
 is a frozen dataclass registered with the canonical codec; wire codes
-are part of the on-disk trace format and must not be reused.
+are part of the on-disk trace format and must not be reused. The codec
+stores each instance's bytes and digest at first use, so a message is
+never changed after construction and holds no list or dict.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .codec import register_message
+from .codec import canonical_encode, register_message
 from .crypto import Sig
 from .ids import ClientId, ReplicaId
 
@@ -342,6 +344,11 @@ class RegistryInfo:
     groups: tuple  # ((group id, region, (members...)), ...) sorted by id
 
 
+# the Envelope message header (tag, type code) plus the auth tuple's
+# sequence header (tag, u32 length)
+_ENVELOPE_FRAMING = 8
+
+
 @register_message(72)
 @dataclass(frozen=True)
 class Envelope:
@@ -349,6 +356,14 @@ class Envelope:
 
     payload: object
     auth: tuple = field(default_factory=tuple)
+
+    def wire_size(self) -> int:
+        """len(canonical_encode(self)), from the bytes the payload and each
+        authenticator already store, without encoding the envelope."""
+        size = _ENVELOPE_FRAMING + len(canonical_encode(self.payload))
+        for a in self.auth:
+            size += len(canonical_encode(a))
+        return size
 
     def sigs(self):
         return [a for a in self.auth if isinstance(a, Sig)]

@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import BoundCrypto, NodeId, hash_bytes
-from .core.codec import canonical_encode
+from .core import BoundCrypto, Mac, NodeId, Sig, hash_bytes
 from .core.messages import ChCert, ChSend, ChShare, ChannelId, Envelope, Write
 
 
@@ -143,8 +142,7 @@ class Simulator:
         self._heap: list = []
         self._nodes: dict = {}
         self._places: dict = {}
-        self._order: dict = {}
-        self._seq: dict = {}
+        self._slots: dict = {}  # owner -> [order key, last sequence number]
         self._stopped = False
 
     # -- wiring ------------------------------------------------------------
@@ -155,14 +153,6 @@ class Simulator:
         self._nodes[nid] = node
         self._places[nid] = (region, zone)
 
-    def _order_key(self, owner) -> int:
-        # assigned on first use; construction order is deterministic
-        key = self._order.get(owner)
-        if key is None:
-            key = self._order[owner] = len(self._order)
-            self._seq[owner] = 0
-        return key
-
     def place(self, nid) -> tuple:
         return self._places[nid]
 
@@ -171,8 +161,8 @@ class Simulator:
 
     # -- fault state -------------------------------------------------------
 
-    def _down(self, nid, at: float) -> bool:
-        f = self.faults.for_node(nid)
+    @staticmethod
+    def _fault_down(f: Optional[NodeFault], at: float) -> bool:
         if f is None:
             return False
         if f.kind == "crash":
@@ -181,8 +171,10 @@ class Simulator:
             return f.at_ms <= at < f.until_ms
         return False
 
-    def _lossy_drop(self, nid, at: float) -> bool:
-        f = self.faults.for_node(nid)
+    def _down(self, nid, at: float) -> bool:
+        return self._fault_down(self.faults.for_node(nid), at)
+
+    def _lossy_drop(self, f: Optional[NodeFault], at: float) -> bool:
         if f is None or f.kind != "lossy":
             return False
         return f.at_ms <= at < f.until_ms and self.rng.random() < f.rate
@@ -190,27 +182,31 @@ class Simulator:
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, time: float, owner, fn):
-        key = self._order_key(owner)
-        seq = self._seq[owner] = self._seq[owner] + 1
-        heapq.heappush(self._heap, (time, key, seq, fn))
+        slot = self._slots.get(owner)
+        if slot is None:
+            # keys are assigned on first use; construction order is deterministic
+            slot = self._slots[owner] = [len(self._slots), 0]
+        slot[1] += 1
+        heapq.heappush(self._heap, (time, slot[0], slot[1], fn))
 
     def send(self, src: NodeId, dst: NodeId, env: Envelope, channel: Optional[str] = None) -> None:
         """One-way transmission; applies crash/partition/loss at both ends."""
-        if self._down(src, self.now) or self._lossy_drop(src, self.now):
-            self.trace.add(self.now, "net_drop", src, dst, type(env.payload).__name__)
+        kind = type(env.payload).__name__
+        fault = self.faults.for_node(src)
+        if self._fault_down(fault, self.now) or self._lossy_drop(fault, self.now):
+            self.trace.add(self.now, "net_drop", src, dst, kind)
             return
-        wan = self._places[src][0] != self._places[dst][0]
-        size = len(canonical_encode(env))
-        self.counters.count(type(env.payload).__name__, wan, size, channel)
-        delay = self.topology.latency(self._places[src], self._places[dst]) \
-            + self.topology.proc_ms
+        src_place, dst_place = self._places[src], self._places[dst]
+        wan = src_place[0] != dst_place[0]
+        self.counters.count(kind, wan, env.wire_size(), channel)
+        delay = self.topology.latency(src_place, dst_place) + self.topology.proc_ms
         if self.topology.jitter_ms:
             delay += self.rng.random() * self.topology.jitter_ms
         arrive = self.now + delay
 
         def deliver():
             if self._down(dst, self.now):
-                self.trace.add(self.now, "net_drop", src, dst, type(env.payload).__name__)
+                self.trace.add(self.now, "net_drop", src, dst, kind)
                 return
             self._nodes[dst].handle_envelope(src, env)
 
@@ -323,7 +319,6 @@ class Node:
         self.sim.send(self.nid, dst, env, channel=channel)
 
     def _reauth(self, a, payload):
-        from .core.crypto import Mac, Sig
         if isinstance(a, Sig):
             return self.crypto.sign(payload)
         if isinstance(a, Mac):
@@ -357,7 +352,6 @@ class Node:
         self.on_payload(src, env)
 
     def _auth_ok(self, payload, a) -> bool:
-        from .core.crypto import Mac, Sig
         if isinstance(a, Sig):
             return self.crypto.valid_sig(payload, a)
         if isinstance(a, Mac):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from geobft.core import BoundCrypto, CryptoProvider, ReplicaId
@@ -60,3 +62,13 @@ def rc_channel():
 @pytest.fixture
 def sc_channel():
     return Channel("sc")
+
+
+def rebuilt(value):
+    """An equal value built anew, so that no part of it holds stored bytes or digests."""
+    if isinstance(value, tuple):
+        return tuple(rebuilt(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value)(*(rebuilt(getattr(value, f.name))
+                             for f in dataclasses.fields(value)))
+    return value

@@ -1,10 +1,14 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geobft.core import (
     BoundCrypto,
     ClientId,
+    CodecError,
     ConfigurationError,
     CryptoProvider,
     FaultParams,
@@ -14,15 +18,18 @@ from geobft.core import (
     canonical_encode,
 )
 from geobft.core.messages import (
+    ChCert,
     ChMove,
     ChSend,
     ChannelId,
+    Envelope,
     Execute,
     FullReq,
     Placeholder,
     Result,
     Write,
 )
+from tests.conftest import rebuilt
 
 
 def test_fault_params_sizes():
@@ -135,3 +142,139 @@ class TestCrypto:
         bound = BoundCrypto(self.provider, self.members[0])
         sig = bound.sign(b"payload")
         assert sig.signer == self.members[0]
+
+
+# -- decoding is total ---------------------------------------------------------
+
+def _assert_decodes_canonically_or_rejects(buf):
+    try:
+        value = canonical_decode(buf)
+    except CodecError:
+        return False
+    assert canonical_encode(value) == buf
+    return True
+
+
+def test_decode_total_on_seeded_buffers():
+    """Random, byte-mutated and truncated buffers: CodecError or a value
+    whose encoding is the buffer, never any other exception."""
+    rng = random.Random(11)
+    valid = [canonical_encode(_random_message(rng)) for _ in range(300)]
+    accepted = 0
+    for i in range(20000):
+        raw = valid[rng.randrange(len(valid))]
+        if i % 3 == 0:
+            buf = bytes(rng.randrange(256) for _ in range(rng.randrange(24)))
+            if buf and rng.random() < 0.5:
+                buf = bytes([rng.randrange(8)]) + buf[1:]  # a valid tag
+        elif i % 3 == 1:
+            buf = bytearray(raw)
+            for _ in range(rng.randrange(1, 4)):
+                buf[rng.randrange(len(buf))] = rng.randrange(256)
+            buf = bytes(buf)
+        else:
+            buf = raw[:rng.randrange(len(raw))]
+            with pytest.raises(CodecError):
+                canonical_decode(buf)
+            continue
+        accepted += _assert_decodes_canonically_or_rejects(buf)
+    assert 0 < accepted < 20000
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_decode_total_on_arbitrary_bytes(buf):
+    _assert_decodes_canonically_or_rejects(buf)
+
+
+def test_decode_rejects_malformed_structure():
+    write = canonical_encode(Write(b"op", ClientId(1), 1))
+    for buf in (b"", bytes([3, 0, 0]), bytes([4, 0, 0, 0, 9, 1]),
+                bytes([5, 0, 0, 0, 2, 0xC3, 0x28]), bytes([6]) + b"\xff" * 4,
+                bytes([7, 0]), write[:-1], write + b"\x00"):
+        with pytest.raises(CodecError):
+            canonical_decode(buf)
+    with pytest.raises(CodecError):
+        canonical_decode(bytes([6, 0, 0, 0, 1]) * 5000)  # nested too deeply
+
+
+# -- stored bytes and digests cannot be seen -------------------------------------
+
+def _cache_cases():
+    provider = CryptoProvider()
+    client = ClientId(4)
+    group = GroupKey("ex", 1)
+    members = [ReplicaId("ex", 1, i) for i in range(3)]
+    provider.register_principal(client)
+    provider.register_group(group, members)
+    write = Write(b"put k v", client, 9)
+    execute = Execute(7, (FullReq(write, provider.sign(client, write), 1),
+                          Placeholder(client, 3)))
+    payload = ChSend(ChannelId("commit", 1), 0, 5, execute)
+    cert = ChCert(ChannelId("commit", 1), 0, 5, execute,
+                  tuple(provider.sign(m, payload) for m in members[:2]))
+    env = Envelope(payload, (provider.mac(client, group, payload),))
+    return provider, members[0], [
+        (execute, lambda m: dataclasses.replace(m, s=m.s + 1)),
+        (cert, lambda m: dataclasses.replace(m, p=m.p + 1)),
+        (env, lambda m: dataclasses.replace(
+            m, payload=dataclasses.replace(m.payload, p=m.payload.p + 1))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["execute", "chcert", "envelope"])
+def test_stored_bytes_and_digest_are_invisible(case):
+    provider, signer, cases = _cache_cases()
+    built, tweak = cases[case]
+    msg = rebuilt(built)  # no part of it has been encoded yet
+    before = (repr(msg), hash(msg), msg == built, built == msg)
+    raw = canonical_encode(msg)
+    assert raw == canonical_encode(rebuilt(msg))
+    assert canonical_encode(msg) == raw
+    sig = provider.sign(signer, msg)
+    assert (repr(msg), hash(msg), msg == built, built == msg) == before == (
+        repr(built), hash(built), True, True)
+    assert canonical_decode(raw) == msg
+    assert provider.valid_sig(msg, sig)
+    assert provider.valid_sig(rebuilt(msg), sig)
+    assert not provider.valid_sig(tweak(msg), sig)
+
+
+def test_only_frozen_dataclasses_can_be_registered():
+    from geobft.core import register_message
+
+    @dataclasses.dataclass
+    class Mutable:
+        x: int
+
+    with pytest.raises(CodecError):
+        register_message(999)(Mutable)
+
+
+# -- node ids ----------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _PlainReplicaId:
+    role: str
+    group: int
+    index: int
+
+
+@pytest.mark.parametrize("nid, fields, name, text", [
+    (ReplicaId("ag", 0, 3), ("ag", 0, 3), "ag0:3", "ReplicaId(role='ag', group=0, index=3)"),
+    (ReplicaId("ex", 2, 1), ("ex", 2, 1), "ex2:1", "ReplicaId(role='ex', group=2, index=1)"),
+    (ClientId(7), (7,), "c7", "ClientId(index=7)"),
+])
+def test_node_id_hash_and_name_pinned(nid, fields, name, text):
+    # Set iteration order over node ids, and with it the byte identity of
+    # traces, depends on these hashes: the stored hash must equal the one
+    # dataclass generates, hash(fields tuple).
+    assert hash(nid) == hash(fields)
+    if isinstance(nid, ReplicaId):
+        assert hash(nid) == hash(_PlainReplicaId(*fields))
+    assert str(nid) == name
+    assert repr(nid) == text
+    assert nid == type(nid)(*fields) and nid != type(nid)(*fields[:-1], fields[-1] + 1)
+    moved = dataclasses.replace(nid, index=nid.index + 1)
+    assert hash(moved) == hash(fields[:-1] + (fields[-1] + 1,))
+    assert str(moved) == name[:-1] + str(fields[-1] + 1)

@@ -1,7 +1,15 @@
 """Simulator guarantees: determinism, latency model, conservation, faults."""
-from geobft.core import BoundCrypto, CryptoProvider, ReplicaId
+from geobft.core import (
+    BoundCrypto,
+    ClientId,
+    CryptoProvider,
+    GroupKey,
+    ReplicaId,
+    canonical_encode,
+)
+from geobft.core.messages import ChSend, ChannelId, Write
 from geobft.simnet import FaultPlan, Node, NodeFault, Simulator
-from tests.conftest import small_topology
+from tests.conftest import rebuilt, small_topology
 
 
 class Echo(Node):
@@ -113,3 +121,45 @@ def test_invalid_authenticator_never_dispatched():
     sim.run_until(100)
     assert nb.got == []
     assert len(sim.trace.events("auth_reject")) == 1
+
+
+def test_send_counts_full_envelope_encoding():
+    """The size Simulator.send adds from stored bytes equals a full encode."""
+    a, byz, b, c = (ReplicaId("ex", 1, 0), ReplicaId("ex", 1, 1),
+                    ReplicaId("ag", 0, 0), ClientId(0))
+    plan = FaultPlan()
+    plan.faults[byz] = NodeFault("byzantine", strategy="equivocate-send")
+    sim = Simulator(small_topology(), 1, plan)
+    provider = CryptoProvider()
+    group = GroupKey("ag", 0)
+    provider.register_group(group, [b])
+    nodes = {}
+    for zone, nid in enumerate((a, byz, c)):
+        provider.register_principal(nid)
+        nodes[nid] = Echo(nid, sim, BoundCrypto(provider, nid))
+        sim.register(nid, nodes[nid], "S", zone)
+    nodes[b] = Echo(b, sim, BoundCrypto(provider, b))
+    sim.register(b, nodes[b], "R", 0)
+
+    sent = []
+    send = sim.send
+
+    def spy(src, dst, env, channel=None):
+        before = sum(sim.counters.bytes.values())
+        send(src, dst, env, channel)
+        sent.append((env, sum(sim.counters.bytes.values()) - before))
+
+    sim.send = spy
+    payload = ChSend(ChannelId("req", 1), 0, 1, Write(b"put k v", c, 1))
+    nodes[a].net_send(b, payload)
+    nodes[a].send_signed(b, payload)
+    nodes[c].send_mac(b, Write(b"op", c, 2), scope=group)
+    nodes[a].net_send(b, payload, (nodes[a].crypto.sign(payload),
+                                   nodes[a].crypto.mac(b, payload)))
+    nodes[byz].send_signed(b, payload)
+    assert [len(env.auth) for env, _ in sent] == [0, 1, 1, 2, 1]
+    assert sent[-1][0].payload != payload  # rewritten by the adapter
+    for env, size in sent:
+        assert size == len(canonical_encode(rebuilt(env)))
+    sim.run_until(100)
+    assert len(nodes[b].got) == 5
