@@ -3,17 +3,19 @@ request authenticity, linearizability (real-time order plus replay on a
 reference application), weak-read interval consistency, channel quorum
 provenance, window monotonicity, and checkpoint-equivalence digests.
 
-All checkers are pure functions of the trace plus the scenario facts
-(fault plan, authorized clients); the linearization candidate is the
-agreement order, with a brute-force search as a cross-check oracle for
-tiny histories.
+All checkers are pure functions of one AuditView, built once per audit:
+the trace's records grouped by event plus the scenario facts (fault plan,
+authorized clients). The linearization candidate is the agreement order,
+replayed once, with a brute-force search as a cross-check oracle for tiny
+histories.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import permutations
 
-from .application import KvApplication
+from .application import ABSENT, KvApplication
 from .core import ClientId, hash_bytes
 from .core.codec import canonical_decode
 
@@ -34,28 +36,41 @@ def _honest(plan, nid) -> bool:
     return fault is None or fault.kind != "byzantine"
 
 
-def _correct(cfg):
-    plan = cfg.fault_plan
-    correct_clients = {f"c{i}" for i in range(len(cfg.clients))
-                       if plan.is_correct(ClientId(i))}
-    correct_clients.add(str(cfg.admin_id))
-    correct_replicas = set()
-    for gid in cfg.all_group_ids():
-        for r in cfg.group_members(gid):
-            if _honest(plan, r):
-                correct_replicas.add(str(r))
-    correct_ag = {str(r) for r in cfg.agreement_members() if _honest(plan, r)}
-    return correct_clients, correct_replicas, correct_ag
+class AuditView:
+    """What every checker reads, computed once per audit: the trace's records
+    grouped by event in one pass, the correct principals, the canonical
+    execution order with its first conflict, and that order's replay."""
+
+    def __init__(self, trace, cfg):
+        self.trace = trace
+        self.cfg = cfg
+        self._by_event = defaultdict(list)
+        for record in trace.records:
+            self._by_event[record[1]].append(record)
+        plan = cfg.fault_plan
+        self.correct_clients = {f"c{i}" for i in range(len(cfg.clients))
+                                if plan.is_correct(ClientId(i))}
+        self.correct_clients.add(str(cfg.admin_id))
+        self.correct_replicas = {str(r) for gid in cfg.all_group_ids()
+                                 for r in cfg.group_members(gid) if _honest(plan, r)}
+        self.correct_ag = {str(r) for r in cfg.agreement_members() if _honest(plan, r)}
+        self.order, self.conflict = canonical_execution_order(
+            self.events("execute"), self.correct_replicas)
+        self.expected, self.history = replay_reference(self.order)
+
+    def events(self, name: str):
+        """This event's records, in trace order."""
+        return self._by_event.get(name, ())
 
 
-def canonical_execution_order(trace, correct_replicas):
+def canonical_execution_order(executes, correct_replicas):
     """(s, idx) -> (c, t_c, op hex, kind) union over correct replicas,
     flagging any disagreement (the E-Safety core)."""
     order: dict = {}
     conflict = None
     per_replica_seen: dict = {}
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "execute" or src not in correct_replicas:
+    for t, event, src, dst, kind, digest, data in executes:
+        if src not in correct_replicas:
             continue
         key = (data["s"], data.get("idx", 0))
         value = (data["c"], data["t_c"], data["op"], kind)
@@ -72,28 +87,56 @@ def canonical_execution_order(trace, correct_replicas):
     return order, conflict
 
 
-def check_execute_equality(trace, cfg) -> Verdict:
-    _, correct_replicas, _ = _correct(cfg)
-    order, conflict = canonical_execution_order(trace, correct_replicas)
+def replay_reference(order):
+    """Replays the canonical order; returns expected replies and key histories."""
+    app = KvApplication()
+    expected: dict = {}
+    history: dict = {}  # key -> list of (s, value)
+    for key_pos in sorted(order):
+        c, t_c, op_hex, kind = order[key_pos]
+        op = bytes.fromhex(op_hex)
+        if kind == "read":
+            reply = app.execute_readonly(op)
+        else:
+            reply = app.execute(op)
+            decoded = _try_decode(op)
+            if decoded is not None and decoded[0] == "put":
+                history.setdefault(decoded[1], []).append((key_pos[0], decoded[2]))
+        expected[(c, t_c)] = reply
+    return expected, history
+
+
+def _try_decode(op: bytes):
+    try:
+        return canonical_decode(op)
+    except Exception:
+        return None
+
+
+def check_execute_equality(view) -> Verdict:
     placements: dict = {}
-    for key, (c, t_c, op, kind) in sorted(order.items()):
+    for key, (c, t_c, op, kind) in sorted(view.order.items()):
         held = placements.get((c, t_c))
         if held is not None:
             return Verdict("execute_equality", False,
                            f"({c},{t_c}) executed at {held} and {key}")
         placements[(c, t_c)] = key
-    if conflict:
-        return Verdict("execute_equality", False, conflict)
-    return Verdict("execute_equality", True, f"{len(order)} executed positions")
+    if view.conflict:
+        return Verdict("execute_equality", False, view.conflict)
+    return Verdict("execute_equality", True, f"{len(view.order)} executed positions")
 
 
-def check_agreement_safety(trace, cfg) -> Verdict:
-    """A-Safety and A-Order over the order_deliver trace of correct replicas."""
-    _, _, correct_ag = _correct(cfg)
+def check_agreement_safety(view) -> Verdict:
+    """A-Safety and A-Order over the order_deliver trace of correct replicas.
+
+    A gap is covered only by a cp_stable recorded before the jumping delivery
+    in trace order (records can share a timestamp), so this checker walks the
+    trace itself rather than the per-event groups."""
+    correct_ag = view.correct_ag
     per_s: dict = {}
     per_replica_last: dict = {}
     jumps: dict = {}
-    for t, event, src, dst, kind, digest, data in trace.records:
+    for t, event, src, dst, kind, digest, data in view.trace.records:
         if src not in correct_ag:
             continue
         if event == "cp_stable" and kind == "ag":
@@ -120,13 +163,13 @@ def check_agreement_safety(trace, cfg) -> Verdict:
     return Verdict("agreement_safety", True, f"{len(per_s)} sequences")
 
 
-def check_validity(trace, cfg) -> Verdict:
+def check_validity(view) -> Verdict:
     """E-Validity: every executed request re-verifies against its authenticator."""
+    cfg = view.cfg
     authorized = {i for i in range(len(cfg.clients))} | {cfg.admin_id.index}
-    _, correct_replicas, _ = _correct(cfg)
     checked = 0
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "execute" or src not in correct_replicas or "wr" not in data:
+    for t, event, src, dst, kind, digest, data in view.events("execute"):
+        if src not in view.correct_replicas or "wr" not in data:
             continue
         write = canonical_decode(bytes.fromhex(data["wr"]))
         sig = canonical_decode(bytes.fromhex(data["sig"]))
@@ -140,23 +183,20 @@ def check_validity(trace, cfg) -> Verdict:
     return Verdict("validity", True, f"{checked} executions re-verified")
 
 
-def check_realtime_order(trace, cfg) -> Verdict:
+def check_realtime_order(view) -> Verdict:
     """Accepted-before-issued implies lower agreement sequence (E-Safety II core)."""
-    correct_clients, correct_replicas, _ = _correct(cfg)
-    order, _ = canonical_execution_order(trace, correct_replicas)
+    order = view.order
     seq_of = {}
     for key in sorted(order):
         c, t_c, op, kind = order[key]
         seq_of.setdefault((c, t_c), key)
     strong = ("write", "read_strong", "admin")
     events = []
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if src not in correct_clients or kind not in strong:
-            continue
-        if event == "client_issue":
-            events.append((t, 0, "issue", src, data["t_c"]))
-        elif event == "client_accept":
-            events.append((t, 1, "accept", src, data["t_c"]))
+    for rank, what in enumerate(("issue", "accept")):
+        for t, _, src, dst, kind, digest, data in view.events("client_" + what):
+            if src in view.correct_clients and kind in strong:
+                events.append((t, rank, what, src, data["t_c"]))
+    # the sort is stable, so records of one event at one time keep trace order
     events.sort(key=lambda e: (e[0], e[1]))
     max_accepted = None
     for t, _, what, src, t_c in events:
@@ -171,44 +211,13 @@ def check_realtime_order(trace, cfg) -> Verdict:
     return Verdict("realtime_order", True, f"{len(events)} ordered events")
 
 
-def replay_reference(order):
-    """Replays the canonical order; returns expected replies and key histories."""
-    app = KvApplication()
-    expected: dict = {}
-    history: dict = {}  # key -> list of (s, value)
-    for key_pos in sorted(order):
-        c, t_c, op_hex, kind = order[key_pos]
-        op = bytes.fromhex(op_hex)
-        if kind == "read":
-            reply = app.execute_readonly(op)
-        else:
-            reply = app.execute(op)
-            decoded = _try_decode(op)
-            if decoded is not None and decoded[0] == "put":
-                history.setdefault(decoded[1], []).append((key_pos[0], decoded[2]))
-        expected[(c, t_c)] = reply
-    return app, expected, history
-
-
-def _try_decode(op: bytes):
-    try:
-        return canonical_decode(op)
-    except Exception:
-        return None
-
-
-def check_replay(trace, cfg) -> Verdict:
+def check_replay(view) -> Verdict:
     """Every accepted strong reply equals the reply the replayed prefix computes."""
-    correct_clients, correct_replicas, _ = _correct(cfg)
-    order, _ = canonical_execution_order(trace, correct_replicas)
-    _, expected, _ = replay_reference(order)
     checked = 0
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "client_accept" or kind not in ("write", "read_strong"):
+    for t, event, src, dst, kind, digest, data in view.events("client_accept"):
+        if kind not in ("write", "read_strong") or src not in view.correct_clients:
             continue
-        if src not in correct_clients:
-            continue
-        want = expected.get((int(src[1:]), data["t_c"]))
+        want = view.expected.get((int(src[1:]), data["t_c"]))
         if want is None:
             return Verdict("replay", False,
                            f"{src} accepted t_c={data['t_c']} never executed")
@@ -220,19 +229,10 @@ def check_replay(trace, cfg) -> Verdict:
     return Verdict("replay", True, f"{checked} replies replayed")
 
 
-def check_weak_reads(trace, cfg) -> Verdict:
+def check_weak_reads(view) -> Verdict:
     """Weak replies match the serving group's state at a point inside the
     read's issue-response interval (one-copy serializability at desk scale)."""
-    correct_clients, correct_replicas, _ = _correct(cfg)
-    order, _ = canonical_execution_order(trace, correct_replicas)
-    history: dict = {}  # key -> [(s, value)] in replay order
-    for key_pos in sorted(order):
-        c, t_c, op_hex, kind = order[key_pos]
-        if kind == "read":
-            continue
-        decoded = _try_decode(bytes.fromhex(op_hex))
-        if decoded is not None and decoded[0] == "put":
-            history.setdefault(decoded[1], []).append((key_pos[0], decoded[2]))
+    history = view.history
 
     def value_at_s(key, s):
         versions = history.get(key, ())
@@ -245,18 +245,17 @@ def check_weak_reads(trace, cfg) -> Verdict:
         return value
 
     serves: dict = {}  # (client, nonce) -> [(time, s_n)] by correct replicas
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event == "weak_serve" and src in correct_replicas:
+    for t, event, src, dst, kind, digest, data in view.events("weak_serve"):
+        if src in view.correct_replicas:
             serves.setdefault((dst, data["nonce"]), []).append((t, data["s_n"]))
     weak_ops: dict = {}  # (client, issue time) -> key read
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event == "client_issue" and kind == "read_weak":
+    for t, event, src, dst, kind, digest, data in view.events("client_issue"):
+        if kind == "read_weak":
             decoded = canonical_decode(bytes.fromhex(data["op"]))
             weak_ops[(src, round(t, 6))] = decoded[1]
     checked = 0
-    from .application import ABSENT
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "client_accept" or kind != "read_weak" or src not in correct_clients:
+    for t, event, src, dst, kind, digest, data in view.events("client_accept"):
+        if kind != "read_weak" or src not in view.correct_clients:
             continue
         issued = round(data["issued"], 6)
         reply = bytes.fromhex(data["reply"])
@@ -279,26 +278,18 @@ def check_weak_reads(trace, cfg) -> Verdict:
     return Verdict("weak_reads", True, f"{checked} weak reads verified")
 
 
-def check_channel_quorums(trace, cfg) -> Verdict:
+def check_channel_quorums(view) -> Verdict:
     """IRMC provenance: every delivery carries an f_s+1 quorum including a
     correct sender that actually sent that content."""
-    plan = cfg.fault_plan
-    f_by_kind = {"req": cfg.fault_params.f_e, "commit": cfg.fault_params.f_a}
+    f_by_kind = {"req": view.cfg.fault_params.f_e, "commit": view.cfg.fault_params.f_a}
+    correct = view.correct_replicas | view.correct_ag
     sent: dict = {}
-    correct = set()
-    for gid in cfg.all_group_ids():
-        for r in cfg.group_members(gid):
-            if _honest(plan, r):
-                correct.add(str(r))
-    for r in cfg.agreement_members():
-        if _honest(plan, r):
-            correct.add(str(r))
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event == "ch_send_call" and src in correct:
+    for t, event, src, dst, kind, digest, data in view.events("ch_send_call"):
+        if src in correct:
             sent.setdefault((kind, data["sc"], data["p"]), set()).add(digest)
     deliveries = 0
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "irmc_deliver" or src not in correct:
+    for t, event, src, dst, kind, digest, data in view.events("irmc_deliver"):
+        if src not in correct:
             continue
         f_s = f_by_kind["req" if kind.startswith("req") else "commit"]
         contributors = data["senders"].split(";")
@@ -316,15 +307,12 @@ def check_channel_quorums(trace, cfg) -> Verdict:
     return Verdict("channel_quorums", True, f"{deliveries} deliveries vouched")
 
 
-def check_commit_content(trace, cfg) -> Verdict:
+def check_commit_content(view) -> Verdict:
     """Monotone commit-channel content: the payload sent at a position is
     identical across all correct agreement replicas (the projection lemma)."""
-    _, _, correct_ag = _correct(cfg)
     sent: dict = {}
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "ch_send_call" or src not in correct_ag:
-            continue
-        if not kind.startswith("commit"):
+    for t, event, src, dst, kind, digest, data in view.events("ch_send_call"):
+        if src not in view.correct_ag or not kind.startswith("commit"):
             continue
         key = (kind, data["p"])
         held = sent.setdefault(key, digest)
@@ -335,11 +323,9 @@ def check_commit_content(trace, cfg) -> Verdict:
     return Verdict("commit_content", True, f"{len(sent)} positions compared")
 
 
-def check_window_monotonicity(trace, cfg) -> Verdict:
+def check_window_monotonicity(view) -> Verdict:
     last: dict = {}
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "win_move":
-            continue
+    for t, event, src, dst, kind, digest, data in view.events("win_move"):
         key = (src, kind, data["sc"])
         if data["start"] < last.get(key, 0):
             return Verdict("window_monotonicity", False,
@@ -348,21 +334,18 @@ def check_window_monotonicity(trace, cfg) -> Verdict:
     return Verdict("window_monotonicity", True, f"{len(last)} windows")
 
 
-def check_cp_equivalence(trace, cfg) -> Verdict:
+def check_cp_equivalence(view) -> Verdict:
     """Checkpoint path and delivery path reach identical state digests."""
-    _, correct_replicas, correct_ag = _correct(cfg)
     ag_digests: dict = {}
     ex_full: dict = {}
     ex_projected: dict = {}
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "state_digest":
-            continue
-        if kind == "ag" and src in correct_ag:
+    for t, event, src, dst, kind, digest, data in view.events("state_digest"):
+        if kind == "ag" and src in view.correct_ag:
             held = ag_digests.setdefault(data["s"], digest)
             if held != digest:
                 return Verdict("cp_equivalence", False,
                                f"agreement state divergence at s={data['s']}")
-        elif kind == "ex" and src in correct_replicas:
+        elif kind == "ex" and src in view.correct_replicas:
             group = src.split(":")[0]
             held = ex_full.setdefault((group, data["s"]), digest)
             if held != digest:
@@ -377,45 +360,40 @@ def check_cp_equivalence(trace, cfg) -> Verdict:
     return Verdict("cp_equivalence", True, f"{n} digest points compared")
 
 
-def check_liveness(trace, cfg) -> Verdict:
+def check_liveness(view) -> Verdict:
     """Every correct-client request resolves within the horizon."""
-    correct_clients, _, _ = _correct(cfg)
     strong_issued: dict = {}
     strong_done: set = set()
-    weak_issued: set = set()
+    weak_issued: dict = {}  # weak reads are keyed by their first issue time
     weak_done: set = set()
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if src not in correct_clients:
-            continue
-        if event == "client_issue":
-            if kind == "read_weak":
-                weak_issued.add((src, data["t_c"]))
-            else:
-                strong_issued[(src, data["t_c"])] = kind
-        elif event == "client_accept":
-            if kind == "read_weak":
-                weak_done.add((src, round(data["issued"], 6)))
-            else:
+    for event in ("client_issue", "client_accept", "client_resubmit", "client_escalate"):
+        for t, _, src, dst, kind, digest, data in view.events(event):
+            if src not in view.correct_clients:
+                continue
+            if event == "client_issue":
+                if kind == "read_weak":
+                    weak_issued[(src, round(t, 6))] = kind
+                else:
+                    strong_issued[(src, data["t_c"])] = kind
+            elif event == "client_accept":
+                if kind == "read_weak":
+                    weak_done.add((src, round(data["issued"], 6)))
+                else:
+                    strong_done.add((src, data["t_c"]))
+            elif event == "client_resubmit":
                 strong_done.add((src, data["t_c"]))
-        elif event == "client_resubmit":
-            strong_done.add((src, data["t_c"]))
-        elif event == "client_escalate":
-            weak_done.add((src, round(data["issued"], 6)))
+            else:
+                weak_done.add((src, round(data["issued"], 6)))
     missing = [k for k in strong_issued if k not in strong_done]
     if missing:
         return Verdict("liveness", False,
                        f"{len(missing)} strong requests unresolved, e.g. {missing[0]}")
-    # weak issues are keyed by their first issue time
-    weak_keys = set()
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event == "client_issue" and kind == "read_weak" and src in correct_clients:
-            weak_keys.add((src, round(t, 6)))
-    unresolved = [k for k in weak_keys if k not in weak_done]
+    unresolved = [k for k in weak_issued if k not in weak_done]
     if unresolved:
         return Verdict("liveness", False,
                        f"{len(unresolved)} weak reads unresolved, e.g. {unresolved[0]}")
     return Verdict("liveness", True,
-                   f"{len(strong_issued)} strong + {len(weak_keys)} weak resolved")
+                   f"{len(strong_issued)} strong + {len(weak_issued)} weak resolved")
 
 
 def linearizable_bruteforce(ops) -> bool:
@@ -460,10 +438,11 @@ STANDARD_CHECKS = (
 
 
 def audit_trace(trace, cfg, skip_liveness: bool = False) -> dict:
+    view = AuditView(trace, cfg)
     verdicts = {}
     for check in STANDARD_CHECKS:
         if skip_liveness and check is check_liveness:
             continue
-        v = check(trace, cfg)
+        v = check(view)
         verdicts[v.name] = v.as_pair()
     return verdicts

@@ -7,7 +7,7 @@ import sys
 from .audit import audit_trace
 from .harness import run_scenario
 from .scenario import load_scenario, shipped_scenarios
-from .simnet import TraceLog
+from .simnet import read_trace
 
 
 def main(argv=None) -> int:
@@ -113,32 +113,6 @@ def _cmd_sweep(args) -> int:
     else:
         print(f"verdicts identical across {len(digests)} seeds")
     return status
-
-
-def read_trace(path) -> TraceLog:
-    """Parse a trace file back into a TraceLog (inverse of TraceLog.write)."""
-    trace = TraceLog()
-    with open(path) as fh:
-        for line in fh:
-            time, event, src, dst, kind, digest, extra = line.rstrip("\n").split("|")
-            data = {}
-            if extra:
-                for pair in extra.split(","):
-                    k, v = pair.split("=", 1)
-                    data[k] = _parse_value(v)
-            trace.records.append((float(time), event, src, dst, kind, digest, data))
-    return trace
-
-
-def _parse_value(v: str):
-    tag, _, body = v.partition(":")
-    if tag == "i":
-        return int(body)
-    if tag == "f":
-        return float(body)
-    if tag == "b":
-        return body == "1"
-    return body
 
 
 if __name__ == "__main__":

@@ -190,15 +190,17 @@ def audit_schedule(trace, cfg, correct_s, correct_r, outstanding, report):
     sent = {}        # (sc, p) -> {digest: set(correct senders)}
     send_calls = {}  # sender -> set((sc, p))
     send_done = {}   # sender -> set((sc, p))
-    moves = []       # (idx, node, sc, p) by correct endpoints
+    moved_to = {}    # sc -> highest move so far by a correct endpoint
     recv_moves_by = {}  # (sc,) -> {receiver: max p}
     win_last = {}
+    asked = set()     # (receiver, sc, p) a correct receiver asked for
+    resolved = set()  # (receiver, sc, p) answered by a message or TooOld
     chan = str(cfg.channel)
     cs = {str(n) for n in correct_s}
     cr = {str(n) for n in correct_r}
     correct = cs | cr
 
-    for idx, (t, event, src, dst, kind, digest, data) in enumerate(trace.records):
+    for t, event, src, dst, kind, digest, data in trace.records:
         if kind != chan:
             continue
         nid = src
@@ -209,7 +211,7 @@ def audit_schedule(trace, cfg, correct_s, correct_r, outstanding, report):
         elif event == "ch_send_done" and nid in cs:
             send_done.setdefault(nid, set()).add((data["sc"], data["p"]))
         elif event == "ch_move_call" and nid in correct:
-            moves.append((idx, nid, data["sc"], data["p"]))
+            moved_to[data["sc"]] = max(moved_to.get(data["sc"], 0), data["p"])
             if data.get("side") == "r" and nid in cr:
                 held = recv_moves_by.setdefault(data["sc"], {})
                 held[nid] = max(held.get(nid, 0), data["p"])
@@ -228,28 +230,21 @@ def audit_schedule(trace, cfg, correct_s, correct_r, outstanding, report):
             senders_of = sent.get(key, {}).get(digest, set())
             if not senders_of:
                 violations.append(f"C1 delivery at {key} not sent by any correct sender")
+        elif event == "ch_recv_call" and nid in cr:
+            asked.add((nid, data["sc"], data["p"]))
+        elif event == "ch_recv_msg" and nid in cr:
+            resolved.add((nid, data["sc"], data["p"]))
         elif event == "ch_recv_tooold" and nid in cr:
+            resolved.add((nid, data["sc"], data["p"]))
             if report is not None:
                 report.too_olds += 1
             new_start = data["new_start"]
-            if data["p"] >= new_start:
-                continue
-            backed = any(p >= new_start for i, _, sc, p in moves
-                         if i < idx and sc == data["sc"])
-            if not backed:
+            # C2: the moves seen so far are exactly those before this TooOld
+            if data["p"] < new_start and moved_to.get(data["sc"], 0) < new_start:
                 violations.append(
                     f"C2 TooOld({new_start}) at {nid} without a correct move")
 
     # L1: quorum-sent positions resolve at every correct receiver that asked
-    resolved = set()
-    asked = set()
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if kind != chan or src not in cr:
-            continue
-        if event == "ch_recv_call":
-            asked.add((src, data["sc"], data["p"]))
-        elif event in ("ch_recv_msg", "ch_recv_tooold"):
-            resolved.add((src, data["sc"], data["p"]))
     for (sc, p), by_digest in sent.items():
         if max(len(s) for s in by_digest.values()) < cfg.f_s + 1:
             continue

@@ -164,33 +164,33 @@ def expected_write_latency(cfg, client_region: str, client_zone: int = 0,
     return _kth_smallest(replies, f_e + 1)
 
 
-def write_wan_stages(trace, cfg, client_name: str, t_c: int) -> Optional[int]:
+def write_wan_stages(view, client_name: str, t_c: int) -> Optional[int]:
     """Counts the wide-area legs on one accepted write's path by locating the
-    actual channel deliveries that carried it (request leg, then commit leg)."""
+    actual channel deliveries that carried it (request leg, then commit leg).
+    `view` is the run's `audit.AuditView`."""
     c = int(client_name[1:])
     issue = s_assigned = None
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event == "client_issue" and src == client_name and kind == "write" \
-                and data.get("t_c") == t_c:
+    for t, event, src, dst, kind, digest, data in view.events("client_issue"):
+        if src == client_name and kind == "write" and data.get("t_c") == t_c:
             issue = data
-        elif event == "execute" and data.get("c") == c and data.get("t_c") == t_c \
-                and s_assigned is None:
+    for t, event, src, dst, kind, digest, data in view.events("execute"):
+        if data.get("c") == c and data.get("t_c") == t_c:
             s_assigned = data["s"]
+            break
     if issue is None or s_assigned is None:
         return None
+    gid = issue["group"]
+    req_kind, commit_kind, group_prefix = f"req{gid}", f"commit{gid}", f"ex{gid}:"
     req_delivered = commit_delivered = False
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "irmc_deliver":
-            continue
-        if kind == f"req{issue['group']}" and data.get("sc") == c \
-                and data.get("p") == t_c:
+    for t, event, src, dst, kind, digest, data in view.events("irmc_deliver"):
+        if kind == req_kind and data.get("sc") == c and data.get("p") == t_c:
             req_delivered = True
-        elif kind == f"commit{issue['group']}" and data.get("p") == s_assigned \
-                and src.startswith(f"ex{issue['group']}:"):
+        elif kind == commit_kind and data.get("p") == s_assigned \
+                and src.startswith(group_prefix):
             commit_delivered = True
     if not (req_delivered and commit_delivered):
         return None
-    gid = issue["group"]
+    cfg = view.cfg
     group_region = cfg.groups.get(gid) or cfg.pending_groups.get(gid)
     crossing = group_region != cfg.agreement_region
     # each delivered channel leg crosses the WAN at most once by construction

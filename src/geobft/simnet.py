@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -80,8 +81,9 @@ class TraceLog:
 
     def lines(self):
         for time, event, src, dst, kind, digest, data in self.records:
+            head = "|".join(map(_escape, (event, src, dst, kind, digest)))
             extra = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(data.items()))
-            yield f"{time}|{event}|{src}|{dst}|{kind}|{digest}|{extra}"
+            yield f"{time}|{head}|{extra}"
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -90,6 +92,36 @@ class TraceLog:
 
     def events(self, name: str):
         return [r for r in self.records if r[1] == name]
+
+
+def read_trace(path) -> TraceLog:
+    """Parse a trace file back into a TraceLog (inverse of TraceLog.write)."""
+    trace = TraceLog()
+    with open(path) as fh:
+        for line in fh:
+            time, event, src, dst, kind, digest, extra = line.rstrip("\n").split("|")
+            data = {}
+            if extra:
+                for pair in extra.split(","):
+                    k, v = pair.split("=", 1)
+                    data[k] = _parse_value(v)
+            head = map(_unescape, (event, src, dst, kind, digest))
+            trace.records.append((float(time), *head, data))
+    return trace
+
+
+# a written trace separates fields with "|", data pairs with "," and records
+# with newlines, so strings carry those characters (and "%") as %XX escapes
+_ESCAPES = {ord(c): f"%{ord(c):02X}" for c in "%,|\n\r"}
+_ESCAPED = re.compile("%([0-9A-F]{2})")
+
+
+def _escape(v) -> str:
+    return str(v).translate(_ESCAPES)
+
+
+def _unescape(s: str) -> str:
+    return _ESCAPED.sub(lambda m: chr(int(m[1], 16)), s)
 
 
 def _fmt(v):
@@ -102,7 +134,18 @@ def _fmt(v):
         return f"f:{v!r}"
     if isinstance(v, bytes):
         return f"s:{v.hex()}"
-    return "s:" + str(v).replace("|", "/").replace(",", ";")
+    return "s:" + _escape(v)
+
+
+def _parse_value(v: str):
+    tag, _, body = v.partition(":")
+    if tag == "i":
+        return int(body)
+    if tag == "f":
+        return float(body)
+    if tag == "b":
+        return body == "1"
+    return _unescape(body)
 
 
 class Counters:

@@ -5,7 +5,7 @@ criteria that look at the same trace do not re-run the simulation.
 """
 import time
 
-from geobft.audit import check_liveness
+from geobft.audit import AuditView, check_liveness
 from geobft.harness import (
     leader_crash_report,
     run_scenario,
@@ -95,7 +95,7 @@ def test_criterion_03_liveness():
     # the z=1 stall scenario is beyond threshold (a whole group partitioned)
     # but every client is attached to a healthy group and must still finish
     system, _ = get_run("flow-control-z1")
-    v = check_liveness(system.sim.trace, system.cfg)
+    v = check_liveness(AuditView(system.sim.trace, system.cfg))
     conditions.append((v.ok, f"flow-control-z1: {v.detail}"))
     conclude(3, "every correct-client request completes within the horizon",
              conditions)
@@ -123,12 +123,13 @@ def test_criterion_04_hop_structure():
                        f"intra-region bound {local_bound:.2f}"))
     # exact hop counting: two wide-area legs for remote writes, zero co-located
     remote_checked = local_checked = 0
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "client_accept" or kind != "write":
+    view = AuditView(trace, cfg)
+    for t, event, src, dst, kind, digest, data in view.events("client_accept"):
+        if kind != "write":
             continue
         idx = int(src[1:])
         region = cfg.clients[idx].region
-        stages = write_wan_stages(trace, cfg, src, data["t_c"])
+        stages = write_wan_stages(view, src, data["t_c"])
         if stages is None:
             continue
         if region == cfg.agreement_region and local_checked < 10:

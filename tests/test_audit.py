@@ -5,14 +5,24 @@ import pytest
 
 from geobft.application import get_op, put_op
 from geobft.audit import (
+    AuditView,
     audit_trace,
+    check_agreement_safety,
+    check_channel_quorums,
+    check_commit_content,
+    check_cp_equivalence,
     check_execute_equality,
+    check_liveness,
+    check_realtime_order,
     check_replay,
+    check_validity,
     check_weak_reads,
+    check_window_monotonicity,
     linearizable_bruteforce,
 )
 from geobft.harness import run_scenario
 from geobft.scenario import load_scenario
+from geobft.simnet import read_trace
 
 MINI = {
     "name": "audit-mini", "mode": "spider", "irmc": "rc", "duration_ms": 3000,
@@ -51,7 +61,7 @@ def test_seeded_duplicate_execution_caught(mini):
     dup_data["s"] = dup_data["s"] + 1
     dup[6] = dup_data
     mutated.records.append(tuple(dup))
-    verdict = check_execute_equality(mutated, cfg)
+    verdict = check_execute_equality(AuditView(mutated, cfg))
     assert not verdict.ok
 
 
@@ -64,7 +74,7 @@ def test_seeded_wrong_reply_fails_replay(mini):
             data["reply"] = "deadbeef"
             mutated.records[i] = r[:6] + (data,)
             break
-    verdict = check_replay(mutated, cfg)
+    verdict = check_replay(AuditView(mutated, cfg))
     assert not verdict.ok
 
 
@@ -81,7 +91,120 @@ def test_seeded_stale_weak_reply_fails_interval_check(mini):
             break
     if not changed:
         pytest.skip("no weak reads at this seed")
-    verdict = check_weak_reads(mutated, cfg)
+    verdict = check_weak_reads(AuditView(mutated, cfg))
+    assert not verdict.ok
+
+
+def _first(records, event, **match):
+    """Index of the first record of an event whose data holds every match."""
+    return next(i for i, r in enumerate(records) if r[1] == event
+                and all(r[6].get(k) == v for k, v in match.items()))
+
+
+def _with_data(record, **changes):
+    return record[:6] + ({**record[6], **changes},)
+
+
+def _forge_digest(records, i):
+    records[i] = records[i][:5] + ("0" * 32,) + records[i][6:]
+
+
+def _gap_at_ag1(mutated):
+    """Drops ag0:1's delivery of sequence 2, so its next delivery jumps 1->3;
+    returns the index of that jumping delivery."""
+    records = mutated.records
+    del records[next(i for i, r in enumerate(records) if r[1] == "order_deliver"
+                     and r[2] == "ag0:1" and r[6]["s"] == 2)]
+    return next(i for i, r in enumerate(records) if r[1] == "order_deliver"
+                and r[2] == "ag0:1" and r[6]["s"] == 3)
+
+
+@pytest.mark.parametrize("cp_before_jump,caught", [
+    (None, True), (False, True), (True, False)],
+    ids=["no-checkpoint", "checkpoint-after-jump", "checkpoint-before-jump"])
+def test_seeded_gap_needs_an_earlier_checkpoint(mini, cp_before_jump, caught):
+    """A gap in one replica's deliveries is covered only by a stable
+    checkpoint of that replica recorded before the jump, in trace order."""
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    jump = _gap_at_ag1(mutated)
+    if cp_before_jump is not None:
+        t = mutated.records[jump][0]
+        cp = (t, "cp_stable", "ag0:1", "-", "ag", "-", {"s": 2, "signers": "-"})
+        mutated.records.insert(jump if cp_before_jump else jump + 1, cp)
+    verdict = check_agreement_safety(AuditView(mutated, cfg))
+    assert verdict.ok is not caught, verdict
+    if caught:
+        assert verdict.detail == "ag0:1 gap 1->3 without checkpoint"
+
+
+def test_seeded_forged_signature_fails_validity(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    execs = [i for i, r in enumerate(mutated.records) if r[1] == "execute"
+             and "wr" in r[6]]
+    first = mutated.records[execs[0]]
+    other = next(mutated.records[i] for i in execs
+                 if mutated.records[i][6]["wr"] != first[6]["wr"])
+    mutated.records[execs[0]] = _with_data(first, sig=other[6]["sig"])
+    verdict = check_validity(AuditView(mutated, cfg))
+    assert not verdict.ok
+
+
+def test_seeded_issue_after_own_accept_fails_realtime_order(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = _first(mutated.records, "client_issue", t_c=1)
+    issue = mutated.records[i]
+    assert issue[4] == "write"
+    mutated.records[i] = (mutated.records[-1][0] + 1.0,) + issue[1:]
+    verdict = check_realtime_order(AuditView(mutated, cfg))
+    assert not verdict.ok
+
+
+def test_seeded_unsent_delivery_fails_channel_quorums(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    _forge_digest(mutated.records, _first(mutated.records, "irmc_deliver"))
+    verdict = check_channel_quorums(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert "never sent by a correct sender" in verdict.detail
+
+
+def test_seeded_divergent_commit_payload_fails_commit_content(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = next(i for i, r in enumerate(mutated.records) if r[1] == "ch_send_call"
+             and r[4].startswith("commit"))
+    _forge_digest(mutated.records, i)
+    verdict = check_commit_content(AuditView(mutated, cfg))
+    assert not verdict.ok
+
+
+def test_seeded_backward_move_fails_window_monotonicity(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    last = next(r for r in reversed(mutated.records) if r[1] == "win_move")
+    mutated.records.append(_with_data(last, start=last[6]["start"] - 1))
+    verdict = check_window_monotonicity(AuditView(mutated, cfg))
+    assert not verdict.ok
+
+
+def test_seeded_state_divergence_fails_cp_equivalence(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = next(i for i, r in enumerate(mutated.records) if r[1] == "state_digest"
+             and r[4] == "ag")
+    _forge_digest(mutated.records, i)
+    verdict = check_cp_equivalence(AuditView(mutated, cfg))
+    assert not verdict.ok
+
+
+def test_seeded_lost_accept_fails_liveness(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    del mutated.records[_first(mutated.records, "client_accept", t_c=1)]
+    verdict = check_liveness(AuditView(mutated, cfg))
     assert not verdict.ok
 
 
@@ -130,8 +253,34 @@ def test_trace_file_roundtrip(tmp_path, mini):
     cfg, trace, report = mini
     path = tmp_path / "run.trace"
     trace.write(path)
-    from geobft.cli import read_trace
     loaded = read_trace(path)
-    assert len(loaded.records) == len(trace.records)
+    assert loaded.records == trace.records
     verdicts = audit_trace(loaded, cfg)
     assert all(ok for ok, _ in verdicts.values()), verdicts
+    # the admin ops of add-remove-group are strings holding ","
+    system, _ = run_scenario("add-remove-group", 1)
+    admin = system.sim.trace
+    assert any("," in str(r[6].get("op")) for r in admin.records)
+    admin.add(0.0, "note", "a|b", kind="k,%0A", text="%25 |,\n\r%")
+    admin.write(path)
+    assert read_trace(path).records == admin.records
+
+
+class _CountingList(list):
+    """A list that counts full iterations over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_audit_reads_the_trace_at_most_twice(mini):
+    """One pass groups the records by event; check_agreement_safety makes
+    the other, because its gap rule needs cross-event trace order."""
+    cfg, trace, _ = mini
+    counted = copy.copy(trace)
+    counted.records = _CountingList(trace.records)
+    verdicts = audit_trace(counted, cfg)
+    assert all(ok for ok, _ in verdicts.values()), verdicts
+    assert counted.records.passes <= 2

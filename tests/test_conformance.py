@@ -1,8 +1,11 @@
 """Randomized conformance schedules per variant (the full 1000-schedule
 suites run in the acceptance module)."""
+import copy
+
 import pytest
 
 from geobft.irmc import RcReceiver, RcSender, ScReceiver, ScSender
+from geobft.irmc import conformance
 from geobft.irmc.conformance import make_factory, run_conformance, run_schedule
 
 FACTORIES = {
@@ -26,3 +29,73 @@ def test_schedule_deterministic(variant):
     a = run_schedule(FACTORIES[variant], 1, 1, seed=777)
     b = run_schedule(FACTORIES[variant], 1, 1, seed=777)
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def schedule():
+    """The audit inputs of one honest rc schedule (f=1, seed 1) that has a
+    TooOld skipping past its position."""
+    captured = []
+    original = conformance.audit_schedule
+
+    def capture(trace, cfg, correct_s, correct_r, outstanding, report):
+        captured.append((trace, cfg, correct_s, correct_r, outstanding))
+        return original(trace, cfg, correct_s, correct_r, outstanding, report)
+
+    conformance.audit_schedule = capture
+    try:
+        assert run_schedule(FACTORIES["rc"], 1, 1, seed=1) == []
+    finally:
+        conformance.audit_schedule = original
+    return captured[0]
+
+
+def _audit(schedule, mutate):
+    trace, cfg, correct_s, correct_r, outstanding = schedule
+    mutated = copy.deepcopy(trace)
+    mutate(mutated.records, {str(n) for n in correct_r})
+    return conformance.audit_schedule(mutated, cfg, correct_s, correct_r,
+                                      dict(outstanding), None)
+
+
+def _at_correct_receiver(records, correct_r, event):
+    return next(i for i, r in enumerate(records) if r[1] == event
+                and r[2] in correct_r)
+
+
+def test_audit_catches_unsent_delivery(schedule):
+    def mutate(records, correct_r):
+        i = _at_correct_receiver(records, correct_r, "irmc_deliver")
+        records[i] = records[i][:5] + ("0" * 32,) + records[i][6:]
+    assert any(v.startswith("C1") and "not sent" in v
+               for v in _audit(schedule, mutate))
+
+
+def test_audit_catches_tooold_backed_only_by_a_later_move(schedule):
+    def mutate(records, correct_r):
+        j = next(i for i, r in enumerate(records) if r[1] == "ch_recv_tooold"
+                 and r[2] in correct_r and r[6]["p"] < r[6]["new_start"])
+        sc, new_start = records[j][6]["sc"], records[j][6]["new_start"]
+        backing = [i for i in range(j) if records[i][1] == "ch_move_call"
+                   and records[i][6]["sc"] == sc and records[i][6]["p"] >= new_start]
+        assert backing
+        moved = [records[i] for i in backing]
+        for i in reversed(backing):
+            del records[i]
+        j -= len(backing)
+        records[j + 1:j + 1] = moved
+    assert any(v.startswith("C2") for v in _audit(schedule, mutate))
+
+
+def test_audit_catches_backward_window(schedule):
+    def mutate(records, correct_r):
+        last = next(r for r in reversed(records) if r[1] == "win_move")
+        records.append(last[:6] + ({**last[6], "start": last[6]["start"] - 1},))
+    assert any(v.startswith("MON") for v in _audit(schedule, mutate))
+
+
+def test_audit_catches_unresolved_receive(schedule):
+    def mutate(records, correct_r):
+        del records[_at_correct_receiver(records, correct_r, "ch_recv_msg")]
+    assert any(v.startswith("L1") and "stuck" in v
+               for v in _audit(schedule, mutate))
