@@ -36,6 +36,7 @@ from .core.messages import (
     Request,
     Write,
 )
+from .irmc.base import TooOld
 from .protocol import ProtocolNode
 
 ORDERING_MSGS = (ObPrePrepare, ObPrepare, ObCommit, ObViewChange, ObNewView,
@@ -147,7 +148,6 @@ class AgreementReplica(ProtocolNode):
         def got(outcome):
             if (gid, c) not in self._intakes:
                 return
-            from .irmc.base import TooOld
             if isinstance(outcome, TooOld):
                 # client already sent a newer request: jump the cursor
                 self.t_plus[c] = max(self.t_plus.get(c, 1), outcome.start)

@@ -1,17 +1,19 @@
 """Group-internal checkpoint component.
 
-Creates, certifies (f+1 matching signed digests), disseminates and
-fetches checkpoints. Stability means a certificate of f+1 valid
-matching Checkpoint messages from distinct group members; delivery to
-the owner is monotone and at most once per sequence number. Signatures,
-not MACs: group size 2f+1 makes MAC-based certificates unsound.
+Creates, certifies, disseminates and fetches checkpoints. A checkpoint
+is stable once f+1 group members sign matching digests (the tally and
+certificate rules of core/quorum.py); delivery to the owner is monotone
+and at most once per sequence number. Signatures, not MACs: group size
+2f+1 makes MAC-based certificates unsound.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .core import hash_bytes
 from .core.messages import Checkpoint, CpAnnounce, CpQuery, CpState
+from .core.quorum import certificate_signers, tally
 
 
 class CheckpointComponent:
@@ -57,9 +59,7 @@ class CheckpointComponent:
             return
         msg = Checkpoint(self.scope, self.group, s, digest)
         sig = self.node.crypto.sign(msg)
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, msg)
+        self.node.multicast_signed(self.members, msg)
         self._record_vote(s, self.node.nid, digest, sig)
         self._prune_own()
 
@@ -84,13 +84,9 @@ class CheckpointComponent:
         if signer in slot:
             return  # one checkpoint message per member and sequence
         slot[signer] = (digest, sig)
-        counts: dict[bytes, list] = {}
-        for who, (d, g) in slot.items():
-            counts.setdefault(d, []).append(g)
-        for d, sigs in counts.items():
-            if len(sigs) >= self.f + 1:
-                self._certify(s, d, tuple(sigs))
-                return
+        won = tally(slot, self.f + 1, key=itemgetter(0))
+        if won is not None:
+            self._certify(s, won[0], tuple(slot[w][1] for w in won[1]))
 
     def _certify(self, s, digest, cert):
         state = self.own_states.get(s)
@@ -173,14 +169,8 @@ class CheckpointComponent:
             return
         digest = hash_bytes(msg.state)
         want = Checkpoint(self.scope, msg.group, msg.s, digest)
-        signers = set()
-        for sig in msg.cert:
-            if sig.signer in signers or sig.signer not in members:
-                return
-            if not self.node.crypto.valid_sig(want, sig):
-                return
-            signers.add(sig.signer)
-        if len(signers) < self.f + 1:
+        if certificate_signers(((want, sig) for sig in msg.cert), members,
+                               self.f + 1, self.node.crypto.valid_sig) is None:
             return
         self.node.sim.trace.add(self.node.sim.now, "cp_transfer", src, self.node.nid,
                                 self.scope, digest.hex(), s=msg.s,
@@ -200,9 +190,7 @@ class CheckpointComponent:
         msg = self._announce
         if msg is None or msg.s != self.delivered_s:
             msg = self._announce = CpAnnounce(self.scope, self.group, self.delivered_s)
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, msg)
+        self.node.multicast_signed(self.members, msg)
 
     def latest_stable(self) -> int:
         return self.delivered_s

@@ -23,6 +23,7 @@ from .core.messages import (
     Result,
     Write,
 )
+from .core.quorum import tally
 from .protocol import ProtocolNode, RegistryResolver
 
 
@@ -248,13 +249,9 @@ class ClientNode(ProtocolNode):
         if src in out["tally"]:
             return  # each replica may only contribute one reply
         out["tally"][src] = (msg.reply, msg.resubmit)
-        counts: dict = {}
-        for reply in out["tally"].values():
-            counts[reply] = counts.get(reply, 0) + 1
-        for (reply, resubmit), n in counts.items():
-            if n >= self.quorum:
-                self._accept_strong(reply, resubmit)
-                return
+        won = tally(out["tally"], self.quorum)
+        if won is not None:
+            self._accept_strong(*won[0])
 
     def _accept_strong(self, reply, resubmit):
         out = self.outstanding
@@ -322,23 +319,20 @@ class ClientNode(ProtocolNode):
         cur = self.weak_current
         if cur is None or msg.t_c != cur.get("nonce") or msg.client != self.nid:
             return
-        tally = self.weak_tally.setdefault(msg.t_c, {})
-        if src in tally:
+        replies = self.weak_tally.setdefault(msg.t_c, {})
+        if src in replies:
             return
-        tally[src] = msg.reply
-        counts: dict = {}
-        for reply in tally.values():
-            counts[reply] = counts.get(reply, 0) + 1
-        for reply, n in counts.items():
-            if n >= self.quorum:
-                self.done_weak += 1
-                self.sim.trace.add(self.sim.now, "client_accept", self.nid, "-",
-                                   "read_weak", t_c=msg.t_c,
-                                   latency=self.sim.now - cur["issued"],
-                                   reply=reply.hex(), issued=cur["issued"])
-                self.weak_current = None
-                del self.weak_tally[msg.t_c]
-                return
+        replies[src] = msg.reply
+        won = tally(replies, self.quorum)
+        if won is None:
+            return
+        self.done_weak += 1
+        self.sim.trace.add(self.sim.now, "client_accept", self.nid, "-",
+                           "read_weak", t_c=msg.t_c,
+                           latency=self.sim.now - cur["issued"],
+                           reply=won[0].hex(), issued=cur["issued"])
+        self.weak_current = None
+        del self.weak_tally[msg.t_c]
 
     def _weak_timeout(self, nonce):
         cur = self.weak_current

@@ -27,13 +27,18 @@ def run_scenario(source, seed: int, mode: Optional[str] = None,
         seed=seed,
     )
     report.latency = collect_latencies(trace, cfg, cfg.warmup_ms)
-    report.completed = len(trace.events("client_accept"))
+    completed, reconfigurations = 0, set()
+    for t, event, src, dst, kind, digest, data in trace.records:
+        if event == "client_accept":
+            completed += 1
+        elif event == "registry_update":
+            reconfigurations.add((t, kind, data["group"]))
+    report.completed = completed
+    report.reconfigurations = sorted(reconfigurations)
     report.wan_messages = {kind: n for (kind, wan), n
                            in system.sim.counters.msgs.items() if wan}
     report.wan_bytes = system.sim.counters.wan_bytes()
     report.channel_wan = dict(system.sim.counters.channel_wan)
-    report.reconfigurations = sorted(
-        {(r[0], r[4], r[6]["group"]) for r in trace.events("registry_update")})
     report.verdicts = audit_trace(
         trace, cfg, skip_liveness=cfg.fault_plan.beyond_threshold)
     report.trace_digest = trace.digest()

@@ -10,9 +10,6 @@ from .base import (
     TooOld,
     classify_receive,
     classify_send,
-    kth_largest,
-    receiver_window_after_sender_moves,
-    sender_window_after_moves,
 )
 from .rc import RcReceiver, RcSender
 from .sc import ScReceiver, ScSender

@@ -1,11 +1,11 @@
 """Shared language and flow control of inter-regional message channels.
 
-Subchannel windows, the quorum/window arithmetic, send/receive outcome
-classification, blocked sends, window moves in both directions and
-TooOld all live here, in SenderEndpoint and ReceiverEndpoint. The two
-variants differ only in how the f_s+1 quorum is collected (rc: at each
-receiver; sc: at a sender-side collector) and in how a receiver move is
-announced to the senders.
+Subchannel windows, send/receive outcome classification, blocked sends,
+window moves in both directions and TooOld all live here, in
+SenderEndpoint and ReceiverEndpoint. Windows slide by the (f+1)-highest
+move rule of core/quorum.py. The two variants differ only in how the
+f_s+1 quorum is collected (rc: at each receiver; sc: at a sender-side
+collector) and in how a receiver move is announced to the senders.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.messages import ChannelId, ChMove
+from ..core.quorum import backed_position
 
 
 @dataclass
@@ -34,34 +35,6 @@ class SubchannelWindow:
 
     def covers(self, p: int) -> bool:
         return self.start <= p <= self.end
-
-
-def kth_largest(values, k: int) -> int:
-    """k-th largest (1-based) of an iterable of positions."""
-    ordered = sorted(values, reverse=True)
-    return ordered[k - 1]
-
-
-def sender_window_after_moves(requested: dict, f_r: int, current: int) -> int:
-    """New sender window start given receiver move requests.
-
-    The (f_r+1)-highest requested position, once at least f_r+1 receivers
-    have asked; never below the current start.
-    """
-    if len(requested) < f_r + 1:
-        return current
-    return max(current, kth_largest(requested.values(), f_r + 1))
-
-
-def receiver_window_after_sender_moves(requested: dict, f_s: int, current: int) -> int:
-    """New receiver window start given sender move requests.
-
-    Fixed to the conservative end of the permitted range: exactly the
-    (f_s+1)-largest requested position, clamped to never move backwards.
-    """
-    if len(requested) < f_s + 1:
-        return current
-    return max(current, kth_largest(requested.values(), f_s + 1))
 
 
 BLOCKED = "blocked"
@@ -151,8 +124,7 @@ class EndpointBase:
                                 str(self.cfg.channel), digest, **data)
 
     def _broadcast(self, dsts, msg) -> None:
-        for dst in dsts:
-            self.node.send_signed(dst, msg, channel=str(self.cfg.channel))
+        self.node.multicast_signed(dsts, msg, channel=str(self.cfg.channel))
 
     def close(self) -> None:
         self.closed = True
@@ -209,7 +181,7 @@ class SenderEndpoint(EndpointBase):
             return  # stale or replayed
         held[src] = p
         win = self.window(sc)
-        new_start = sender_window_after_moves(held, self.cfg.f_r, win.start)
+        new_start = backed_position(held, self.cfg.f_r, win.start)
         if new_start > win.start:
             win.start = new_start
             self._trace("win_move", sc=sc, start=new_start)
@@ -254,7 +226,8 @@ class ReceiverEndpoint(EndpointBase):
     """receive(sc, p, callback) and move_window(sc, p) for any variant.
 
     The window follows the receiver's own moves and the f_s+1-highest
-    sender move; positions it passes resolve as TooOld. Variants supply
+    sender move (the conservative end of the range the channel permits);
+    positions it passes resolve as TooOld. Variants supply
     _announce(sc, p) and call _deliver once a quorum vouches for p.
     """
 
@@ -313,7 +286,7 @@ class ReceiverEndpoint(EndpointBase):
             return
         held[src] = msg.p
         win = self.window(sc)
-        new_start = receiver_window_after_sender_moves(held, self.cfg.f_s, win.start)
+        new_start = backed_position(held, self.cfg.f_s, win.start)
         if new_start > win.start:
             self.move_window(sc, new_start)
 

@@ -7,7 +7,10 @@ from the shared endpoints in base.py.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ..core.messages import ChMove, ChSend
+from ..core.quorum import tally
 from .base import ChannelConfig, ReceiverEndpoint, SenderEndpoint, drop_below
 
 
@@ -71,12 +74,8 @@ class RcReceiver(ReceiverEndpoint):
         if p in self.delivered.get(sc, {}):
             return
         slot = self.store.get(sc, {}).get(p, {})
-        counts: dict[bytes, int] = {}
-        for digest, _ in slot.values():
-            counts[digest] = counts.get(digest, 0) + 1
-        winner = next((d for d, n in counts.items() if n >= self.cfg.f_s + 1), None)
-        if winner is None:
+        won = tally(slot, self.cfg.f_s + 1, key=itemgetter(0))
+        if won is None:
             return
-        contributors = [s for s, (d, _) in slot.items() if d == winner]
-        payload = next(m for s, (d, m) in slot.items() if d == winner)
-        self._deliver(sc, p, payload, winner, contributors)
+        digest, contributors = won
+        self._deliver(sc, p, slot[contributors[0]][1], digest, contributors)

@@ -9,7 +9,10 @@ base.py; a receiver's moves also name its collector.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ..core.messages import ChCert, ChMove, ChProgress, ChSend, ChShare
+from ..core.quorum import backed_position, certificate_signers, tally
 from .base import ChannelConfig, ReceiverEndpoint, SenderEndpoint, drop_below
 
 
@@ -72,13 +75,14 @@ class ScSender(SenderEndpoint):
         if payload is None:
             return  # cannot vouch without own matching content
         digest = _share_digest(self.node.crypto, self.cfg.channel, sc, p, payload)
-        matching = [(s, sig) for s, (d, sig) in self.shares.get(sc, {}).get(p, {}).items()
-                    if d == digest]
-        if len(matching) < self.cfg.f_s + 1:
+        slot = self.shares.get(sc, {}).get(p, {})
+        q = self.cfg.f_s + 1
+        # only f_s signers can be faulty, so no other digest holds q shares
+        won = tally(slot, q, key=itemgetter(0))
+        if won is None or won[0] != digest:
             return
-        matching.sort(key=lambda pair: str(pair[0]))
         cert = ChCert(self.cfg.channel, sc, p, payload,
-                      tuple(sig for _, sig in matching[: self.cfg.f_s + 1]))
+                      tuple(slot[s][1] for s in sorted(won[1], key=str)[:q]))
         self.certs.setdefault(sc, {})[p] = cert
         self._broadcast(self._collected_by_me(), cert)
 
@@ -173,15 +177,11 @@ class ScReceiver(ReceiverEndpoint):
             return
         digest = _share_digest(self.node.crypto, self.cfg.channel, sc, p, msg.payload)
         share = ChShare(self.cfg.channel, sc, p, digest)
-        signers = set()
-        for sig in msg.shares:
-            if sig.signer in signers or sig.signer not in self.cfg.senders:
-                return
-            if not self.node.crypto.valid_sig(share, sig):
-                return  # one bad inner share rejects the whole certificate
-            signers.add(sig.signer)
-        if len(signers) < self.cfg.f_s + 1:
-            return
+        signers = certificate_signers(((share, sig) for sig in msg.shares),
+                                      self.cfg.senders, self.cfg.f_s + 1,
+                                      self.node.crypto.valid_sig)
+        if signers is None:
+            return  # one bad inner share rejects the whole certificate
         self._deliver(sc, p, msg.payload, self.node.crypto.digest(msg.payload), signers)
 
     def _on_progress(self, src, msg):
@@ -193,10 +193,7 @@ class ScReceiver(ReceiverEndpoint):
         self._check_stall()
 
     def _trusted_claim(self, sc) -> int:
-        claims = self.progress_claims.get(sc, {})
-        if len(claims) < self.cfg.f_s + 1:
-            return 0
-        return sorted(claims.values(), reverse=True)[self.cfg.f_s]
+        return backed_position(self.progress_claims.get(sc, {}), self.cfg.f_s, 0)
 
     def _stalled_subchannels(self):
         stalled = []

@@ -2,6 +2,7 @@
 oracle that predicts write latency straight from the topology."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -11,7 +12,6 @@ def nearest_rank(values, q: float) -> float:
     if not values:
         return float("nan")
     ordered = sorted(values)
-    import math
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
 

@@ -7,10 +7,13 @@ change, running among the 3f_a+1 agreement replicas of one region.
 
 Delivery is blocking: the next (s, batch) is handed to the owner only
 after the owner signals completion of the previous one, in order and
-gap-free above the low-water mark set by gc().
+gap-free above the low-water mark set by gc(). MiniBFT's 2f+1 vote
+quorums and its commit, prepare and view-change certificates are the
+tally and certificate rules of core/quorum.py.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .core.messages import (
@@ -26,6 +29,12 @@ from .core.messages import (
     PreparedProof,
     VcRecord,
 )
+from .core.quorum import certificate_signers, tally
+
+
+# vote type -> (its votes in a phase record, the flag its quorum sets)
+_PHASES = {ObPrepare: ("prepares", "prepared"), ObCommit: ("commits", "committed")}
+_VIEW_DIGEST = itemgetter(0, 1)  # a held vote (view, digest, sig) -> (view, digest)
 
 
 class OrderingBase:
@@ -106,10 +115,7 @@ class SequencerOracle(OrderingBase):
         self.next_s += 1
         self.assigned[digest] = s
         batch = (req,)
-        msg = OracleAssign(s, batch)
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, msg)
+        self.node.multicast_signed(self.members, OracleAssign(s, batch))
         self._mark_ready(s, batch)
 
     def gc(self, s_min):
@@ -214,9 +220,7 @@ class MiniBft(OrderingBase):
 
     def _broadcast_preprepare(self, s, batch):
         pp = ObPrePrepare(self.view, s, batch)
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, pp)
+        self.node.multicast_signed(self.members, pp)
         self._accept_preprepare(self.node.nid, pp, self.node.crypto.sign(pp))
 
     def _rec(self, s):
@@ -247,65 +251,48 @@ class MiniBft(OrderingBase):
             d = self.node.crypto.digest(r)
             self.pending.setdefault(d, r)
             self.assigned[d] = msg.s
-        prep = ObPrepare(msg.view, msg.s, digest)
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, prep)
-        self._accept_prepare(self.node.nid, prep, self.node.crypto.sign(prep))
+        self._vote(ObPrepare(msg.view, msg.s, digest))
 
-    def _accept_prepare(self, src, msg, sig):
+    def _vote(self, msg):
+        """Send our Prepare or Commit to the peers, then count it ourselves."""
+        self.node.multicast_signed(self.members, msg)
+        self._accept_vote(self.node.nid, msg, self.node.crypto.sign(msg))
+
+    def _accept_vote(self, src, msg, sig):
+        """Count a Prepare or Commit vote; 2f+1 matching votes in the
+        proposal's view reach the phase. With 3f+1 voters at most one
+        (view, digest) can hold 2f+1, so the tally's winner decides."""
         if msg.s <= self.low_water or sig is None or sig.signer != src:
             return
+        votes_key, reached = _PHASES[type(msg)]
         rec = self._rec(msg.s)
-        held = rec["prepares"].get(src)
+        votes = rec[votes_key]
+        held = votes.get(src)
         if held is None or held[0] < msg.view:
-            rec["prepares"][src] = (msg.view, msg.digest, sig)
-        self._check_prepared(msg.s)
+            votes[src] = (msg.view, msg.digest, sig)
+        if rec[reached] or rec["digest"] is None:
+            return
+        q = 2 * self.f + 1
+        won = tally(votes, q, key=_VIEW_DIGEST)
+        if won is None or won[0] != (rec["view"], rec["digest"]):
+            return
+        rec[reached] = True
+        sigs = tuple(votes[w][2] for w in sorted(won[1], key=str)[:q])
+        if reached == "prepared":
+            rec["prepare_quorum"] = sigs
+            self._vote(ObCommit(rec["view"], msg.s, rec["digest"]))
+        else:
+            self._commit(msg.s, rec["view"], rec["batch"], sigs)
+            self._probe_gaps()
 
-    def _check_prepared(self, s):
-        rec = self.phase.get(s)
-        if rec is None or rec["prepared"] or rec["digest"] is None:
-            return
-        matching = [(who, sig) for who, (v, d, sig) in rec["prepares"].items()
-                    if v == rec["view"] and d == rec["digest"]]
-        if len(matching) < 2 * self.f + 1:
-            return
-        matching.sort(key=lambda pair: str(pair[0]))
-        rec["prepared"] = True
-        rec["prepare_quorum"] = tuple(sig for _, sig in matching[: 2 * self.f + 1])
-        com = ObCommit(rec["view"], s, rec["digest"])
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, com)
-        self._accept_commit(self.node.nid, com, self.node.crypto.sign(com))
-
-    def _accept_commit(self, src, msg, sig):
-        if msg.s <= self.low_water or sig is None or sig.signer != src:
-            return
-        rec = self._rec(msg.s)
-        held = rec["commits"].get(src)
-        if held is None or held[0] < msg.view:
-            rec["commits"][src] = (msg.view, msg.digest, sig)
-        self._check_committed(msg.s)
-
-    def _check_committed(self, s):
-        rec = self.phase.get(s)
-        if rec is None or rec["committed"] or rec["digest"] is None:
-            return
-        matching = [(who, sig) for who, (v, d, sig) in rec["commits"].items()
-                    if v == rec["view"] and d == rec["digest"]]
-        if len(matching) < 2 * self.f + 1:
-            return
-        matching.sort(key=lambda pair: str(pair[0]))
-        rec["committed"] = True
-        sigs = tuple(sig for _, sig in matching[: 2 * self.f + 1])
-        self.commit_certs[s] = (rec["view"], rec["batch"], sigs)
-        for r in rec["batch"]:
+    def _commit(self, s, view, batch, sigs):
+        """Keep s's commit certificate, stop timing its requests, deliver it."""
+        self.commit_certs[s] = (view, batch, sigs)
+        for r in batch:
             d = self.node.crypto.digest(r)
             self.pending.pop(d, None)
             self._timers.discard(d)
-        self._mark_ready(s, rec["batch"])
-        self._probe_gaps()
+        self._mark_ready(s, batch)
 
     # -- catch-up on missed sequences ------------------------------------------
 
@@ -322,10 +309,8 @@ class MiniBft(OrderingBase):
             top_now = max(self.commit_certs, default=0)
             if top_now >= self.next_deliver and self.next_deliver not in self.ready \
                     and not self._delivering:
-                req = ObFetch(self.next_deliver, top_now)
-                for peer in self.members:
-                    if peer != self.node.nid:
-                        self.node.send_signed(peer, req)
+                self.node.multicast_signed(self.members,
+                                           ObFetch(self.next_deliver, top_now))
                 self._probe_gaps()
 
         self.node.after(self.view_timeout_ms, probe)
@@ -343,23 +328,9 @@ class MiniBft(OrderingBase):
         if msg.s in self.commit_certs:
             return
         (view,), sigs = msg.commit_sigs
-        digest = self.node.crypto.digest(msg.batch)
-        want = ObCommit(view, msg.s, digest)
-        signers = set()
-        for sig in sigs:
-            if sig.signer in signers or sig.signer not in self.members:
-                return
-            if not self.node.crypto.valid_sig(want, sig):
-                return
-            signers.add(sig.signer)
-        if len(signers) < 2 * self.f + 1:
-            return
-        self.commit_certs[msg.s] = (view, msg.batch, sigs)
-        for r in msg.batch:
-            d = self.node.crypto.digest(r)
-            self.pending.pop(d, None)
-            self._timers.discard(d)
-        self._mark_ready(msg.s, msg.batch)
+        want = ObCommit(view, msg.s, self.node.crypto.digest(msg.batch))
+        if self._certified((want, sig) for sig in sigs):
+            self._commit(msg.s, view, msg.batch, sigs)
 
     # -- view change ----------------------------------------------------------
 
@@ -394,9 +365,7 @@ class MiniBft(OrderingBase):
         sig = self.node.crypto.sign(vc)
         self.node.sim.trace.add(self.node.sim.now, "view_change_vote",
                                 self.node.nid, "-", "ordering", view=new_view)
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, vc)
+        self.node.multicast_signed(self.members, vc)
         self._on_view_change(self.node.nid, vc, sig)
         if not self._vc_rebroadcast:
             self._vc_rebroadcast = True
@@ -408,9 +377,7 @@ class MiniBft(OrderingBase):
             self._vc_rebroadcast = False
             return
         vc = ObViewChange(self.vc_target, self.low_water, self._prepared_proofs())
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, vc)
+        self.node.multicast_signed(self.members, vc)
         self.node.after(2 * self.view_timeout_ms, self._rebroadcast_vc)
 
     def _on_view_change(self, src, msg, sig):
@@ -435,16 +402,13 @@ class MiniBft(OrderingBase):
             return False
         if not self.node.crypto.valid_sig(pp, proof.preprepare_sig):
             return False
-        digest = self.node.crypto.digest(proof.batch)
-        prep = ObPrepare(proof.view, proof.s, digest)
-        signers = set()
-        for sig in proof.prepare_sigs:
-            if sig.signer in signers or sig.signer not in self.members:
-                return False
-            if not self.node.crypto.valid_sig(prep, sig):
-                return False
-            signers.add(sig.signer)
-        return len(signers) >= 2 * self.f + 1
+        prep = ObPrepare(proof.view, proof.s, self.node.crypto.digest(proof.batch))
+        return self._certified((prep, sig) for sig in proof.prepare_sigs)
+
+    def _certified(self, signed) -> bool:
+        """(message, Sig) pairs form a 2f+1 certificate of distinct members."""
+        return certificate_signers(signed, self.members, 2 * self.f + 1,
+                                   self.node.crypto.valid_sig) is not None
 
     def _new_view_proposals(self, records):
         """Deterministic re-proposal set: highest-view valid proof per sequence,
@@ -473,24 +437,15 @@ class MiniBft(OrderingBase):
         records = tuple(by[w] for w in sorted(by, key=str)[: 2 * self.f + 1])
         floor, proposals = self._new_view_proposals(records)
         nv = ObNewView(view, records, proposals)
-        for peer in self.members:
-            if peer != self.node.nid:
-                self.node.send_signed(peer, nv)
+        self.node.multicast_signed(self.members, nv)
         self._adopt_new_view(self.node.nid, nv)
 
     def _adopt_new_view(self, src, msg):
         if msg.view <= self.view or src != self.leader_of(msg.view):
             return
-        signers = set()
-        for rec in msg.view_changes:
-            if rec.vc.view != msg.view or rec.sig.signer in signers:
-                return
-            if rec.sig.signer not in self.members:
-                return
-            if not self.node.crypto.valid_sig(rec.vc, rec.sig):
-                return
-            signers.add(rec.sig.signer)
-        if len(signers) < 2 * self.f + 1:
+        if any(rec.vc.view != msg.view for rec in msg.view_changes):
+            return
+        if not self._certified((rec.vc, rec.sig) for rec in msg.view_changes):
             return
         floor, expect = self._new_view_proposals(msg.view_changes)
         if expect != msg.proposals:
@@ -537,10 +492,8 @@ class MiniBft(OrderingBase):
                         self._propose()
         elif isinstance(msg, ObPrePrepare):
             self._accept_preprepare(src, msg, sig)
-        elif isinstance(msg, ObPrepare):
-            self._accept_prepare(src, msg, sig)
-        elif isinstance(msg, ObCommit):
-            self._accept_commit(src, msg, sig)
+        elif isinstance(msg, (ObPrepare, ObCommit)):
+            self._accept_vote(src, msg, sig)
         elif isinstance(msg, ObViewChange):
             self._on_view_change(src, msg, sig)
         elif isinstance(msg, ObNewView):

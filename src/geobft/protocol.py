@@ -18,6 +18,7 @@ from .core.messages import (
     RegistryInfo,
     RegistryQuery,
 )
+from .core.quorum import tally
 from .simnet import Node
 
 CHANNEL_MSGS = (ChSend, ChMove, ChShare, ChCert, ChProgress)
@@ -108,12 +109,8 @@ class RegistryResolver:
             return
         held = self.answers[msg.nonce]
         held[src] = (msg.version, msg.groups)
-        counts: dict = {}
-        for answer in held.values():
-            counts[answer] = counts.get(answer, 0) + 1
-        for (version, groups), n in counts.items():
-            if n >= self.f_a + 1:
-                cb = self.waiting.pop(msg.nonce)
-                del self.answers[msg.nonce]
-                cb(version, groups)
-                return
+        won = tally(held, self.f_a + 1)
+        if won is not None:
+            cb = self.waiting.pop(msg.nonce)
+            del self.answers[msg.nonce]
+            cb(*won[0])

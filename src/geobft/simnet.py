@@ -371,6 +371,12 @@ class Node:
     def send_signed(self, dst, payload, channel=None):
         self.net_send(dst, payload, (self.crypto.sign(payload),), channel=channel)
 
+    def multicast_signed(self, dsts, payload, channel=None):
+        """send_signed to each of dsts in order, skipping this node."""
+        for dst in dsts:
+            if dst != self.nid:
+                self.send_signed(dst, payload, channel=channel)
+
     def send_mac(self, dst, payload, scope=None, channel=None):
         self.net_send(dst, payload, (self.crypto.mac(scope or dst, payload),),
                       channel=channel)

@@ -10,7 +10,7 @@ from geobft.harness import run_scenario
 from geobft.irmc import VARIANTS
 from geobft.irmc.base import Delivered
 from geobft.scenario import load_scenario
-from geobft.simnet import FaultPlan, NodeFault
+from geobft.simnet import FaultPlan, NodeFault, TraceLog
 from tests.conftest import Channel
 
 
@@ -25,6 +25,45 @@ def test_ten_seed_sweep_identical_verdicts():
     assert len(verdict_sets) == 1
     assert all(ok for _, ok in next(iter(verdict_sets)))
     assert len(digests) == 10  # workloads genuinely differ per seed
+
+
+# Behaviour guard: these runs cover MiniBFT catch-up (ObSeqInfo) and view
+# change (ObNewView), checkpoint transfer (CpState), sc certificates (ChCert)
+# and collector switches. A change that alters behaviour on purpose updates
+# the literals and says which digests changed and why.
+PINNED_DIGESTS = {
+    ("rc-vs-sc", "rc"): "58693de310c85b040281704aec8a15aa",
+    ("ag-outage", "sc"): "5cfe200f9772bede7738f688cc816688",
+    ("add-remove-group", "rc"): "19625777df15c3e216eefe9fc3a0c295",
+}
+
+
+@pytest.mark.parametrize("scenario,irmc", sorted(PINNED_DIGESTS))
+def test_pinned_trace_digest(scenario, irmc):
+    _, report = run_scenario(scenario, 1, irmc=irmc)
+    assert report.trace_digest == PINNED_DIGESTS[(scenario, irmc)]
+
+
+def test_run_reads_the_trace_four_times(monkeypatch):
+    """collect_latencies, one pass for the accept count and the registry
+    updates, and the audit's two."""
+    passes = []
+
+    class CountingList(list):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    original = TraceLog.__init__
+
+    def counted_init(self):
+        original(self)
+        self.records = CountingList()
+
+    monkeypatch.setattr(TraceLog, "__init__", counted_init)
+    _, report = run_scenario("rc-vs-sc", 1)
+    assert report.completed > 0
+    assert len(passes) <= 4
 
 
 def test_run_writes_trace_and_report(tmp_path):

@@ -1,3 +1,4 @@
+from geobft.core.quorum import backed_position
 from geobft.irmc import (
     BLOCKED,
     DROP,
@@ -6,32 +7,33 @@ from geobft.irmc import (
     TooOld,
     classify_receive,
     classify_send,
-    receiver_window_after_sender_moves,
-    sender_window_after_moves,
 )
+
+# Senders and receivers slide their windows by one rule, backed_position:
+# the (f+1)-highest move, once f+1 peers asked, never below the current start.
 
 
 class TestSenderWindowRule:
     def test_second_highest_of_three(self):
-        assert sender_window_after_moves({"R1": 7, "R2": 5, "R3": 3}, 1, 1) == 5
+        assert backed_position({"R1": 7, "R2": 5, "R3": 3}, 1, 1) == 5
 
     def test_quorum_not_met(self):
-        assert sender_window_after_moves({"R1": 100}, 1, 1) == 1
+        assert backed_position({"R1": 100}, 1, 1) == 1
 
     def test_monotonicity_dominates(self):
-        assert sender_window_after_moves({"R1": 10, "R2": 10, "R3": 10}, 1, 12) == 12
+        assert backed_position({"R1": 10, "R2": 10, "R3": 10}, 1, 12) == 12
 
 
 class TestReceiverWindowRule:
     def test_second_largest(self):
-        assert receiver_window_after_sender_moves({"S1": 9, "S2": 9, "S3": 4}, 1, 1) == 9
+        assert backed_position({"S1": 9, "S2": 9, "S3": 4}, 1, 1) == 9
 
     def test_quorum_not_met(self):
-        assert receiver_window_after_sender_moves({"S1": 9}, 1, 1) == 1
+        assert backed_position({"S1": 9}, 1, 1) == 1
 
     def test_four_senders(self):
         req = {"S1": 3, "S2": 5, "S3": 8, "S4": 8}
-        assert receiver_window_after_sender_moves(req, 1, 6) == 8
+        assert backed_position(req, 1, 6) == 8
 
 
 class TestClassify:
