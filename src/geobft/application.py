@@ -17,10 +17,6 @@ def get_op(key: str) -> bytes:
     return canonical_encode(("get", key))
 
 
-def is_read(op: bytes) -> bool:
-    return canonical_decode(op)[0] == "get"
-
-
 class KvApplication:
     """Deterministic state machine: equal op sequences yield equal snapshots."""
 

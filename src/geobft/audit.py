@@ -438,7 +438,11 @@ STANDARD_CHECKS = (
 
 
 def audit_trace(trace, cfg, skip_liveness: bool = False) -> dict:
-    view = AuditView(trace, cfg)
+    return audit_view(AuditView(trace, cfg), skip_liveness)
+
+
+def audit_view(view: AuditView, skip_liveness: bool = False) -> dict:
+    """Every standard check's verdict on a view already built."""
     verdicts = {}
     for check in STANDARD_CHECKS:
         if skip_liveness and check is check_liveness:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .codec import canonical_encode, register_message
+from .codec import canonical_encode, message_store, register_message
 from .crypto import Sig
 from .ids import ClientId, ReplicaId
 
@@ -359,14 +359,16 @@ class Envelope:
 
     def wire_size(self) -> int:
         """len(canonical_encode(self)), from the bytes the payload and each
-        authenticator already store, without encoding the envelope."""
-        size = _ENVELOPE_FRAMING + len(canonical_encode(self.payload))
-        for a in self.auth:
-            size += len(canonical_encode(a))
+        authenticator already store, without encoding the envelope; kept in
+        the message store, so an envelope multicast to many is sized once."""
+        store = message_store(self)
+        size = store.get("_wire_size")
+        if size is None:
+            size = _ENVELOPE_FRAMING + len(canonical_encode(self.payload))
+            for a in self.auth:
+                size += len(canonical_encode(a))
+            store["_wire_size"] = size
         return size
-
-    def sigs(self):
-        return [a for a in self.auth if isinstance(a, Sig)]
 
     def first_sig(self) -> Optional[Sig]:
         for a in self.auth:

@@ -5,8 +5,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .audit import audit_trace
-from .metrics import MetricsReport, accepts_in_window, collect_latencies, nearest_rank
+from .audit import AuditView, audit_view
+from .metrics import MetricsReport, accept_latencies, accepts_in_window, nearest_rank
 from .runtime import System, build
 from .scenario import ScenarioConfig, load_scenario
 
@@ -26,21 +26,19 @@ def run_scenario(source, seed: int, mode: Optional[str] = None,
         irmc=irmc or cfg.irmc,
         seed=seed,
     )
-    report.latency = collect_latencies(trace, cfg, cfg.warmup_ms)
-    completed, reconfigurations = 0, set()
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event == "client_accept":
-            completed += 1
-        elif event == "registry_update":
-            reconfigurations.add((t, kind, data["group"]))
-    report.completed = completed
-    report.reconfigurations = sorted(reconfigurations)
+    # one grouping of the records serves the report and the audit
+    view = AuditView(trace, cfg)
+    accepts = view.events("client_accept")
+    report.latency = accept_latencies(accepts, cfg, cfg.warmup_ms)
+    report.completed = len(accepts)
+    report.reconfigurations = sorted({(t, kind, data["group"]) for
+                                      t, _, _, _, kind, _, data
+                                      in view.events("registry_update")})
     report.wan_messages = {kind: n for (kind, wan), n
                            in system.sim.counters.msgs.items() if wan}
     report.wan_bytes = system.sim.counters.wan_bytes()
     report.channel_wan = dict(system.sim.counters.channel_wan)
-    report.verdicts = audit_trace(
-        trace, cfg, skip_liveness=cfg.fault_plan.beyond_threshold)
+    report.verdicts = audit_view(view, skip_liveness=cfg.fault_plan.beyond_threshold)
     report.trace_digest = trace.digest()
     if out_dir is not None:
         out = Path(out_dir)

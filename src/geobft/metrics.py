@@ -67,10 +67,15 @@ class MetricsReport:
 
 def collect_latencies(trace, cfg, warmup_ms: float) -> dict:
     """(region, kind) -> {n, p50, p90} from client_accept events."""
+    return accept_latencies(trace.events("client_accept"), cfg, warmup_ms)
+
+
+def accept_latencies(accepts, cfg, warmup_ms: float) -> dict:
+    """collect_latencies over the client_accept records already picked out."""
     region_of = {f"c{i}": spec.region for i, spec in enumerate(cfg.clients)}
     samples: dict = {}
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if event != "client_accept" or t < warmup_ms:
+    for t, event, src, dst, kind, digest, data in accepts:
+        if t < warmup_ms:
             continue
         region = region_of.get(src)
         if region is None:

@@ -6,9 +6,18 @@ oriented trace log and fault-injection adapters (crash, partition,
 message loss, Byzantine output rewriting). Event order is a pure
 function of (scenario, seed): ties break on (timestamp, sender order,
 per-sender sequence).
+
+The trace holds what explains a run, not every message: a send that
+arrives and passes authentication leaves no record (``Counters`` keeps
+the per-kind message and byte totals), while a dropped or rejected one
+leaves ``net_drop`` or ``auth_reject``. The trace digest is defined over
+the written lines, so a trace read back from its file reproduces it.
+A correct node signs a multicast once and hands every destination the
+same ``Envelope``.
 """
 from __future__ import annotations
 
+import hashlib
 import heapq
 import random
 import re
@@ -16,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import BoundCrypto, Mac, NodeId, Sig, hash_bytes
+from .core.crypto import DIGEST_SIZE
 from .core.messages import ChCert, ChSend, ChShare, ChannelId, Envelope, Write
 
 
@@ -65,7 +75,7 @@ class FaultPlan:
 
 
 class TraceLog:
-    """Append-only record of every observable event, diffable across runs."""
+    """Append-only record of the events that explain a run, diffable across runs."""
 
     FIELDS = ("time", "event", "src", "dst", "kind", "digest", "data")
 
@@ -76,8 +86,11 @@ class TraceLog:
         self.records.append((round(time, 6), event, str(src), str(dst), kind, digest, data))
 
     def digest(self) -> str:
-        h = hash_bytes(repr(self.records).encode())
-        return h.hex()
+        """Hash of the bytes write() puts in a file, so read_trace reproduces it."""
+        h = hashlib.blake2b(digest_size=DIGEST_SIZE)
+        for line in self.lines():
+            h.update(f"{line}\n".encode())
+        return h.hexdigest()
 
     def lines(self):
         for time, event, src, dst, kind, digest, data in self.records:
@@ -86,7 +99,7 @@ class TraceLog:
             yield f"{time}|{head}|{extra}"
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for line in self.lines():
                 fh.write(line + "\n")
 
@@ -97,7 +110,7 @@ class TraceLog:
 def read_trace(path) -> TraceLog:
     """Parse a trace file back into a TraceLog (inverse of TraceLog.write)."""
     trace = TraceLog()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             time, event, src, dst, kind, digest, extra = line.rstrip("\n").split("|")
             data = {}
@@ -106,7 +119,8 @@ def read_trace(path) -> TraceLog:
                     k, v = pair.split("=", 1)
                     data[k] = _parse_value(v)
             head = map(_unescape, (event, src, dst, kind, digest))
-            trace.records.append((float(time), *head, data))
+            time = int(time) if _INTEGER.fullmatch(time) else float(time)
+            trace.records.append((time, *head, data))
     return trace
 
 
@@ -114,6 +128,8 @@ def read_trace(path) -> TraceLog:
 # with newlines, so strings carry those characters (and "%") as %XX escapes
 _ESCAPES = {ord(c): f"%{ord(c):02X}" for c in "%,|\n\r"}
 _ESCAPED = re.compile("%([0-9A-F]{2})")
+# a time passed to TraceLog.add as an int is written without a fraction
+_INTEGER = re.compile("-?[0-9]+")
 
 
 def _escape(v) -> str:
@@ -356,10 +372,7 @@ class Node:
                 return
             # a faulty node re-authenticates its rewritten payload as itself
             auth = tuple(self._reauth(a, payload) for a in auth)
-        env = Envelope(payload, tuple(auth))
-        self.sim.trace.add(self.sim.now, "net_send", self.nid, dst,
-                           type(payload).__name__)
-        self.sim.send(self.nid, dst, env, channel=channel)
+        self.sim.send(self.nid, dst, Envelope(payload, tuple(auth)), channel=channel)
 
     def _reauth(self, a, payload):
         if isinstance(a, Sig):
@@ -372,10 +385,19 @@ class Node:
         self.net_send(dst, payload, (self.crypto.sign(payload),), channel=channel)
 
     def multicast_signed(self, dsts, payload, channel=None):
-        """send_signed to each of dsts in order, skipping this node."""
-        for dst in dsts:
-            if dst != self.nid:
+        """send_signed to each of dsts in order, skipping this node.
+
+        A correct node signs once and sends every destination the same
+        envelope; a Byzantine adapter rewrites and re-signs per destination.
+        """
+        dsts = [dst for dst in dsts if dst != self.nid]
+        if self.adapter is not None:
+            for dst in dsts:
                 self.send_signed(dst, payload, channel=channel)
+        elif dsts:
+            env = Envelope(payload, (self.crypto.sign(payload),))
+            for dst in dsts:
+                self.sim.send(self.nid, dst, env, channel)
 
     def send_mac(self, dst, payload, scope=None, channel=None):
         self.net_send(dst, payload, (self.crypto.mac(scope or dst, payload),),
@@ -396,8 +418,6 @@ class Node:
                 self.sim.trace.add(self.sim.now, "auth_reject", src, self.nid,
                                    type(env.payload).__name__)
                 return
-        self.sim.trace.add(self.sim.now, "deliver", src, self.nid,
-                           type(env.payload).__name__)
         self.on_payload(src, env)
 
     def _auth_ok(self, payload, a) -> bool:

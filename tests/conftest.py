@@ -72,3 +72,50 @@ def rebuilt(value):
         return type(value)(*(rebuilt(getattr(value, f.name))
                              for f in dataclasses.fields(value)))
     return value
+
+
+class NetSpy:
+    """Observes a simulation's traffic from outside the program.
+
+    Wraps ``sim.send`` and the ``handle_envelope`` of each watched node on
+    the instances, through ``patch`` (monkeypatch.setattr). ``sent`` gets (src, dst, env) per ``Simulator.send``
+    call; ``delivered`` gets (src, dst, env) per envelope a watched node
+    accepted, i.e. one that left no ``auth_reject`` record.
+    """
+
+    def __init__(self, sim, nodes, patch):
+        self.sent = []
+        self.delivered = []
+        send = sim.send
+
+        def spy_send(src, dst, env, channel=None):
+            self.sent.append((src, dst, env))
+            send(src, dst, env, channel)
+
+        patch(sim, "send", spy_send)
+        records = sim.trace.records
+        for node in nodes:
+            self._watch(node, records, patch)
+
+    def _watch(self, node, records, patch):
+        handle = node.handle_envelope
+
+        def spy_handle(src, env):
+            n = len(records)
+            handle(src, env)
+            if len(records) == n or records[n][1] != "auth_reject":
+                self.delivered.append((src, node.nid, env))
+
+        patch(node, "handle_envelope", spy_handle)
+
+    @staticmethod
+    def payloads(entries, kind, src=None):
+        """Payloads of the entries whose type is named kind, from src if given."""
+        return [env.payload for s, _, env in entries
+                if type(env.payload).__name__ == kind and (src is None or s == src)]
+
+
+@pytest.fixture
+def net_spy(monkeypatch):
+    """NetSpy factory whose wrappers come off when the test ends."""
+    return lambda sim, nodes=(): NetSpy(sim, nodes, monkeypatch.setattr)

@@ -255,15 +255,21 @@ def test_trace_file_roundtrip(tmp_path, mini):
     trace.write(path)
     loaded = read_trace(path)
     assert loaded.records == trace.records
+    assert loaded.digest() == trace.digest()
     verdicts = audit_trace(loaded, cfg)
     assert all(ok for ok, _ in verdicts.values()), verdicts
+    assert verdicts == report.verdicts
     # the admin ops of add-remove-group are strings holding ","
-    system, _ = run_scenario("add-remove-group", 1)
+    system, admin_report = run_scenario("add-remove-group", 1)
     admin = system.sim.trace
     assert any("," in str(r[6].get("op")) for r in admin.records)
     admin.add(0.0, "note", "a|b", kind="k,%0A", text="%25 |,\n\r%")
+    admin.add(10000, "note")  # an int time, as sim.now after run_until(10000)
     admin.write(path)
-    assert read_trace(path).records == admin.records
+    loaded = read_trace(path)
+    assert loaded.records == admin.records
+    assert loaded.digest() == admin.digest()
+    assert audit_trace(loaded, system.cfg) == admin_report.verdicts
 
 
 class _CountingList(list):

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from geobft.audit import audit_trace
 from geobft.harness import run_scenario
 from geobft.irmc import VARIANTS
 from geobft.irmc.base import Delivered
 from geobft.scenario import load_scenario
-from geobft.simnet import FaultPlan, NodeFault, TraceLog
+from geobft.simnet import FaultPlan, NodeFault, TraceLog, read_trace
 from tests.conftest import Channel
 
 
@@ -32,21 +33,34 @@ def test_ten_seed_sweep_identical_verdicts():
 # and collector switches. A change that alters behaviour on purpose updates
 # the literals and says which digests changed and why.
 PINNED_DIGESTS = {
-    ("rc-vs-sc", "rc"): "58693de310c85b040281704aec8a15aa",
-    ("ag-outage", "sc"): "5cfe200f9772bede7738f688cc816688",
-    ("add-remove-group", "rc"): "19625777df15c3e216eefe9fc3a0c295",
+    ("rc-vs-sc", "rc"): "f9e2c915ccad0a132a42ba5e0cf7d574",
+    ("ag-outage", "sc"): "31ceeff60f5486fa950ccefb5deeff1f",
+    ("add-remove-group", "rc"): "867466d9e42ada76e08e6df19c789c34",
+}
+
+PINNED_TIMELINES = {
+    ("add-remove-group", "rc"): [(2005.0, "add", 5), (6005.0, "remove", 2)],
 }
 
 
 @pytest.mark.parametrize("scenario,irmc", sorted(PINNED_DIGESTS))
-def test_pinned_trace_digest(scenario, irmc):
-    _, report = run_scenario(scenario, 1, irmc=irmc)
+def test_pinned_trace_digest(scenario, irmc, tmp_path):
+    system, report = run_scenario(scenario, 1, irmc=irmc)
     assert report.trace_digest == PINNED_DIGESTS[(scenario, irmc)]
+    assert report.reconfigurations == PINNED_TIMELINES.get((scenario, irmc), [])
+    # the digest is over the written lines, so the file reproduces it
+    trace = system.sim.trace
+    trace.write(tmp_path / "run.trace")
+    loaded = read_trace(tmp_path / "run.trace")
+    assert loaded.digest() == report.trace_digest
+    skip = system.cfg.fault_plan.beyond_threshold
+    assert audit_trace(loaded, system.cfg, skip_liveness=skip) == report.verdicts
 
 
 def test_run_reads_the_trace_four_times(monkeypatch):
-    """collect_latencies, one pass for the accept count and the registry
-    updates, and the audit's two."""
+    """At most four; three today: the audit view's grouping (which the
+    latencies, the accept count and the registry updates read too),
+    check_agreement_safety, and the digest over the written lines."""
     passes = []
 
     class CountingList(list):

@@ -3,7 +3,7 @@ import pytest
 
 from geobft.core.messages import ChMove, ChSend
 from geobft.irmc.base import Delivered, TooOld
-from tests.conftest import Channel
+from tests.conftest import Channel, NetSpy
 
 
 def collect(results):
@@ -110,8 +110,9 @@ class TestRcMoves:
 
 
 class TestScDelivery:
-    def test_one_certificate_per_receiver(self, sc_channel):
+    def test_one_certificate_per_receiver(self, sc_channel, net_spy):
         ch = sc_channel
+        spy = net_spy(ch.sim, ch.nodes.values())
         for ep in ch.s_eps:
             ep.send(0, 1, b"m")
         got = []
@@ -120,8 +121,7 @@ class TestScDelivery:
         ch.run()
         assert len(got) == 4
         assert all(o.payload == b"m" for o in got)
-        certs = [r for r in ch.sim.trace.records
-                 if r[1] == "deliver" and r[4] == "ChCert"]
+        certs = NetSpy.payloads(spy.delivered, "ChCert")
         assert len(certs) == len(ch.receivers)
 
     def test_divergent_share_still_certifies(self, sc_channel):
@@ -194,8 +194,9 @@ class TestWideAreaEconomy:
     @pytest.mark.parametrize("variant,payload_kind,per_payload", [
         ("rc", "ChSend", 12), ("sc", "ChCert", 3)])
     def test_payload_transmissions_per_delivery(self, variant, payload_kind,
-                                                per_payload):
+                                                per_payload, net_spy):
         ch = Channel(variant, n_s=4, n_r=3, f_s=1, f_r=1, seed=9)
+        spy = net_spy(ch.sim)
         positions = 3
         done = {}
         for p in range(1, positions + 1):
@@ -205,6 +206,5 @@ class TestWideAreaEconomy:
                 ep.receive(0, p, collect(done.setdefault((i, p), [])))
         ch.run(1500)
         assert all(v for v in done.values())
-        sent = [r for r in ch.sim.trace.records
-                if r[1] == "net_send" and r[4] == payload_kind]
+        sent = NetSpy.payloads(spy.sent, payload_kind)
         assert len(sent) == per_payload * positions

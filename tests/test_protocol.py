@@ -6,6 +6,7 @@ from geobft.core import ClientId, GroupKey, hash_bytes
 from geobft.core.messages import Envelope, ReadWeak, Result, Write
 from geobft.runtime import build
 from geobft.scenario import load_scenario
+from tests.conftest import NetSpy
 
 
 def mini_scenario(**overrides):
@@ -43,7 +44,7 @@ def test_every_write_executed_once_per_replica(mini_run):
             per_replica[src].add(key)
 
 
-def test_duplicate_write_resends_cached_result(mini_run):
+def test_duplicate_write_resends_cached_result(mini_run, net_spy):
     cfg, system, trace = mini_run
     replica = system.executions[1][0]
     client = system.clients[0]
@@ -51,17 +52,12 @@ def test_duplicate_write_resends_cached_result(mini_run):
     t_done = replica.u[c][0]
     w = Write(get_op("k0"), client.nid, t_done, True)
     # counting Result resends triggered by a retry of an executed request
-    before = len([r for r in trace.records
-                  if r[1] == "net_send" and r[2] == str(replica.nid)
-                  and r[4] == "Result"])
+    spy = net_spy(system.sim)
     env = Envelope(w, (client.crypto.mac(GroupKey("ex", 1), w),
                        client.crypto.sign(w)))
     executes_before = len(trace.events("execute"))
     replica.handle_envelope(client.nid, env)
-    after = len([r for r in trace.records
-                 if r[1] == "net_send" and r[2] == str(replica.nid)
-                 and r[4] == "Result"])
-    assert after == before + 1
+    assert len(NetSpy.payloads(spy.sent, "Result", replica.nid)) == 1
     assert len(trace.events("execute")) == executes_before  # no re-execution
 
 
@@ -92,19 +88,16 @@ def test_unauthorized_client_discarded(mini_run):
     assert replica.t == t_before
 
 
-def test_weak_read_on_quiet_key_absent_from_all_correct(mini_run):
+def test_weak_read_on_quiet_key_absent_from_all_correct(mini_run, net_spy):
     cfg, system, trace = mini_run
     client = system.clients[1]
     msg = ReadWeak(get_op("never-written"), client.nid, 424242)
     replies = []
+    spy = net_spy(system.sim)
     for replica in system.executions[2]:
-        sent_before = len([r for r in trace.records if r[1] == "net_send"
-                           and r[2] == str(replica.nid) and r[4] == "Result"])
         env = Envelope(msg, (client.crypto.mac(GroupKey("ex", 2), msg),))
         replica.handle_envelope(client.nid, env)
-        new = [r for r in trace.records if r[1] == "net_send"
-               and r[2] == str(replica.nid) and r[4] == "Result"][sent_before:]
-        replies.extend(new)
+        replies.extend(NetSpy.payloads(spy.sent, "Result", replica.nid))
     assert len(replies) == 3
 
 
@@ -123,7 +116,7 @@ def test_strong_read_leaves_placeholder_at_other_groups(mini_run):
     assert all((c, t) not in executed_group1 for t in read_tcs)
 
 
-def test_resubmit_indicator_for_skipped_read(mini_run):
+def test_resubmit_indicator_for_skipped_read(mini_run, net_spy):
     cfg, system, trace = mini_run
     replica = system.executions[1][0]
     client = system.clients[0]
@@ -135,14 +128,11 @@ def test_resubmit_indicator_for_skipped_read(mini_run):
     w = Write(get_op("k0"), client.nid, t_c, True)
     env = Envelope(w, (client.crypto.mac(GroupKey("ex", 1), w),
                        client.crypto.sign(w)))
+    spy = net_spy(system.sim)
     replica.handle_envelope(client.nid, env)
-    resubmits = [r for r in trace.records
-                 if r[1] == "net_send" and r[2] == str(replica.nid)
-                 and r[4] == "Result"]
+    resubmits = NetSpy.payloads(spy.sent, "Result", replica.nid)
     assert resubmits  # and the last one carries the resubmit indicator
-    # inspect the replica's most recent outgoing Result via the sim queue
-    # indirectly: the cached reply is the placeholder, so only a resubmit
-    # Result could have been produced for t_c
+    assert resubmits[-1].resubmit
     assert replica.u[c] == (t_c, PLACEHOLDER)
 
 

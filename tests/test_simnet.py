@@ -7,7 +7,7 @@ from geobft.core import (
     ReplicaId,
     canonical_encode,
 )
-from geobft.core.messages import ChSend, ChannelId, Write
+from geobft.core.messages import ChSend, ChannelId, Envelope, Write
 from geobft.simnet import FaultPlan, Node, NodeFault, Simulator
 from tests.conftest import rebuilt, small_topology
 
@@ -56,22 +56,23 @@ def test_same_seed_identical_trace():
         for i in range(20):
             na.after(i * 3.0, lambda i=i: na.send_signed(nb.nid, b"m%d" % i))
         sim.run_until(500)
-        return sim.trace.digest()
+        return sim.trace.digest(), nb.got
 
     assert run(42) == run(42)
     assert run(42) != run(43)
 
 
-def test_conservation_sends_equal_deliveries_plus_drops():
+def test_conservation_sends_equal_deliveries_plus_drops(net_spy):
     plan = FaultPlan()
     plan.faults[ReplicaId("ag", 0, 0)] = NodeFault("crash", at_ms=50.0)
     sim, na, nb = build_pair(plan=plan)
+    spy = net_spy(sim, (na, nb))
     for i in range(10):
         na.after(i * 10.0, lambda i=i: na.send_signed(nb.nid, b"m%d" % i))
     sim.run_until(500)
-    sends = len(sim.trace.events("net_send"))
+    sends = len(spy.sent)
     drops = len(sim.trace.events("net_drop"))
-    delivered = len(sim.trace.events("deliver")) + len(sim.trace.events("auth_reject"))
+    delivered = len(spy.delivered) + len(sim.trace.events("auth_reject"))
     assert sends == 10
     assert sends == drops + delivered
     assert len(nb.got) < 10
@@ -114,7 +115,6 @@ def test_byzantine_cannot_authenticate_as_another_principal():
 
 def test_invalid_authenticator_never_dispatched():
     sim, na, nb = build_pair()
-    from geobft.core.messages import Envelope
     from geobft.core.crypto import Sig
     bad = Envelope(b"payload", (Sig(na.nid, b"wrong-digest-000"),))
     sim.send(na.nid, nb.nid, bad)
@@ -157,9 +157,85 @@ def test_send_counts_full_envelope_encoding():
     nodes[a].net_send(b, payload, (nodes[a].crypto.sign(payload),
                                    nodes[a].crypto.mac(b, payload)))
     nodes[byz].send_signed(b, payload)
-    assert [len(env.auth) for env, _ in sent] == [0, 1, 1, 2, 1]
-    assert sent[-1][0].payload != payload  # rewritten by the adapter
+    # one envelope for both destinations: sized at the first send, read
+    # from the message store at the second
+    nodes[a].multicast_signed([a, b, c], payload)
+    assert [len(env.auth) for env, _ in sent] == [0, 1, 1, 2, 1, 1, 1]
+    assert sent[4][0].payload != payload  # rewritten by the adapter
+    assert sent[5][0] is sent[6][0]
     for env, size in sent:
         assert size == len(canonical_encode(rebuilt(env)))
+        assert env.wire_size() == len(canonical_encode(env))
     sim.run_until(100)
-    assert len(nodes[b].got) == 5
+    assert len(nodes[b].got) == 6
+    assert len(nodes[c].got) == 1
+
+
+def build_group(plan=None, n=4):
+    """n nodes in one region, one per zone."""
+    sim = Simulator(small_topology(n_s=n), 1, plan)
+    provider = CryptoProvider()
+    nodes = []
+    for i in range(n):
+        nid = ReplicaId("ex", 1, i)
+        provider.register_principal(nid)
+        nodes.append(Echo(nid, sim, BoundCrypto(provider, nid)))
+        sim.register(nid, nodes[-1], "S", i)
+    return sim, nodes
+
+
+def counted_signs(monkeypatch, node):
+    signs = []
+    sign = node.crypto.sign
+    monkeypatch.setattr(node.crypto, "sign", lambda msg: signs.append(msg) or sign(msg))
+    return signs
+
+
+def test_correct_multicast_signs_once_and_shares_one_envelope(monkeypatch, net_spy):
+    sim, nodes = build_group()
+    spy = net_spy(sim)
+    signs = counted_signs(monkeypatch, nodes[0])
+    payload = ChSend(ChannelId("req", 1), 0, 1, b"m")
+    nodes[0].multicast_signed([n.nid for n in nodes], payload)
+    assert len(signs) == 1
+    assert [(src, dst) for src, dst, _ in spy.sent] == \
+        [(nodes[0].nid, n.nid) for n in nodes[1:]]
+    assert len({id(env) for _, _, env in spy.sent}) == 1
+    sim.run_until(100)
+    assert [[p for _, _, p in n.got] for n in nodes] == [[]] + [[payload]] * 3
+
+
+def test_equivocating_multicast_diverges_per_destination(monkeypatch, net_spy):
+    plan = FaultPlan()
+    plan.faults[ReplicaId("ex", 1, 0)] = NodeFault("byzantine", strategy="equivocate-send")
+    sim, nodes = build_group(plan)
+    spy = net_spy(sim)
+    signs = counted_signs(monkeypatch, nodes[0])
+    payload = ChSend(ChannelId("req", 1), 0, 1, b"m")
+    nodes[0].multicast_signed([n.nid for n in nodes], payload)
+    assert len(signs) == 6  # per destination: the payload, then its rewrite
+    envs = [env for _, _, env in spy.sent]
+    assert [env.payload.payload for env in envs] == \
+        [b"\x01equiv", b"\x00equiv", b"\x01equiv"]
+    for env in envs:
+        assert nodes[1].crypto.valid_sig(env.payload, env.auth[0], nodes[0].nid)
+    sim.run_until(100)
+    assert [len(n.got) for n in nodes] == [0, 1, 1, 1]
+
+
+def test_trace_keeps_drops_and_rejects_but_no_per_message_records():
+    plan = FaultPlan()
+    plan.faults[ReplicaId("ag", 0, 0)] = NodeFault("crash", at_ms=50.0)
+    sim, na, nb = build_pair(plan=plan)
+    for i in range(4):
+        na.after(i * 20.0, lambda i=i: na.send_signed(nb.nid, b"m%d" % i))
+    from geobft.core.crypto import Sig
+    sim.send(na.nid, nb.nid, Envelope(b"payload", (Sig(na.nid, b"wrong-digest-000"),)))
+    sim.run_until(500)
+    assert len(nb.got) == 2
+    a, b = str(na.nid), str(nb.nid)
+    assert sim.trace.records == [
+        (10.0, "auth_reject", a, b, "bytes", "-", {}),
+        (50.0, "net_drop", a, b, "bytes", "-", {}),
+        (70.0, "net_drop", a, b, "bytes", "-", {}),
+    ]
