@@ -7,7 +7,7 @@ import sys
 from .audit import audit_trace
 from .harness import run_scenario
 from .scenario import load_scenario, shipped_scenarios
-from .simnet import read_trace
+from .simnet import TraceFormatError, read_trace
 
 
 def main(argv=None) -> int:
@@ -72,7 +72,11 @@ def _print_excerpt(trace, tail: int = 30) -> None:
 
 
 def _cmd_audit(args) -> int:
-    trace = read_trace(args.trace)
+    try:
+        trace = read_trace(args.trace)
+    except TraceFormatError as exc:
+        sys.stderr.write(f"{args.trace}: {exc}\n")
+        return 2
     source = args.scenario
     if source is None:
         meta = next((r for r in trace.records if r[1] == "meta"), None)

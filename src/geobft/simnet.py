@@ -107,21 +107,45 @@ class TraceLog:
         return [r for r in self.records if r[1] == name]
 
 
+class TraceFormatError(ValueError):
+    """A trace file line that TraceLog.write cannot have produced."""
+
+    def __init__(self, lineno: int, reason):
+        super().__init__(f"trace line {lineno}: {reason}")
+        self.lineno = lineno
+
+
 def read_trace(path) -> TraceLog:
-    """Parse a trace file back into a TraceLog (inverse of TraceLog.write)."""
+    """Parse a trace file back into a TraceLog (inverse of TraceLog.write).
+
+    Raises TraceFormatError, naming the line, on anything write() does not
+    produce: a wrong field count, a data pair without "=", an unknown type
+    tag, a value not in its written form, or bytes that are not UTF-8.
+    """
     trace = TraceLog()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            time, event, src, dst, kind, digest, extra = line.rstrip("\n").split("|")
-            data = {}
-            if extra:
-                for pair in extra.split(","):
-                    k, v = pair.split("=", 1)
-                    data[k] = _parse_value(v)
-            head = map(_unescape, (event, src, dst, kind, digest))
-            time = int(time) if _INTEGER.fullmatch(time) else float(time)
-            trace.records.append((time, *head, data))
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                trace.records.append(_parse_line(raw.decode("utf-8").rstrip("\n")))
+            except ValueError as exc:  # UnicodeDecodeError is one too
+                raise TraceFormatError(lineno, exc) from None
     return trace
+
+
+def _parse_line(line: str) -> tuple:
+    fields = line.split("|")
+    if len(fields) != len(TraceLog.FIELDS):
+        raise ValueError(f"{len(fields)} fields, want {len(TraceLog.FIELDS)}")
+    time, event, src, dst, kind, digest, extra = fields
+    data = {}
+    if extra:
+        for pair in extra.split(","):
+            k, eq, v = pair.partition("=")
+            if not eq:
+                raise ValueError(f"data pair {pair!r} has no '='")
+            data[k] = _parse_value(v)
+    head = map(_unescape, (event, src, dst, kind, digest))
+    return (_written(time, int if _INTEGER.fullmatch(time) else float), *head, data)
 
 
 # a written trace separates fields with "|", data pairs with "," and records
@@ -137,6 +161,8 @@ def _escape(v) -> str:
 
 
 def _unescape(s: str) -> str:
+    if "%" not in s:
+        return s
     return _ESCAPED.sub(lambda m: chr(int(m[1], 16)), s)
 
 
@@ -154,14 +180,27 @@ def _fmt(v):
 
 
 def _parse_value(v: str):
-    tag, _, body = v.partition(":")
-    if tag == "i":
-        return int(body)
-    if tag == "f":
-        return float(body)
-    if tag == "b":
+    tag, body = v[:2], v[2:]
+    if tag == "s:":
+        return _unescape(body)
+    if tag == "i:":
+        return _written(body, int)
+    if tag == "f:":
+        return _written(body, float)
+    if tag == "b:" and body in ("0", "1"):
         return body == "1"
-    return _unescape(body)
+    raise ValueError(f"bad tagged value {v!r}")
+
+
+def _written(text: str, kind):
+    """kind(text), if that value is written as exactly text."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(f"bad {kind.__name__} {text!r}")
+    return value
 
 
 class Counters:
@@ -297,9 +336,9 @@ class Simulator:
             if start is not None:
                 start()
         while self._heap and not self._stopped:
+            if self._heap[0][0] > t_end:
+                break  # left queued for a later run_until
             time, _, _, fn = heapq.heappop(self._heap)
-            if time > t_end:
-                break
             self.now = time
             fn()
         self.now = t_end
@@ -367,11 +406,13 @@ class Node:
 
     def net_send(self, dst, payload, auth=(), channel=None):
         if self.adapter is not None:
-            payload = self.adapter.adapt(self, dst, payload)
-            if payload is None:
+            rewritten = self.adapter.adapt(self, dst, payload)
+            if rewritten is None:
                 return
-            # a faulty node re-authenticates its rewritten payload as itself
-            auth = tuple(self._reauth(a, payload) for a in auth)
+            if rewritten is not payload:
+                # a faulty node re-authenticates its rewritten payload as itself
+                auth = tuple(self._reauth(a, rewritten) for a in auth)
+                payload = rewritten
         self.sim.send(self.nid, dst, Envelope(payload, tuple(auth)), channel=channel)
 
     def _reauth(self, a, payload):
@@ -382,22 +423,41 @@ class Node:
         return a
 
     def send_signed(self, dst, payload, channel=None):
-        self.net_send(dst, payload, (self.crypto.sign(payload),), channel=channel)
+        if self.adapter is None:
+            self.net_send(dst, payload, (self.crypto.sign(payload),), channel=channel)
+        else:
+            self._send_adapted_signed((dst,), payload, channel)
 
     def multicast_signed(self, dsts, payload, channel=None):
         """send_signed to each of dsts in order, skipping this node.
 
         A correct node signs once and sends every destination the same
-        envelope; a Byzantine adapter rewrites and re-signs per destination.
+        envelope; a Byzantine adapter rewrites per destination.
         """
         dsts = [dst for dst in dsts if dst != self.nid]
         if self.adapter is not None:
-            for dst in dsts:
-                self.send_signed(dst, payload, channel=channel)
+            self._send_adapted_signed(dsts, payload, channel)
         elif dsts:
             env = Envelope(payload, (self.crypto.sign(payload),))
             for dst in dsts:
                 self.sim.send(self.nid, dst, env, channel)
+
+    def _send_adapted_signed(self, dsts, payload, channel):
+        """A faulty node signs what its adapter lets out, once per envelope:
+        nothing for a withheld send, and one shared envelope for every
+        destination that gets the payload unchanged."""
+        same = None
+        for dst in dsts:
+            out = self.adapter.adapt(self, dst, payload)
+            if out is None:
+                continue
+            if out is not payload:
+                env = Envelope(out, (self.crypto.sign(out),))
+            elif same is None:
+                env = same = Envelope(payload, (self.crypto.sign(payload),))
+            else:
+                env = same
+            self.sim.send(self.nid, dst, env, channel)
 
     def send_mac(self, dst, payload, scope=None, channel=None):
         self.net_send(dst, payload, (self.crypto.mac(scope or dst, payload),),

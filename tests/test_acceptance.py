@@ -5,7 +5,7 @@ criteria that look at the same trace do not re-run the simulation.
 """
 import time
 
-from geobft.audit import AuditView, check_liveness
+from geobft.audit import AuditView, audit_trace, check_liveness
 from geobft.harness import (
     leader_crash_report,
     run_scenario,
@@ -15,6 +15,7 @@ from geobft.irmc import RcReceiver, RcSender, ScReceiver, ScSender
 from geobft.irmc.conformance import make_factory, run_conformance
 from geobft.metrics import expected_write_latency, write_wan_stages
 from geobft.scenario import load_scenario, shipped_scenarios
+from geobft.simnet import read_trace
 
 SEED = 2
 _cache = {}
@@ -61,12 +62,16 @@ def test_criterion_01_irmc_conformance():
              conditions)
 
 
-def test_criterion_02_end_to_end_safety():
-    conditions = []
+def safety_runs():
+    """(scenario, irmc) of every run ACCEPTANCE 2 audits."""
     runs = [(name, None) for name in shipped_scenarios()]
     # the sender-side-collection channel in the full architecture, faults on
-    runs += [("threshold-faults", "sc"), ("four-regions-writes", "sc")]
-    for name, irmc in runs:
+    return runs + [("threshold-faults", "sc"), ("four-regions-writes", "sc")]
+
+
+def test_criterion_02_end_to_end_safety():
+    conditions = []
+    for name, irmc in safety_runs():
         _, report = get_run(name, irmc=irmc)
         label = name if irmc is None else f"{name}[{irmc}]"
         for verdict in HISTORY_VERDICTS:
@@ -339,3 +344,21 @@ def test_criterion_10_checkpoint_equivalence():
     print(f"  {matched} matched digest points at the lagging execution replica")
     conclude(10, "checkpoint path and delivery path produce equal state digests",
              conditions)
+
+
+def test_every_run_survives_write_read_audit(tmp_path):
+    """Every shipped scenario's trace, and every other run cached above,
+    reads back from its file with equal records, digest and verdicts."""
+    for name, irmc in safety_runs():
+        get_run(name, irmc=irmc)  # already cached when ACCEPTANCE 2 ran first
+    path = tmp_path / "run.trace"
+    for key in sorted(_cache, key=str):
+        system, report = _cache[key]
+        trace = system.sim.trace
+        trace.write(path)
+        loaded = read_trace(path)
+        assert loaded.records == trace.records, key
+        assert loaded.digest() == report.trace_digest, key
+        skip = system.cfg.fault_plan.beyond_threshold
+        assert audit_trace(loaded, system.cfg, skip_liveness=skip) == report.verdicts, key
+    print(f"\n  {len(_cache)} runs survive write -> read -> audit")

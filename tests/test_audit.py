@@ -4,6 +4,7 @@ import copy
 import pytest
 
 from geobft.application import get_op, put_op
+from geobft import cli
 from geobft.audit import (
     AuditView,
     audit_trace,
@@ -22,7 +23,7 @@ from geobft.audit import (
 )
 from geobft.harness import run_scenario
 from geobft.scenario import load_scenario
-from geobft.simnet import read_trace
+from geobft.simnet import TraceFormatError, read_trace
 
 MINI = {
     "name": "audit-mini", "mode": "spider", "irmc": "rc", "duration_ms": 3000,
@@ -270,6 +271,54 @@ def test_trace_file_roundtrip(tmp_path, mini):
     assert loaded.records == admin.records
     assert loaded.digest() == admin.digest()
     assert audit_trace(loaded, system.cfg) == admin_report.verdicts
+
+
+GOOD_LINE = b"0.0|meta|-|-|scenario|-|irmc=s:rc,seed=i:1\n"
+
+
+@pytest.mark.parametrize("line,reason", [
+    (b"1.0|note|-|-|-|-\n", "6 fields"),
+    (b"1.0|note|-|-|-|-|-|x\n", "8 fields"),
+    (b"\n", "1 fields"),
+    (b"1.0|note|-|-|-|-|seed\n", "has no '='"),
+    (b"1.0|note|-|-|-|-|k=z:1\n", "bad tagged value"),
+    (b"1.0|note|-|-|-|-|k=1\n", "bad tagged value"),
+    (b"1.0|note|-|-|-|-|k=i:1_0\n", "bad int"),
+    (b"1.0|note|-|-|-|-|k=i:x\n", "bad int"),
+    (b"1.0|note|-|-|-|-|k=i:\n", "bad int"),
+    (b"1.0|note|-|-|-|-|k=f:abc\n", "bad float"),
+    (b"1.0|note|-|-|-|-|k=f:5\n", "bad float"),
+    (b"1.0|note|-|-|-|-|k=b:7\n", "bad tagged value"),
+    (b"soon|note|-|-|-|-|\n", "bad float"),
+    (b"1.0|note|\xff|-|-|-|\n", "utf-8"),
+])
+def test_read_trace_rejects_malformed_line(tmp_path, line, reason):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(GOOD_LINE + line + GOOD_LINE)
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert isinstance(err.value, ValueError)
+    assert err.value.lineno == 2
+    assert str(err.value).startswith("trace line 2: ")
+    assert reason in str(err.value)
+
+
+def test_audit_command_reports_a_malformed_trace(tmp_path, capsys):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(GOOD_LINE + b"1.0|note|-|-|-|-|k=b:7\n")
+    assert cli.main(["audit", str(path)]) == 2
+    assert "trace line 2: bad tagged value" in capsys.readouterr().err
+
+
+def test_every_written_line_parses(tmp_path, mini):
+    cfg, trace, _ = mini
+    path = tmp_path / "run.trace"
+    trace.write(path)
+    loaded = read_trace(path)
+    assert loaded.records == trace.records
+    # the numeric tags appear, so their strict parses are exercised
+    kinds = {type(v) for r in trace.records for v in r[6].values()}
+    assert kinds >= {int, float, str}, kinds
 
 
 class _CountingList(list):

@@ -1,7 +1,11 @@
-"""Checkpoint component: certification, monotone delivery, state transfer."""
+"""Checkpoint component: certification, monotone delivery, state transfer,
+and gossip that reaches only the members behind."""
+from collections import Counter
+
 from geobft.checkpoint import CheckpointComponent
-from geobft.core import BoundCrypto, CryptoProvider, GroupKey, ReplicaId
-from geobft.core.messages import Checkpoint, CpState
+from geobft.core import BoundCrypto, CryptoProvider, GroupKey, ReplicaId, hash_bytes
+from geobft.core.messages import Checkpoint, CpAnnounce, CpState
+from geobft.harness import run_scenario
 from geobft.protocol import ProtocolNode
 from geobft.simnet import Simulator, Topology
 
@@ -114,3 +118,86 @@ def test_delivery_is_monotone_per_replica():
     for host in hosts:
         assert host.stable_calls == [(10, b"ten"), (20, b"twenty")]
         assert host.cp.latest_stable() == 20
+
+
+# -- gossip: announce only to the members not known to hold the checkpoint ---
+
+def announces(spy, since=0):
+    """(src, dst) of every CpAnnounce sent after the first `since` sends."""
+    return [(src, dst) for src, dst, env in spy.sent[since:]
+            if isinstance(env.payload, CpAnnounce)]
+
+
+def test_no_announce_once_every_member_voted(net_spy):
+    sim, hosts = build_group()
+    spy = net_spy(sim)
+    for host in hosts:
+        host.cp.gen_cp(10, b"ten")
+    sim.run_until(5)
+    assert all(host.stable_calls == [(10, b"ten")] for host in hosts)
+    sim.run_until(205)  # 20 gossip ticks per replica
+    assert announces(spy) == []
+
+
+def test_member_that_never_voted_is_announced_to_until_it_shows_the_checkpoint(net_spy):
+    sim, hosts = build_group()
+    spy = net_spy(sim)
+    a, b, c = hosts
+    a.cp.gen_cp(10, b"ten")
+    b.cp.gen_cp(10, b"ten")
+    sim.run_until(55)  # c holds 10 by transfer but never voted for it
+    assert c.stable_calls == [(10, b"ten")]
+    # ticks at 10..50: one announce per tick from each of a and b, all to c
+    assert Counter(announces(spy)) == {(a.nid, c.nid): 5, (b.nid, c.nid): 5}
+    # c shows 10 to a by an announce and to b by a (late) vote
+    c.send_signed(a.nid, CpAnnounce("ex", 1, 10))
+    c.send_signed(b.nid, Checkpoint("ex", 1, 10, hash_bytes(b"ten")))
+    since = len(spy.sent)
+    sim.run_until(205)
+    assert announces(spy, since) == []
+
+
+def announce_targets(net_spy, noise):
+    """Announces of a group where c never votes, with noise(sim, hosts, outsider)
+    injected at 5 ms; the outsider is registered but not a member."""
+    sim, hosts = build_group()
+    outsider_id = ReplicaId("ex", 1, 3)
+    provider = hosts[0].crypto.provider
+    provider.register_principal(outsider_id)
+    outsider = CpHost(outsider_id, sim, BoundCrypto(provider, outsider_id),
+                      hosts[0].cp.members, 1)
+    sim.register(outsider_id, outsider, "X", 0)
+    spy = net_spy(sim)
+    hosts[0].cp.gen_cp(10, b"ten")
+    hosts[1].cp.gen_cp(10, b"ten")
+    sim.run_until(5)
+    noise(sim, hosts, outsider)
+    since = len(spy.sent)
+    sim.run_until(105)
+    return announces(spy, since)
+
+
+def test_unproven_progress_does_not_change_announce_targets(net_spy):
+    vote = Checkpoint("ex", 1, 10, hash_bytes(b"ten"))
+
+    def noisy(sim, hosts, outsider):
+        a, b, c = hosts
+        for host in (a, b):
+            # a non-member's announce and vote
+            outsider.send_signed(host.nid, CpAnnounce("ex", 1, 10))
+            outsider.send_signed(host.nid, vote)
+            # a member's vote signed by someone else
+            c.net_send(host.nid, vote, (outsider.crypto.sign(vote),))
+
+    expected = announce_targets(net_spy, lambda *_: None)
+    assert expected and {dst for _, dst in expected} == {ReplicaId("ex", 1, 2)}
+    assert announce_targets(net_spy, noisy) == expected
+
+
+def test_all_correct_run_sends_no_announce():
+    system, report = run_scenario("four-regions-writes", 1, irmc="rc")
+    trace = system.sim.trace
+    assert trace.events("cp_stable")  # checkpoints did become stable
+    assert [k for k in system.sim.counters.msgs if k[0] == "CpAnnounce"] == []
+    assert [r for r in trace.events("net_drop") if r[4] == "CpAnnounce"] == []
+    assert all(ok for ok, _ in report.verdicts.values())

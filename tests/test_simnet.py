@@ -213,7 +213,7 @@ def test_equivocating_multicast_diverges_per_destination(monkeypatch, net_spy):
     signs = counted_signs(monkeypatch, nodes[0])
     payload = ChSend(ChannelId("req", 1), 0, 1, b"m")
     nodes[0].multicast_signed([n.nid for n in nodes], payload)
-    assert len(signs) == 6  # per destination: the payload, then its rewrite
+    assert len(signs) == 3  # one per rewritten payload, none for the original
     envs = [env for _, _, env in spy.sent]
     assert [env.payload.payload for env in envs] == \
         [b"\x01equiv", b"\x00equiv", b"\x01equiv"]
@@ -221,6 +221,43 @@ def test_equivocating_multicast_diverges_per_destination(monkeypatch, net_spy):
         assert nodes[1].crypto.valid_sig(env.payload, env.auth[0], nodes[0].nid)
     sim.run_until(100)
     assert [len(n.got) for n in nodes] == [0, 1, 1, 1]
+
+
+def test_faulty_node_signs_once_per_envelope_it_sends(monkeypatch, net_spy):
+    plan = FaultPlan()
+    plan.faults[ReplicaId("ex", 1, 0)] = NodeFault("byzantine", strategy="lying-collector")
+    plan.faults[ReplicaId("ex", 1, 1)] = NodeFault("byzantine", strategy="withhold")
+    sim, nodes = build_group(plan)
+    spy = net_spy(sim)
+    lying, silent = nodes[0], nodes[1]
+    lying_signs = counted_signs(monkeypatch, lying)
+    silent_signs = counted_signs(monkeypatch, silent)
+    payload = ChSend(ChannelId("req", 1), 0, 1, b"m")
+    # a payload the adapter leaves unchanged is signed once, in one shared envelope
+    lying.multicast_signed([n.nid for n in nodes], payload)
+    assert lying_signs == [payload]
+    assert len({id(env) for _, _, env in spy.sent}) == 1
+    lying.send_signed(nodes[2].nid, payload)
+    assert lying_signs == [payload, payload]
+    # an authenticator over a payload the adapter leaves unchanged is kept
+    lying.net_send(nodes[3].nid, payload, (lying.crypto.sign(payload),))
+    assert lying_signs == [payload] * 3
+    # a withheld send is neither signed nor sent
+    silent.multicast_signed([n.nid for n in nodes], payload)
+    silent.send_signed(nodes[2].nid, payload)
+    assert silent_signs == []
+    assert len(spy.sent) == 5
+    sim.run_until(100)
+    assert [len(n.got) for n in nodes] == [0, 1, 2, 2]
+
+
+def test_an_event_past_the_horizon_waits_for_the_next_run():
+    sim, na, _ = build_pair()
+    ticks = []
+    na.every(10.0, lambda: ticks.append(sim.now))
+    sim.run_until(25)
+    sim.run_until(55)
+    assert ticks == [10.0, 20.0, 30.0, 40.0, 50.0]
 
 
 def test_trace_keeps_drops_and_rejects_but_no_per_message_records():
