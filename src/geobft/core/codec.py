@@ -58,6 +58,7 @@ def register_message(code: int):
         _type_header[cls] = _HDR.pack(_TAG_MSG, code)
         _code_type[code] = cls
         _type_fields[cls] = tuple(f.name for f in dataclasses.fields(cls))
+        _encoders[cls] = _encode_message
         return cls
 
     return deco
@@ -72,54 +73,86 @@ def message_store(value) -> Optional[dict]:
     return value.__dict__ if type(value) in _type_header else None
 
 
-def _message_bytes(msg, header: bytes) -> bytes:
+def _message_bytes(msg) -> bytes:
     store = msg.__dict__
     raw = store.get(_BYTES_KEY)
     if raw is None:
-        out = bytearray(header)
-        for name in _type_fields[type(msg)]:
+        cls = type(msg)
+        out = bytearray(_type_header[cls])
+        for name in _type_fields[cls]:
             _encode_into(getattr(msg, name), out)
         raw = store[_BYTES_KEY] = bytes(out)
     return raw
 
 
+def _encode_none(value, out: bytearray) -> None:
+    out.append(_TAG_NONE)
+
+
+def _encode_bool(value, out: bytearray) -> None:
+    out.append(_TAG_TRUE if value else _TAG_FALSE)
+
+
+def _encode_int(value, out: bytearray) -> None:
+    if not 0 <= value < 1 << 64:
+        raise CodecError(f"integer out of u64 range: {value}")
+    out.append(_TAG_INT)
+    out += _U64.pack(value)
+
+
+def _encode_bytes(value, out: bytearray) -> None:
+    out.append(_TAG_BYTES)
+    out += _U32.pack(len(value))
+    out += value
+
+
+def _encode_str(value, out: bytearray) -> None:
+    raw = value.encode("utf-8")
+    out.append(_TAG_STR)
+    out += _U32.pack(len(raw))
+    out += raw
+
+
+def _encode_seq(value, out: bytearray) -> None:
+    out.append(_TAG_SEQ)
+    out += _U32.pack(len(value))
+    for item in value:
+        _encode_into(item, out)
+
+
+def _encode_message(value, out: bytearray) -> None:
+    out += _message_bytes(value)
+
+
+# exact type -> encoder; register_message adds each message class
+_encoders: dict = {type(None): _encode_none, bool: _encode_bool, int: _encode_int,
+                   bytes: _encode_bytes, str: _encode_str,
+                   tuple: _encode_seq, list: _encode_seq}
+
+
 def _encode_into(value, out: bytearray) -> None:
-    if value is None:
-        out.append(_TAG_NONE)
-    elif value is True:
-        out.append(_TAG_TRUE)
-    elif value is False:
-        out.append(_TAG_FALSE)
-    elif isinstance(value, int):
-        if not 0 <= value < 1 << 64:
-            raise CodecError(f"integer out of u64 range: {value}")
-        out.append(_TAG_INT)
-        out += _U64.pack(value)
-    elif isinstance(value, bytes):
-        out.append(_TAG_BYTES)
-        out += _U32.pack(len(value))
-        out += value
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_TAG_STR)
-        out += _U32.pack(len(raw))
-        out += raw
-    elif isinstance(value, (tuple, list)):
-        out.append(_TAG_SEQ)
-        out += _U32.pack(len(value))
-        for item in value:
-            _encode_into(item, out)
-    else:
-        header = _type_header.get(type(value))
-        if header is None:
-            raise CodecError(f"unregistered type: {type(value).__name__}")
-        out += _message_bytes(value, header)
+    encode = _encoders.get(type(value))
+    if encode is None:
+        encode = _encoder_by_isinstance(value)
+    encode(value, out)
+
+
+def _encoder_by_isinstance(value):
+    """The encoder for a subclass of a built-in type the codec knows."""
+    if isinstance(value, int):  # bool has no subclasses
+        return _encode_int
+    if isinstance(value, bytes):
+        return _encode_bytes
+    if isinstance(value, str):
+        return _encode_str
+    if isinstance(value, (tuple, list)):
+        return _encode_seq
+    raise CodecError(f"unregistered type: {type(value).__name__}")
 
 
 def canonical_encode(value) -> bytes:
-    header = _type_header.get(type(value))
-    if header is not None:
-        return _message_bytes(value, header)
+    if type(value) in _type_header:
+        return _message_bytes(value)
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
@@ -169,7 +202,10 @@ def _decode_from(buf: bytes, pos: int):
         for _ in _type_fields[cls]:
             value, pos = _decode_from(buf, pos)
             values.append(value)
-        return cls(*values), pos
+        try:
+            return cls(*values), pos
+        except TypeError as exc:  # a node id whose fields have the wrong types
+            raise CodecError(str(exc)) from None
     raise CodecError(f"bad tag {tag} at offset {pos - 1}")
 
 

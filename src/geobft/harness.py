@@ -39,12 +39,13 @@ def run_scenario(source, seed: int, mode: Optional[str] = None,
     report.wan_bytes = system.sim.counters.wan_bytes()
     report.channel_wan = dict(system.sim.counters.channel_wan)
     report.verdicts = audit_view(view, skip_liveness=cfg.fault_plan.beyond_threshold)
-    report.trace_digest = trace.digest()
-    if out_dir is not None:
+    if out_dir is None:
+        report.trace_digest = trace.digest()
+    else:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         stem = f"{cfg.name}-{report.mode}-{report.irmc}-{seed}"
-        trace.write(out / f"{stem}.trace")
+        report.trace_digest = trace.write(out / f"{stem}.trace")
         (out / f"{stem}.report.txt").write_text(report.to_text())
     return system, report
 

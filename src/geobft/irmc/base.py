@@ -99,6 +99,7 @@ class EndpointBase:
     def __init__(self, cfg: ChannelConfig, node):
         self.cfg = cfg
         self.node = node
+        self._chan = str(cfg.channel)  # names the channel in traces and counters
         self.windows: dict[int, SubchannelWindow] = {}
         self.closed = False
         self.on_new_subchannel: Optional[Callable[[int], None]] = None
@@ -121,10 +122,10 @@ class EndpointBase:
 
     def _trace(self, event: str, digest: str = "-", **data) -> None:
         self.node.sim.trace.add(self.node.sim.now, event, self.node.nid, "-",
-                                str(self.cfg.channel), digest, **data)
+                                self._chan, digest, **data)
 
     def _broadcast(self, dsts, msg) -> None:
-        self.node.multicast_signed(dsts, msg, channel=str(self.cfg.channel))
+        self.node.multicast_signed(dsts, msg, channel=self._chan)
 
     def close(self) -> None:
         self.closed = True

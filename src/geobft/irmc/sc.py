@@ -105,8 +105,7 @@ class ScSender(SenderEndpoint):
     def _send_queued(self, dst, sc, from_p):
         for p in sorted(self.certs.get(sc, {})):
             if p >= from_p:
-                self.node.send_signed(dst, self.certs[sc][p],
-                                      channel=str(self.cfg.channel))
+                self.node.send_signed(dst, self.certs[sc][p], channel=self._chan)
 
     def _gc(self, sc, start):
         for table in (self.content, self.shares, self.certs):

@@ -13,7 +13,8 @@ the per-kind message and byte totals), while a dropped or rejected one
 leaves ``net_drop`` or ``auth_reject``. The trace digest is defined over
 the written lines, so a trace read back from its file reproduces it.
 A correct node signs a multicast once and hands every destination the
-same ``Envelope``.
+same ``Envelope``, whose signature the first receiver's check verifies
+for all of them.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import BoundCrypto, Mac, NodeId, Sig, hash_bytes
+from .core.codec import message_store
 from .core.crypto import DIGEST_SIZE
 from .core.messages import ChCert, ChSend, ChShare, ChannelId, Envelope, Write
 
@@ -98,10 +100,16 @@ class TraceLog:
             extra = ",".join(f"{k}={_fmt(v)}" for k, v in sorted(data.items()))
             yield f"{time}|{head}|{extra}"
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+    def write(self, path) -> str:
+        """Write the trace file and return its digest(), hashed on the way,
+        so a written trace is formatted once."""
+        h = hashlib.blake2b(digest_size=DIGEST_SIZE)
+        with open(path, "wb") as fh:
             for line in self.lines():
-                fh.write(line + "\n")
+                raw = f"{line}\n".encode()
+                h.update(raw)
+                fh.write(raw)
+        return h.hexdigest()
 
     def events(self, name: str):
         return [r for r in self.records if r[1] == name]
@@ -234,6 +242,7 @@ class Simulator:
         self.seed = seed
         self.rng = random.Random(seed)
         self.faults = fault_plan or FaultPlan()
+        self._fault_of = self.faults.faults.get  # NodeId -> NodeFault or None
         self.now = 0.0
         self.trace = TraceLog()
         self.counters = Counters()
@@ -260,65 +269,64 @@ class Simulator:
     # -- fault state -------------------------------------------------------
 
     @staticmethod
-    def _fault_down(f: Optional[NodeFault], at: float) -> bool:
-        if f is None:
-            return False
+    def _fault_down(f: NodeFault, at: float) -> bool:
         if f.kind == "crash":
             return at >= f.at_ms
         if f.kind == "partition":
             return f.at_ms <= at < f.until_ms
         return False
 
-    def _down(self, nid, at: float) -> bool:
-        return self._fault_down(self.faults.for_node(nid), at)
-
-    def _lossy_drop(self, f: Optional[NodeFault], at: float) -> bool:
-        if f is None or f.kind != "lossy":
+    def _lossy_drop(self, f: NodeFault, at: float) -> bool:
+        if f.kind != "lossy":
             return False
         return f.at_ms <= at < f.until_ms and self.rng.random() < f.rate
 
     # -- event plumbing ----------------------------------------------------
+    #
+    # A queued event is (time, order key, sequence number, fn, args); the
+    # first three are unique, so fn(*args) runs without a closure per event.
 
-    def _push(self, time: float, owner, fn):
+    def _push(self, time: float, owner, fn, args: tuple):
         slot = self._slots.get(owner)
         if slot is None:
             # keys are assigned on first use; construction order is deterministic
             slot = self._slots[owner] = [len(self._slots), 0]
         slot[1] += 1
-        heapq.heappush(self._heap, (time, slot[0], slot[1], fn))
+        heapq.heappush(self._heap, (time, slot[0], slot[1], fn, args))
 
     def send(self, src: NodeId, dst: NodeId, env: Envelope, channel: Optional[str] = None) -> None:
         """One-way transmission; applies crash/partition/loss at both ends."""
-        kind = type(env.payload).__name__
-        fault = self.faults.for_node(src)
-        if self._fault_down(fault, self.now) or self._lossy_drop(fault, self.now):
-            self.trace.add(self.now, "net_drop", src, dst, kind)
+        now = self.now
+        fault = self._fault_of(src)
+        if fault is not None and (self._fault_down(fault, now)
+                                  or self._lossy_drop(fault, now)):
+            self.trace.add(now, "net_drop", src, dst, type(env.payload).__name__)
             return
-        src_place, dst_place = self._places[src], self._places[dst]
-        wan = src_place[0] != dst_place[0]
-        self.counters.count(kind, wan, env.wire_size(), channel)
-        delay = self.topology.latency(src_place, dst_place) + self.topology.proc_ms
-        if self.topology.jitter_ms:
-            delay += self.rng.random() * self.topology.jitter_ms
-        arrive = self.now + delay
+        places = self._places
+        src_place, dst_place = places[src], places[dst]
+        topology = self.topology
+        self.counters.count(type(env.payload).__name__, src_place[0] != dst_place[0],
+                            env.wire_size(), channel)
+        delay = topology.latency(src_place, dst_place) + topology.proc_ms
+        if topology.jitter_ms:
+            delay += self.rng.random() * topology.jitter_ms
+        self._push(now + delay, src, self._deliver, (src, dst, env))
 
-        def deliver():
-            if self._down(dst, self.now):
-                self.trace.add(self.now, "net_drop", src, dst, kind)
-                return
-            self._nodes[dst].handle_envelope(src, env)
-
-        self._push(arrive, src, deliver)
+    def _deliver(self, src, dst, env: Envelope) -> None:
+        fault = self._fault_of(dst)
+        if fault is not None and self._fault_down(fault, self.now):
+            self.trace.add(self.now, "net_drop", src, dst, type(env.payload).__name__)
+            return
+        self._nodes[dst].handle_envelope(src, env)
 
     def after(self, owner: NodeId, delay: float, fn: Callable[[], None]) -> None:
         """Timer owned by a node; silently skipped if the owner is down when it fires."""
+        self._push(self.now + delay, owner, self._fire, (owner, fn))
 
-        def fire():
-            if self._down(owner, self.now):
-                return
+    def _fire(self, owner, fn: Callable[[], None]) -> None:
+        fault = self._fault_of(owner)
+        if fault is None or not self._fault_down(fault, self.now):
             fn()
-
-        self._push(self.now + delay, owner, fire)
 
     def every(self, owner: NodeId, period: float, fn: Callable[[], None]) -> None:
         def tick():
@@ -338,9 +346,9 @@ class Simulator:
         while self._heap and not self._stopped:
             if self._heap[0][0] > t_end:
                 break  # left queued for a later run_until
-            time, _, _, fn = heapq.heappop(self._heap)
+            time, _, _, fn, args = heapq.heappop(self._heap)
             self.now = time
-            fn()
+            fn(*args)
         self.now = t_end
 
 
@@ -384,6 +392,10 @@ class ByzantineAdapter:
                 return Write(op, payload.client, payload.t_c, payload.read_only)
             return payload
         return payload
+
+
+# message-store key of the provider that accepted an all-Sig envelope
+_SIGS_OK = "_sigs_ok"
 
 
 def dst_index(dst) -> int:
@@ -472,12 +484,27 @@ class Node:
     # -- receiving ---------------------------------------------------------
 
     def handle_envelope(self, src, env: Envelope) -> None:
-        """Verify every attached authenticator structurally before dispatch."""
-        for a in env.auth:
-            if not self._auth_ok(env.payload, a):
-                self.sim.trace.add(self.sim.now, "auth_reject", src, self.nid,
-                                   type(env.payload).__name__)
-                return
+        """Verify every attached authenticator structurally before dispatch.
+
+        A Sig verifies the same at every receiver that shares a crypto
+        provider, so an envelope whose authenticators are all Sigs keeps
+        its positive verdict, with the provider that gave it, in its message
+        store: a shared multicast envelope is checked once. A Mac names its
+        verifier and is checked by each receiver. A rejected envelope keeps
+        nothing and leaves one auth_reject per receiver.
+        """
+        store = message_store(env)
+        provider = self.crypto.provider
+        if store.get(_SIGS_OK) is not provider:
+            all_sigs = True
+            for a in env.auth:
+                if not self._auth_ok(env.payload, a):
+                    self.sim.trace.add(self.sim.now, "auth_reject", src, self.nid,
+                                       type(env.payload).__name__)
+                    return
+                all_sigs = all_sigs and type(a) is Sig
+            if all_sigs:
+                store[_SIGS_OK] = provider
         self.on_payload(src, env)
 
     def _auth_ok(self, payload, a) -> bool:

@@ -355,7 +355,7 @@ def test_every_run_survives_write_read_audit(tmp_path):
     for key in sorted(_cache, key=str):
         system, report = _cache[key]
         trace = system.sim.trace
-        trace.write(path)
+        assert trace.write(path) == report.trace_digest, key
         loaded = read_trace(path)
         assert loaded.records == trace.records, key
         assert loaded.digest() == report.trace_digest, key

@@ -1,6 +1,7 @@
 """Randomized conformance schedules per variant (the full 1000-schedule
 suites run in the acceptance module)."""
 import copy
+import hashlib
 
 import pytest
 
@@ -29,6 +30,33 @@ def test_schedule_deterministic(variant):
     a = run_schedule(FACTORIES[variant], 1, 1, seed=777)
     b = run_schedule(FACTORIES[variant], 1, 1, seed=777)
     assert a == b
+
+
+# Behaviour guard for the IRMC layer under every Byzantine strategy the
+# schedules draw: (deliveries, TooOlds, failures, hash of the schedules'
+# trace digests) of one f=2 batch. A change that alters channel behaviour
+# on purpose updates the literals and says why.
+PINNED_BATCH = {
+    "rc": (944, 32, [], "ad3c941a322b4fc5cf56e40bf464802d"),
+    "sc": (677, 244, [], "2a6a83df6b515229130f2472f75ee0ff"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(PINNED_BATCH))
+def test_pinned_conformance_batch(variant, monkeypatch):
+    digests = []
+    original = conformance.audit_schedule
+
+    def audit(trace, *args):
+        digests.append(trace.digest())
+        return original(trace, *args)
+
+    monkeypatch.setattr(conformance, "audit_schedule", audit)
+    report = run_conformance(FACTORIES[variant], 2, 2, seed=1002, schedules=30)
+    assert len(digests) == 30
+    joined = hashlib.blake2b("".join(digests).encode(), digest_size=16).hexdigest()
+    assert (report.deliveries, report.too_olds, report.failures, joined) == \
+        PINNED_BATCH[variant]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,11 @@
+import copy
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +20,7 @@ from geobft.core import (
     FaultParams,
     GroupKey,
     ReplicaId,
+    Sig,
     canonical_decode,
     canonical_encode,
 )
@@ -278,3 +285,69 @@ def test_node_id_hash_and_name_pinned(nid, fields, name, text):
     moved = dataclasses.replace(nid, index=nid.index + 1)
     assert hash(moved) == hash(fields[:-1] + (fields[-1] + 1,))
     assert str(moved) == name[:-1] + str(fields[-1] + 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ReplicaId("ex", 1, 0),
+    lambda: ReplicaId(role="ex", group=1, index=0),
+    lambda: canonical_decode(canonical_encode(Sig(ReplicaId("ex", 1, 0), b"d" * 16))).signer,
+    lambda: dataclasses.replace(ReplicaId("ex", 1, 7), index=0),
+    lambda: copy.copy(ReplicaId("ex", 1, 0)),
+    lambda: copy.deepcopy((ReplicaId("ex", 1, 0),))[0],
+    lambda: pickle.loads(pickle.dumps(ReplicaId("ex", 1, 0))),
+], ids=["call", "keywords", "decoded-signer", "replace", "copy", "deepcopy", "pickle"])
+def test_every_constructor_path_gives_the_interned_replica_id(make):
+    assert make() is ReplicaId("ex", 1, 0)
+
+
+def test_client_ids_are_interned_and_never_equal_a_replica_id():
+    c = ClientId(1)
+    assert ClientId(1) is c
+    assert canonical_decode(canonical_encode(Write(b"op", c, 1))).client is c
+    assert dataclasses.replace(ClientId(5), index=1) is c
+    assert copy.deepcopy(c) is c and pickle.loads(pickle.dumps(c)) is c
+    for nid in (ReplicaId("ex", 1, 1), ReplicaId("ag", 0, 1)):
+        assert c != nid and nid != c
+        assert len({c, nid}) == 2
+    assert ReplicaId("ex", 1, 0) != ReplicaId("ex", 1, 1)
+    assert ReplicaId("ex", 1, 0) != ReplicaId("ag", 1, 0)
+
+
+@pytest.mark.parametrize("odd", [True, 1.0, None, b"1", "1", (1,)])
+def test_node_id_fields_must_have_their_declared_types(odd):
+    # an id that would encode unlike the interned one is never that object
+    for make in (lambda: ReplicaId("ex", odd, 1), lambda: ReplicaId("ex", 1, odd),
+                 lambda: ClientId(odd)):
+        with pytest.raises(TypeError):
+            make()
+    if not isinstance(odd, str):
+        with pytest.raises(TypeError):
+            ReplicaId(odd, 1, 1)
+
+
+def test_decoder_rejects_a_node_id_with_a_bool_field():
+    raw = canonical_encode(ReplicaId("ex", 1, 0))
+    odd = raw.replace(canonical_encode(1), canonical_encode(True), 1)
+    assert odd != raw
+    with pytest.raises(CodecError):
+        canonical_decode(odd)
+
+
+_UNPICKLE_SCRIPT = (
+    "import pickle, sys\n"
+    "import geobft.core.messages\n"
+    "nid, cid = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+    "print(hash(nid) == hash(('ex', 2, 1)), str(nid), hash(cid) == hash((7,)), str(cid))\n"
+)
+
+
+def test_pickled_ids_rehash_in_the_loading_interpreter():
+    """A string's hash depends on PYTHONHASHSEED, so a loaded id computes
+    its hash anew rather than carrying the dumping interpreter's."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "4242",
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    blob = pickle.dumps((ReplicaId("ex", 2, 1), ClientId(7))).hex()
+    out = subprocess.run([sys.executable, "-c", _UNPICKLE_SCRIPT, blob],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "ex2:1", "True", "c7"]

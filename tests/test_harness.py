@@ -58,6 +58,24 @@ def test_pinned_trace_digest(scenario, irmc, tmp_path):
     assert audit_trace(loaded, system.cfg, skip_liveness=skip) == report.verdicts
 
 
+def test_out_run_formats_the_trace_once(monkeypatch, tmp_path):
+    """run --out hashes the lines as it writes them: one formatting pass."""
+    formatted = []
+    lines = TraceLog.lines
+
+    def counted(trace):
+        formatted.append(1)
+        return lines(trace)
+
+    monkeypatch.setattr(TraceLog, "lines", counted)
+    system, report = run_scenario("rc-vs-sc", 1, irmc="rc", out_dir=tmp_path)
+    assert len(formatted) == 1
+    (path,) = tmp_path.glob("*.trace")
+    assert report.trace_digest == PINNED_DIGESTS[("rc-vs-sc", "rc")]
+    assert report.trace_digest == system.sim.trace.digest() == read_trace(path).digest()
+    assert system.sim.trace.write(tmp_path / "again.trace") == report.trace_digest
+
+
 def test_run_reads_the_trace_four_times(monkeypatch):
     """At most four; three today: the audit view's grouping (which the
     latencies, the accept count and the registry updates read too),

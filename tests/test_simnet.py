@@ -276,3 +276,66 @@ def test_trace_keeps_drops_and_rejects_but_no_per_message_records():
         (50.0, "net_drop", a, b, "bytes", "-", {}),
         (70.0, "net_drop", a, b, "bytes", "-", {}),
     ]
+
+
+def counted_checks(monkeypatch, provider):
+    """Lists that get one entry per valid_sig / valid_mac call on provider."""
+    calls = {"sig": [], "mac": []}
+    for kind in calls:
+        check = getattr(provider, f"valid_{kind}")
+
+        def counted(*args, _check=check, _seen=calls[kind]):
+            _seen.append(args)
+            return _check(*args)
+        monkeypatch.setattr(provider, f"valid_{kind}", counted)
+    return calls
+
+
+def test_shared_signed_envelope_is_verified_once(monkeypatch, net_spy):
+    sim, nodes = build_group(n=4)
+    spy = net_spy(sim, nodes)
+    checks = counted_checks(monkeypatch, nodes[0].crypto.provider)
+    payload = ChSend(ChannelId("req", 1), 0, 1, b"m")
+    nodes[0].multicast_signed([n.nid for n in nodes], payload)
+    sim.run_until(100)
+    assert len(checks["sig"]) == 1
+    assert [(src, dst) for src, dst, _ in spy.delivered] == \
+        [(nodes[0].nid, n.nid) for n in nodes[1:]]
+    assert [len(n.got) for n in nodes] == [0, 1, 1, 1]
+
+
+def test_envelope_with_a_mac_is_verified_by_each_receiver(monkeypatch, net_spy):
+    sim, nodes = build_group(n=4)
+    provider = nodes[0].crypto.provider
+    group = GroupKey("ex", 1)
+    provider.register_group(group, [n.nid for n in nodes])
+    spy = net_spy(sim, nodes)
+    checks = counted_checks(monkeypatch, provider)
+    payload = ChSend(ChannelId("req", 1), 0, 1, b"m")
+    crypto = nodes[0].crypto
+    shared = (Envelope(payload, (crypto.mac(group, payload),)),
+              Envelope(payload, (crypto.sign(payload), crypto.mac(group, payload))))
+    for env in shared:
+        for n in nodes[1:]:
+            sim.send(nodes[0].nid, n.nid, env)
+    sim.run_until(100)
+    assert len(checks["mac"]) == 6
+    assert len(checks["sig"]) == 3  # a Sig beside a Mac is checked with it
+    assert len(spy.delivered) == 6
+
+
+def test_bad_signature_is_rejected_at_every_receiver(monkeypatch, net_spy):
+    from geobft.core.crypto import Sig
+    sim, nodes = build_group(n=4)
+    spy = net_spy(sim, nodes)
+    checks = counted_checks(monkeypatch, nodes[0].crypto.provider)
+    payload = ChSend(ChannelId("req", 1), 0, 1, b"m")
+    bad = Envelope(payload, (Sig(nodes[0].nid, b"wrong-digest-000"),))
+    for n in nodes[1:]:
+        sim.send(nodes[0].nid, n.nid, bad)
+    sim.run_until(100)
+    assert len(checks["sig"]) == 3
+    assert spy.delivered == []
+    assert [n.got for n in nodes] == [[]] * 4
+    assert [(r[1], r[3]) for r in sim.trace.records] == \
+        [("auth_reject", str(n.nid)) for n in nodes[1:]]
