@@ -44,16 +44,13 @@ ORDERING_MSGS = (ObPrePrepare, ObPrepare, ObCommit, ObViewChange, ObNewView,
 
 
 class AgreementReplica(ProtocolNode):
-    def __init__(self, nid, sim, crypto, members: tuple, f_a: int, f_e: int,
+    def __init__(self, nid, sim, crypto, members: tuple, f_a: int,
                  authorized: frozenset, admin: object, ordering_factory,
                  endpoint_factory, initial_groups: dict,
                  k_a: int = 10, ag_win: int = 20, z: int = 0,
                  commit_capacity: int = 32, cp_gossip_ms: float = 10.0,
                  fetch_poll_ms: float = 25.0):
         super().__init__(nid, sim, crypto)
-        self.members = members
-        self.f_a = f_a
-        self.f_e = f_e
         self.authorized = authorized
         self.admin = admin
         self.k_a = k_a
@@ -92,19 +89,12 @@ class AgreementReplica(ProtocolNode):
         if not isinstance(req, Request):
             return False
         inner = req.inner
-        if isinstance(inner, Write):
-            client = inner.client
-        elif isinstance(inner, (AddGroup, RemoveGroup)):
-            client = inner.client
-            if client != self.admin:
+        if isinstance(inner, (AddGroup, RemoveGroup)):
+            if inner.client != self.admin:
                 return False
-        else:
+        elif not isinstance(inner, Write):
             return False
-        if client not in self.authorized:
-            return False
-        sig = req.inner_sig
-        return sig is not None and sig.signer == client \
-            and self.crypto.valid_sig(inner, sig)
+        return self._request_signed(req)
 
     # -- group wiring -------------------------------------------------------------
 
@@ -254,8 +244,6 @@ class AgreementReplica(ProtocolNode):
         for gid in groups:
             payload = Execute(s, self._project(items, gid))
             self.commit_send[gid].send(0, s, payload, on_complete=hit)
-        if need == 0:
-            proceed()
 
     @staticmethod
     def _project(items: tuple, gid: int) -> tuple:

@@ -51,9 +51,12 @@ class AuditView:
         self.correct_clients = {f"c{i}" for i in range(len(cfg.clients))
                                 if plan.is_correct(ClientId(i))}
         self.correct_clients.add(str(cfg.admin_id))
-        self.correct_replicas = {str(r) for gid in cfg.all_group_ids()
-                                 for r in cfg.group_members(gid) if _honest(plan, r)}
         self.correct_ag = {str(r) for r in cfg.agreement_members() if _honest(plan, r)}
+        # executors: execution-group members, and the agreement-role replicas
+        # that execute in flat-bft mode (they never execute in spider or oracle)
+        self.correct_replicas = self.correct_ag | {
+            str(r) for gid in cfg.all_group_ids()
+            for r in cfg.group_members(gid) if _honest(plan, r)}
         self.order, self.conflict = canonical_execution_order(
             self.events("execute"), self.correct_replicas)
         self.expected, self.history = replay_reference(self.order)

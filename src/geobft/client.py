@@ -53,8 +53,6 @@ class ClientNode(ProtocolNode):
                  weak_rounds: int = 2, static_group: Optional[tuple] = None,
                  admin_script: tuple = ()):
         super().__init__(nid, sim, crypto)
-        self.f_a = f_a
-        self.f_e = f_e
         self.ag_members = ag_members
         self.workload = workload
         self.rng = random.Random((seed, nid.index, "wl").__repr__())
@@ -75,7 +73,6 @@ class ClientNode(ProtocolNode):
         self.weak_tally: dict[int, dict] = {}
         self.weak_current: Optional[dict] = None
         self.done_strong = 0
-        self.done_weak = 0
 
     # -- startup -------------------------------------------------------------------
 
@@ -179,14 +176,24 @@ class ClientNode(ProtocolNode):
         self._arm_retry(t_c)
 
     def _broadcast_strong(self):
-        if not self.group_members:
-            return
-        inner = self.outstanding["inner"]
-        sig = self.crypto.sign(inner)
-        scope = GroupKey("ex", self.group) if self.static_group is None else None
-        for member in self.group_members:
-            mac = self.crypto.mac(scope or member, inner)
-            self.net_send(member, inner, (mac, sig))
+        self._send_group(self.outstanding["inner"], signed=True)
+
+    def _send_group(self, msg, signed: bool):
+        """Send msg to every member of the current group. Spider mode MACs
+        it for the group, so one envelope serves every member; flat mode
+        MACs it per member. A strong request also carries a signature."""
+        crypto = self.crypto
+
+        def auth_for(scope):
+            if signed:
+                return lambda p: (crypto.mac(scope, p), crypto.sign(p))
+            return lambda p: (crypto.mac(scope, p),)
+
+        if self.static_group is None:
+            self.net_send(self.group_members, msg, auth_for(GroupKey("ex", self.group)))
+        else:
+            for member in self.group_members:
+                self.net_send((member,), msg, auth_for(member))
 
     def _retry_period(self) -> float:
         if not self.group_members:
@@ -302,11 +309,7 @@ class ClientNode(ProtocolNode):
             self.sim.trace.add(self.sim.now, "client_issue", self.nid, "-",
                                "read_weak", t_c=nonce, group=self.group,
                                op=cur["op"].hex())
-        msg = ReadWeak(cur["op"], self.nid, nonce)
-        scope = GroupKey("ex", self.group) if self.static_group is None else None
-        for member in self.group_members:
-            mac = self.crypto.mac(scope or member, msg)
-            self.net_send(member, msg, (mac,))
+        self._send_group(ReadWeak(cur["op"], self.nid, nonce), signed=False)
         self.after(self._weak_period(), lambda: self._weak_timeout(nonce))
 
     def _weak_period(self) -> float:
@@ -326,7 +329,6 @@ class ClientNode(ProtocolNode):
         won = tally(replies, self.quorum)
         if won is None:
             return
-        self.done_weak += 1
         self.sim.trace.add(self.sim.now, "client_accept", self.nid, "-",
                            "read_weak", t_c=msg.t_c,
                            latency=self.sim.now - cur["issued"],

@@ -36,9 +36,7 @@ class ExecutionReplica(ProtocolNode):
                  fetch_poll_ms: float = 25.0):
         super().__init__(nid, sim, crypto)
         self.group = group
-        self.group_members = group_members
         self.authorized = authorized
-        self.f_e = f_e
         self.k_e = k_e
         self.s_n = 0
         self.app = KvApplication()
@@ -48,7 +46,6 @@ class ExecutionReplica(ProtocolNode):
         self.commit_recv = None        # receiver endpoint, wired by the runtime
         self._pulling = False
         self.registry = RegistryResolver(self, ag_members, f_a)
-        self._known_groups: dict[int, tuple] = {}
         self.cp = CheckpointComponent(
             "ex", group, group_members, f_e, self,
             on_stable=self.on_stable_execution_cp,

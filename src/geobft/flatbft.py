@@ -14,25 +14,19 @@ from .protocol import ProtocolNode
 
 class FlatBftReplica(ProtocolNode):
     def __init__(self, nid, sim, crypto, members: tuple, f: int,
-                 authorized: frozenset, view_timeout_ms: float = 300.0):
+                 authorized: frozenset, view_timeout_ms: float):
         super().__init__(nid, sim, crypto)
-        self.members = members
-        self.f = f
         self.authorized = authorized
         self.app = KvApplication()
+        self.s_n = 0  # last executed sequence number
         self.u: dict[int, tuple] = {}
         self.ordering = MiniBft(self, members, f, self._validate,
                                 view_timeout_ms=view_timeout_ms)
         self.ordering.deliver_handler = self._deliver
 
     def _validate(self, req) -> bool:
-        if not isinstance(req, Request) or not isinstance(req.inner, Write):
-            return False
-        if req.inner.client not in self.authorized:
-            return False
-        sig = req.inner_sig
-        return sig is not None and sig.signer == req.inner.client \
-            and self.crypto.valid_sig(req.inner, sig)
+        return isinstance(req, Request) and isinstance(req.inner, Write) \
+            and self._request_signed(req)
 
     def on_payload(self, src, env):
         msg = env.payload
@@ -58,10 +52,12 @@ class FlatBftReplica(ProtocolNode):
         if not self._client_auth_ok(msg, env, need_sig=False):
             return
         reply = self.app.execute_readonly(msg.op)
+        self.sim.trace.add(self.sim.now, "weak_serve", self.nid, msg.client, "read",
+                           s_n=self.s_n, nonce=msg.nonce)
         self.send_mac(msg.client, Result(msg.client, msg.nonce, reply, weak=True))
 
     def _deliver(self, s, batch, done):
-        for req in batch:
+        for idx, req in enumerate(batch):
             write = req.inner
             c = write.client.index
             if write.t_c <= self.u.get(c, (0,))[0]:
@@ -72,8 +68,9 @@ class FlatBftReplica(ProtocolNode):
             self.sim.trace.add(
                 self.sim.now, "execute", self.nid, "-",
                 "read" if write.read_only else "write",
-                s=s, c=c, t_c=write.t_c, op=write.op.hex())
+                s=s, idx=idx, c=c, t_c=write.t_c, op=write.op.hex())
             self.send_mac(write.client, Result(write.client, write.t_c, reply))
+        self.s_n = s
         if s % 16 == 0 and s > 16:
             # executed state doubles as the checkpoint at baseline scale; a
             # 16-sequence tail keeps gap-fetch possible while the proposal

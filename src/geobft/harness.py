@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Optional
 
 from .audit import AuditView, audit_view
-from .metrics import MetricsReport, accept_latencies, accepts_in_window, nearest_rank
+from .metrics import MetricsReport, accept_latencies, nearest_rank
 from .runtime import System, build
 from .scenario import ScenarioConfig, load_scenario
 
@@ -73,18 +73,21 @@ class LeaderCrashReport:
 def leader_crash_report(trace, cfg, crash_at_ms: float,
                         settle_ms: float = 1000.0) -> LeaderCrashReport:
     """Steady-state write p50 per client region before and after the crash."""
-    by_region: dict = {}
-    for i, spec in enumerate(cfg.clients):
-        by_region.setdefault(spec.region, []).append(f"c{i}")
-    before, after, shifts = {}, {}, {}
-    for region, names in sorted(by_region.items()):
-        pre = accepts_in_window(trace, names, "write", cfg.warmup_ms, crash_at_ms)
-        post = accepts_in_window(trace, names, "write",
-                                 crash_at_ms + settle_ms, float("inf"))
-        if not pre or not post:
+    region_of = {f"c{i}": spec.region for i, spec in enumerate(cfg.clients)}
+    pre: dict = {}   # region -> write latencies accepted before the crash
+    post: dict = {}  # region -> those accepted once the system settled
+    for t, _, src, _, kind, _, data in trace.events("client_accept"):
+        region = region_of.get(src)
+        if kind != "write" or region is None:
             continue
-        before[region] = nearest_rank(pre, 50)
-        after[region] = nearest_rank(post, 50)
+        if cfg.warmup_ms <= t <= crash_at_ms:
+            pre.setdefault(region, []).append(data["latency"])
+        if t >= crash_at_ms + settle_ms:
+            post.setdefault(region, []).append(data["latency"])
+    before, after, shifts = {}, {}, {}
+    for region in sorted(pre.keys() & post.keys()):
+        before[region] = nearest_rank(pre[region], 50)
+        after[region] = nearest_rank(post[region], 50)
         shifts[region] = abs(after[region] - before[region])
     return LeaderCrashReport(crash_at_ms, before, after, shifts)
 

@@ -88,16 +88,6 @@ def accept_latencies(accepts, cfg, warmup_ms: float) -> dict:
     }
 
 
-def accepts_in_window(trace, clients, kind, t_lo, t_hi):
-    out = []
-    names = {str(c) for c in clients}
-    for t, event, src, dst, k, digest, data in trace.records:
-        if event == "client_accept" and k == kind and src in names \
-                and t_lo <= t <= t_hi:
-            out.append(data["latency"])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # hop-sum oracle: plain arithmetic over the latency matrix, mirroring the
 # request's path through the stages; no event queue involved

@@ -56,6 +56,14 @@ class ProtocolNode(Node):
                 return False
         return True
 
+    def _request_signed(self, req) -> bool:
+        """For replicas holding an `authorized` set: the client of req.inner
+        is in it, and req.inner_sig is that client's valid signature."""
+        client = req.inner.client
+        sig = req.inner_sig
+        return client in self.authorized and sig is not None \
+            and sig.signer == client and self.crypto.valid_sig(req.inner, sig)
+
     def route_checkpoint(self, src, env) -> bool:
         msg = env.payload
         if self.cp is None or not isinstance(msg, CP_MSGS):

@@ -110,8 +110,7 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
     for i, nid in enumerate(ag_members):
         node = AgreementReplica(
             nid, sim, BoundCrypto(provider, nid), ag_members,
-            cfg.fault_params.f_a, cfg.fault_params.f_e, authorized, admin_id,
-            make_ordering, factory, initial,
+            cfg.fault_params.f_a, authorized, admin_id, make_ordering, factory, initial,
             k_a=p["k_a"], ag_win=p["ag_win"], z=p["z"],
             commit_capacity=p["commit_capacity"],
             cp_gossip_ms=p["cp_gossip_ms"], fetch_poll_ms=p["fetch_poll_ms"])

@@ -12,9 +12,11 @@ arrives and passes authentication leaves no record (``Counters`` keeps
 the per-kind message and byte totals), while a dropped or rejected one
 leaves ``net_drop`` or ``auth_reject``. The trace digest is defined over
 the written lines, so a trace read back from its file reproduces it.
-A correct node signs a multicast once and hands every destination the
-same ``Envelope``, whose signature the first receiver's check verifies
-for all of them.
+Every envelope a node sends is built and authenticated in one place,
+``Node.net_send``: a correct node authenticates a payload once and hands
+every destination the same ``Envelope`` (whose signatures the first
+receiver's check verifies for all of them), and a Byzantine node
+authenticates only what its adapter lets out.
 """
 from __future__ import annotations
 
@@ -359,7 +361,7 @@ class ByzantineAdapter:
         self.strategy = strategy
         self.rng = rng
 
-    def adapt(self, node, dst, payload):
+    def adapt(self, dst, payload):
         """Return the payload to send (possibly mutated) or None to withhold."""
         s = self.strategy
         if s == "withhold":
@@ -416,64 +418,41 @@ class Node:
 
     # -- sending -----------------------------------------------------------
 
-    def net_send(self, dst, payload, auth=(), channel=None):
-        if self.adapter is not None:
-            rewritten = self.adapter.adapt(self, dst, payload)
-            if rewritten is None:
-                return
-            if rewritten is not payload:
-                # a faulty node re-authenticates its rewritten payload as itself
-                auth = tuple(self._reauth(a, rewritten) for a in auth)
-                payload = rewritten
-        self.sim.send(self.nid, dst, Envelope(payload, tuple(auth)), channel=channel)
+    def net_send(self, dsts, payload, auth, channel=None):
+        """Send payload to each of dsts in order, skipping this node; auth(p)
+        gives the authenticators for a payload p.
 
-    def _reauth(self, a, payload):
-        if isinstance(a, Sig):
-            return self.crypto.sign(payload)
-        if isinstance(a, Mac):
-            return self.crypto.mac(a.scope, payload)
-        return a
-
-    def send_signed(self, dst, payload, channel=None):
-        if self.adapter is None:
-            self.net_send(dst, payload, (self.crypto.sign(payload),), channel=channel)
-        else:
-            self._send_adapted_signed((dst,), payload, channel)
-
-    def multicast_signed(self, dsts, payload, channel=None):
-        """send_signed to each of dsts in order, skipping this node.
-
-        A correct node signs once and sends every destination the same
-        envelope; a Byzantine adapter rewrites per destination.
+        A correct node authenticates once and hands every destination the
+        same envelope. A Byzantine adapter rewrites per destination, and
+        the node authenticates only what the adapter lets out: nothing for
+        a withheld send, one envelope per rewritten payload, and one shared
+        envelope for every destination that gets the payload unchanged.
         """
-        dsts = [dst for dst in dsts if dst != self.nid]
-        if self.adapter is not None:
-            self._send_adapted_signed(dsts, payload, channel)
-        elif dsts:
-            env = Envelope(payload, (self.crypto.sign(payload),))
-            for dst in dsts:
-                self.sim.send(self.nid, dst, env, channel)
-
-    def _send_adapted_signed(self, dsts, payload, channel):
-        """A faulty node signs what its adapter lets out, once per envelope:
-        nothing for a withheld send, and one shared envelope for every
-        destination that gets the payload unchanged."""
+        me, send, adapter = self.nid, self.sim.send, self.adapter
         same = None
         for dst in dsts:
-            out = self.adapter.adapt(self, dst, payload)
-            if out is None:
+            if dst == me:
                 continue
-            if out is not payload:
-                env = Envelope(out, (self.crypto.sign(out),))
-            elif same is None:
-                env = same = Envelope(payload, (self.crypto.sign(payload),))
-            else:
-                env = same
-            self.sim.send(self.nid, dst, env, channel)
+            out = payload if adapter is None else adapter.adapt(dst, payload)
+            if out is payload:
+                if same is None:
+                    same = Envelope(payload, auth(payload))
+                send(me, dst, same, channel)
+            elif out is not None:
+                send(me, dst, Envelope(out, auth(out)), channel)
+
+    def _signed(self, payload):
+        return (self.crypto.sign(payload),)
+
+    def send_signed(self, dst, payload, channel=None):
+        self.net_send((dst,), payload, self._signed, channel)
+
+    def multicast_signed(self, dsts, payload, channel=None):
+        self.net_send(dsts, payload, self._signed, channel)
 
     def send_mac(self, dst, payload, scope=None, channel=None):
-        self.net_send(dst, payload, (self.crypto.mac(scope or dst, payload),),
-                      channel=channel)
+        scope = scope or dst
+        self.net_send((dst,), payload, lambda p: (self.crypto.mac(scope, p),), channel)
 
     def after(self, delay, fn):
         self.sim.after(self.nid, delay, fn)

@@ -187,7 +187,7 @@ def test_unproven_progress_does_not_change_announce_targets(net_spy):
             outsider.send_signed(host.nid, CpAnnounce("ex", 1, 10))
             outsider.send_signed(host.nid, vote)
             # a member's vote signed by someone else
-            c.net_send(host.nid, vote, (outsider.crypto.sign(vote),))
+            c.net_send((host.nid,), vote, lambda p: (outsider.crypto.sign(p),))
 
     expected = announce_targets(net_spy, lambda *_: None)
     assert expected and {dst for _, dst in expected} == {ReplicaId("ex", 1, 2)}

@@ -58,6 +58,35 @@ def test_pinned_trace_digest(scenario, irmc, tmp_path):
     assert audit_trace(loaded, system.cfg, skip_liveness=skip) == report.verdicts
 
 
+# Runs whose sends go through Byzantine adapters: an equivocating client and
+# equivocate-send, garbage-inject, withhold and lying-collector replicas.
+# The digest does not see authenticator bytes, so the WAN byte total is
+# pinned beside it.
+PINNED_ADAPTED = {
+    ("spider", "rc"): ("9505d83e7a04115bc4bf8944e3174598", 1648156),
+    ("spider", "sc"): ("266ade0f60ccbca4d96897b25875600e", 1881814),
+    ("oracle", "rc"): ("d2316f05a87324cebc4a73d3a189b4ce", 1701957),
+}
+
+
+@pytest.mark.parametrize("mode,irmc", sorted(PINNED_ADAPTED))
+def test_pinned_byzantine_send_paths(mode, irmc):
+    _, report = run_scenario("threshold-faults", 1, mode=mode, irmc=irmc)
+    assert (report.trace_digest, report.wan_bytes) == PINNED_ADAPTED[(mode, irmc)]
+    assert report.ok, report.verdicts
+
+
+@pytest.mark.parametrize("scenario", ["four-regions-reads", "threshold-faults"])
+def test_flat_bft_run_passes_every_auditor(scenario):
+    """Flat replicas are agreement-role ids: the auditors count them as
+    executors, tell a batch's requests apart by idx, and see their weak
+    reads served."""
+    _, report = run_scenario(scenario, 1, mode="flat-bft")
+    assert report.ok, report.verdicts
+    for check in ("replay", "weak_reads"):
+        assert not report.verdicts[check][1].startswith("0 "), report.verdicts
+
+
 def test_out_run_formats_the_trace_once(monkeypatch, tmp_path):
     """run --out hashes the lines as it writes them: one formatting pass."""
     formatted = []

@@ -151,11 +151,11 @@ def test_send_counts_full_envelope_encoding():
 
     sim.send = spy
     payload = ChSend(ChannelId("req", 1), 0, 1, Write(b"put k v", c, 1))
-    nodes[a].net_send(b, payload)
+    nodes[a].net_send((b,), payload, lambda p: ())
     nodes[a].send_signed(b, payload)
     nodes[c].send_mac(b, Write(b"op", c, 2), scope=group)
-    nodes[a].net_send(b, payload, (nodes[a].crypto.sign(payload),
-                                   nodes[a].crypto.mac(b, payload)))
+    nodes[a].net_send((b,), payload, lambda p: (nodes[a].crypto.sign(p),
+                                                nodes[a].crypto.mac(b, p)))
     nodes[byz].send_signed(b, payload)
     # one envelope for both destinations: sized at the first send, read
     # from the message store at the second
@@ -240,7 +240,7 @@ def test_faulty_node_signs_once_per_envelope_it_sends(monkeypatch, net_spy):
     lying.send_signed(nodes[2].nid, payload)
     assert lying_signs == [payload, payload]
     # an authenticator over a payload the adapter leaves unchanged is kept
-    lying.net_send(nodes[3].nid, payload, (lying.crypto.sign(payload),))
+    lying.net_send((nodes[3].nid,), payload, lambda p: (lying.crypto.sign(p),))
     assert lying_signs == [payload] * 3
     # a withheld send is neither signed nor sent
     silent.multicast_signed([n.nid for n in nodes], payload)
@@ -339,3 +339,47 @@ def test_bad_signature_is_rejected_at_every_receiver(monkeypatch, net_spy):
     assert [n.got for n in nodes] == [[]] * 4
     assert [(r[1], r[3]) for r in sim.trace.records] == \
         [("auth_reject", str(n.nid)) for n in nodes[1:]]
+
+
+def first_strong_request(net_spy, mode):
+    """A one-client system, and (dst, env) of each send carrying its
+    client's first strong request, in send order."""
+    from geobft.core.crypto import Mac, Sig
+    from geobft.runtime import build
+    from geobft.scenario import load_scenario
+    raw = {
+        "name": "one-client", "mode": mode, "irmc": "rc", "duration_ms": 1000,
+        "f_a": 1, "f_e": 1,
+        "topology": {"regions": {"V": 4, "O": 3}, "wan_ms": {"V-O": 35}},
+        "agreement_region": "V",
+        "groups": [{"id": 1, "region": "O"}],
+        "clients": [{"count": 1, "region": "O", "rate_per_s": 20}],
+    }
+    system = build(load_scenario(raw), 1)
+    spy = net_spy(system.sim)
+    system.sim.run_until(500)
+    client = system.clients[0].nid
+    sent = [(dst, env) for src, dst, env in spy.sent
+            if src == client and type(env.payload) is Write and env.payload.t_c == 1]
+    assert sent
+    for _, env in sent:
+        assert [type(a) for a in env.auth] == [Mac, Sig]
+    return system, sent
+
+
+def test_spider_client_request_is_one_shared_envelope(net_spy):
+    system, sent = first_strong_request(net_spy, "spider")
+    members = tuple(n.nid for n in system.executions[1])
+    first = sent[:len(members)]
+    assert [dst for dst, _ in first] == list(members)
+    assert len({id(env) for _, env in first}) == 1
+    assert first[0][1].auth[0].scope == GroupKey("ex", 1)
+
+
+def test_flat_client_request_is_one_envelope_per_member(net_spy):
+    system, sent = first_strong_request(net_spy, "flat-bft")
+    members = tuple(n.nid for n in system.flat)
+    first = sent[:len(members)]
+    assert [dst for dst, _ in first] == list(members)
+    assert len({id(env) for _, env in first}) == len(members)
+    assert [env.auth[0].scope for _, env in first] == list(members)
