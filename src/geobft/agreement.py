@@ -3,7 +3,7 @@
 Pulls client requests from per-client request subchannels, hands them to
 the ordering black-box, fans the committed order out through the commit
 channels under global flow control (n_e - z completions), checkpoints
-every k_a sequence numbers, anchors its delivery window at the latest
+every K_A sequence numbers, anchors its delivery window at the latest
 stable checkpoint, and maintains the execution-replica registry that
 drives AddGroup/RemoveGroup reconfiguration.
 """
@@ -39,6 +39,10 @@ from .core.messages import (
 from .irmc.base import TooOld
 from .protocol import ProtocolNode
 
+K_A = 10              # agreement checkpoint interval, in sequence numbers
+AG_WIN = 20           # delivery window above the latest stable checkpoint
+COMMIT_CAPACITY = 32  # commit-channel window; also how much history a checkpoint keeps
+
 ORDERING_MSGS = (ObPrePrepare, ObPrepare, ObCommit, ObViewChange, ObNewView,
                  ObFetch, ObSeqInfo, OracleSubmit, OracleAssign)
 
@@ -46,17 +50,11 @@ ORDERING_MSGS = (ObPrePrepare, ObPrepare, ObCommit, ObViewChange, ObNewView,
 class AgreementReplica(ProtocolNode):
     def __init__(self, nid, sim, crypto, members: tuple, f_a: int,
                  authorized: frozenset, admin: object, ordering_factory,
-                 endpoint_factory, initial_groups: dict,
-                 k_a: int = 10, ag_win: int = 20, z: int = 0,
-                 commit_capacity: int = 32, cp_gossip_ms: float = 10.0,
-                 fetch_poll_ms: float = 25.0):
+                 endpoint_factory, initial_groups: dict, z: int = 0):
         super().__init__(nid, sim, crypto)
         self.authorized = authorized
         self.admin = admin
-        self.k_a = k_a
-        self.ag_win = ag_win
         self.z = z
-        self.commit_capacity = commit_capacity
         self.endpoint_factory = endpoint_factory
 
         self.s_n = 0
@@ -74,14 +72,13 @@ class AgreementReplica(ProtocolNode):
         self.ordering = ordering_factory(self)
         self.ordering.deliver_handler = self.on_deliver
         self.cp = CheckpointComponent(
-            "ag", 0, members, f_a, self, on_stable=self.on_stable_agreement_cp,
-            gossip_ms=cp_gossip_ms, fetch_poll_ms=fetch_poll_ms)
+            "ag", 0, members, f_a, self, on_stable=self.on_stable_agreement_cp)
         for gid, (region, group_members) in sorted(initial_groups.items()):
             self._open_group(gid, region, group_members)
 
     @property
     def win_hi(self) -> int:
-        return self.win_lo + self.ag_win - 1
+        return self.win_lo + AG_WIN - 1
 
     # -- request validity (A-Validity gate for the black-box) --------------------
 
@@ -100,8 +97,8 @@ class AgreementReplica(ProtocolNode):
 
     def _open_group(self, gid: int, region: str, group_members: tuple):
         req_cfg, commit_cfg = self.endpoint_factory.channel_configs(gid, group_members)
-        recv = self.endpoint_factory.receiver(req_cfg, self)
-        send = self.endpoint_factory.sender(commit_cfg, self)
+        recv = self.endpoint_factory.receiver_cls(req_cfg, self)
+        send = self.endpoint_factory.sender_cls(commit_cfg, self)
         recv.on_new_subchannel = lambda sc, g=gid: self._spawn_intake(g, sc)
         self.channels[req_cfg.channel] = recv
         self.channels[commit_cfg.channel] = send
@@ -168,8 +165,8 @@ class AgreementReplica(ProtocolNode):
         items = self._annotate(s, batch)
         self.s_n = s
         self.hist.append((s, items))
-        if len(self.hist) > self.commit_capacity:
-            self.hist = self.hist[-self.commit_capacity:]
+        if len(self.hist) > COMMIT_CAPACITY:
+            self.hist = self.hist[-COMMIT_CAPACITY:]
         self._fan_out(s, items, done)
 
     def _annotate(self, s: int, batch: tuple) -> tuple:
@@ -228,7 +225,7 @@ class AgreementReplica(ProtocolNode):
             if state["fired"]:
                 return
             state["fired"] = True
-            if s % self.k_a == 0:
+            if s % K_A == 0:
                 self.cp.gen_cp(s, self._snapshot())
                 self._trace_state()
             done()

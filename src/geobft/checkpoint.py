@@ -22,22 +22,22 @@ from .core import hash_bytes
 from .core.messages import Checkpoint, CpAnnounce, CpQuery, CpState
 from .core.quorum import certificate_signers, tally
 
+GOSSIP_MS = 10.0      # how soon a lagging member hears of a stable checkpoint
+FETCH_POLL_MS = 25.0  # re-query period while fetching a checkpoint
+RETAIN = 2            # own snapshots kept while awaiting certification
+
 
 class CheckpointComponent:
     """One per replica; talks to group peers and serves cross-group fetches."""
 
     def __init__(self, scope: str, group: int, members: tuple, f: int, node,
-                 on_stable: Callable[[int, bytes], None],
-                 gossip_ms: float = 10.0, fetch_poll_ms: float = 25.0,
-                 retain: int = 2):
+                 on_stable: Callable[[int, bytes], None]):
         self.scope = scope
         self.group = group
         self.members = members
         self.f = f
         self.node = node
         self.on_stable = on_stable
-        self.fetch_poll_ms = fetch_poll_ms
-        self.retain = retain
         self.own_states: dict[int, bytes] = {}
         self.votes: dict[int, dict] = {}    # s -> signer -> (digest, Sig)
         self.stable: dict[int, tuple] = {}  # s -> (state|None, cert, digest)
@@ -46,7 +46,7 @@ class CheckpointComponent:
         self._fetch_peers: list = []
         self._announce: Optional[CpAnnounce] = None  # reused while delivered_s holds
         self.shown = dict.fromkeys(members, 0)  # member -> highest s it has shown
-        node.every(gossip_ms, self._gossip)
+        node.every(GOSSIP_MS, self._gossip)
 
     # -- creating ------------------------------------------------------------
 
@@ -72,7 +72,7 @@ class CheckpointComponent:
         self._prune_own()
 
     def _prune_own(self):
-        keep = sorted(self.own_states)[-self.retain:]
+        keep = sorted(self.own_states)[-RETAIN:]
         for s in [s for s in self.own_states if s not in keep]:
             del self.own_states[s]
 
@@ -128,7 +128,7 @@ class CheckpointComponent:
 
     # -- active fetch (owner fell behind) --------------------------------------
 
-    def fetch_cp(self, s_min: int, extra_peers: Iterable = ()) -> None:
+    def fetch_cp(self, s_min: int) -> None:
         """Seek a stable checkpoint with sequence >= s_min; polls until one exists."""
         if self.delivered_s >= s_min:
             return
@@ -136,8 +136,6 @@ class CheckpointComponent:
             return
         self.fetching = s_min
         self._fetch_peers = [p for p in self.members if p != self.node.nid]
-        self._fetch_peers += [p for p in extra_peers
-                              if p not in self._fetch_peers and p != self.node.nid]
         self.node.sim.trace.add(self.node.sim.now, "cp_fetch", self.node.nid, "-",
                                 self.scope, s_min=s_min)
         self._poll()
@@ -156,7 +154,7 @@ class CheckpointComponent:
         query = CpQuery(self.scope, self.fetching)
         for peer in self._fetch_peers:
             self.node.send_signed(peer, query)
-        self.node.after(self.fetch_poll_ms, self._poll)
+        self.node.after(FETCH_POLL_MS, self._poll)
 
     # -- serving and applying transfers ----------------------------------------
 

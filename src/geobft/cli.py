@@ -6,7 +6,7 @@ import sys
 
 from .audit import audit_trace
 from .harness import run_scenario
-from .scenario import load_scenario, shipped_scenarios
+from .scenario import ScenarioError, load_scenario, shipped_scenarios
 from .simnet import TraceFormatError, read_trace
 
 
@@ -40,12 +40,16 @@ def main(argv=None) -> int:
     list_p = sub.add_parser("list", help="list shipped scenarios")
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "audit":
+            return _cmd_audit(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+    except (ScenarioError, TraceFormatError) as exc:
+        sys.stderr.write(f"{exc}\n")
+        return 2
     if args.command == "list":
         for name in shipped_scenarios():
             print(name)
@@ -72,11 +76,7 @@ def _print_excerpt(trace, tail: int = 30) -> None:
 
 
 def _cmd_audit(args) -> int:
-    try:
-        trace = read_trace(args.trace)
-    except TraceFormatError as exc:
-        sys.stderr.write(f"{args.trace}: {exc}\n")
-        return 2
+    trace = read_trace(args.trace)
     source = args.scenario
     if source is None:
         meta = next((r for r in trace.records if r[1] == "meta"), None)

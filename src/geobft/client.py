@@ -26,6 +26,9 @@ from .core.messages import (
 from .core.quorum import tally
 from .protocol import ProtocolNode, RegistryResolver
 
+RETRY_LIMIT = 4  # strong-request retries before a spider client switches group
+WEAK_ROUNDS = 2  # mismatching weak-read rounds before escalating to a strong read
+
 
 @dataclass
 class Workload:
@@ -49,15 +52,12 @@ class AdminAction:
 
 class ClientNode(ProtocolNode):
     def __init__(self, nid, sim, crypto, f_a: int, f_e: int, ag_members: tuple,
-                 workload: Workload, seed: int, retry_limit: int = 4,
-                 weak_rounds: int = 2, static_group: Optional[tuple] = None,
+                 workload: Workload, seed: int, static_group: Optional[tuple] = None,
                  admin_script: tuple = ()):
         super().__init__(nid, sim, crypto)
         self.ag_members = ag_members
         self.workload = workload
         self.rng = random.Random((seed, nid.index, "wl").__repr__())
-        self.retry_limit = retry_limit
-        self.weak_rounds = weak_rounds
         self.static_group = static_group  # (gid, members, quorum) for flat mode
         self.admin_script = sorted(admin_script, key=lambda a: a.at_ms)
         self.registry = RegistryResolver(self, ag_members, f_a)
@@ -211,7 +211,7 @@ class ClientNode(ProtocolNode):
             if out is None or out["t_c"] != t_c:
                 return
             out["retries"] += 1
-            if out["retries"] > self.retry_limit and self.static_group is None:
+            if out["retries"] > RETRY_LIMIT and self.static_group is None:
                 self._switch_group()
                 return
             self._broadcast_strong()
@@ -342,7 +342,7 @@ class ClientNode(ProtocolNode):
             return
         cur["rounds"] += 1
         self.weak_tally.pop(nonce, None)
-        if cur["rounds"] > self.weak_rounds:
+        if cur["rounds"] > WEAK_ROUNDS:
             # stalled read: upgrade to a strongly consistent read
             self.sim.trace.add(self.sim.now, "client_escalate", self.nid, "-",
                                "read_weak", nonce=nonce, issued=cur["issued"])

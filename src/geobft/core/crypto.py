@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .codec import canonical_encode, message_store, register_message
 from .ids import NodeId
@@ -92,13 +92,10 @@ class CryptoProvider:
             raise ConfigurationError(f"unknown signer {signer}")
         return Sig(signer, self.digest(msg))
 
-    def valid_sig(self, msg, sig: Sig, expected: Union[NodeId, GroupKey, None] = None) -> bool:
+    def valid_sig(self, msg, sig: Sig) -> bool:
+        """sig is a known principal's signature of msg; which principal may
+        sign msg is the caller's check (compare sig.signer)."""
         if sig.signer not in self._principals:
-            return False
-        if isinstance(expected, GroupKey):
-            if sig.signer not in self._groups.get(expected, frozenset()):
-                return False
-        elif expected is not None and sig.signer != expected:
             return False
         return sig.digest == self.digest(msg)
 
@@ -107,11 +104,8 @@ class CryptoProvider:
             raise ConfigurationError(f"unknown MAC source {src}")
         return Mac(src, scope, self.digest(msg))
 
-    def valid_mac(self, msg, mac: Mac, verifier: NodeId,
-                  expected_src: Optional[NodeId] = None) -> bool:
+    def valid_mac(self, msg, mac: Mac, verifier: NodeId) -> bool:
         if mac.src not in self._principals:
-            return False
-        if expected_src is not None and mac.src != expected_src:
             return False
         if isinstance(mac.scope, GroupKey):
             if verifier not in self._groups.get(mac.scope, frozenset()):
@@ -137,8 +131,8 @@ class BoundCrypto:
     def digest(self, msg) -> bytes:
         return self.provider.digest(msg)
 
-    def valid_sig(self, msg, sig, expected=None) -> bool:
-        return self.provider.valid_sig(msg, sig, expected)
+    def valid_sig(self, msg, sig) -> bool:
+        return self.provider.valid_sig(msg, sig)
 
-    def valid_mac(self, msg, mac, expected_src=None) -> bool:
-        return self.provider.valid_mac(msg, mac, self.me, expected_src)
+    def valid_mac(self, msg, mac) -> bool:
+        return self.provider.valid_mac(msg, mac, self.me)

@@ -4,7 +4,7 @@ Validates and forwards client requests into the request channel, pulls
 the committed order from the commit channel, executes against the
 deterministic application with at-most-once semantics, replies when it
 is the client's contact group, serves weak reads directly, and
-checkpoints every k_e sequence numbers.
+checkpoints every K_E sequence numbers.
 """
 from __future__ import annotations
 
@@ -28,19 +28,52 @@ from .core.messages import (
 from .irmc.base import TooOld
 from .protocol import ProtocolNode, RegistryResolver
 
+K_E = 10  # execution checkpoint interval, in sequence numbers
 
-class ExecutionReplica(ProtocolNode):
-    def __init__(self, nid, sim, crypto, group: int, group_members: tuple,
-                 authorized: frozenset, f_e: int, f_a: int, ag_members: tuple,
-                 k_e: int = 10, cp_gossip_ms: float = 10.0,
-                 fetch_poll_ms: float = 25.0):
+
+class ExecutingNode(ProtocolNode):
+    """A replica that runs the application, in a spider execution group or
+    in the flat-bft baseline: it executes each client counter at most once
+    and serves weak reads from its current state."""
+
+    def __init__(self, nid, sim, crypto, authorized: frozenset):
         super().__init__(nid, sim, crypto)
-        self.group = group
         self.authorized = authorized
-        self.k_e = k_e
-        self.s_n = 0
         self.app = KvApplication()
+        self.s_n = 0                   # last executed sequence number
         self.u: dict[int, tuple] = {}  # client -> (t_c, reply bytes)
+
+    def execute_write(self, s: int, idx: int, write: Write, sig):
+        """The reply, or None if write's counter already ran; the trace record
+        carries what audit.check_validity re-verifies (wr, sig)."""
+        c = write.client.index
+        if write.t_c <= self.u.get(c, (0,))[0]:
+            return None
+        reply = self.app.execute_readonly(write.op) if write.read_only \
+            else self.app.execute(write.op)
+        self.u[c] = (write.t_c, reply)
+        self.sim.trace.add(
+            self.sim.now, "execute", self.nid, "-",
+            "read" if write.read_only else "write",
+            hash_bytes(reply).hex(), s=s, idx=idx, c=c, t_c=write.t_c,
+            op=write.op.hex(), wr=canonical_encode(write).hex(),
+            sig=canonical_encode(sig).hex())
+        return reply
+
+    def on_weak_read(self, src, msg: ReadWeak, env):
+        if not self._client_auth_ok(msg, env, need_sig=False):
+            return
+        reply = self.app.execute_readonly(msg.op)
+        self.sim.trace.add(self.sim.now, "weak_serve", self.nid, msg.client, "read",
+                           s_n=self.s_n, nonce=msg.nonce)
+        self.send_mac(msg.client, Result(msg.client, msg.nonce, reply, weak=True))
+
+
+class ExecutionReplica(ExecutingNode):
+    def __init__(self, nid, sim, crypto, group: int, group_members: tuple,
+                 authorized: frozenset, f_e: int, f_a: int, ag_members: tuple):
+        super().__init__(nid, sim, crypto, authorized)
+        self.group = group
         self.t: dict[int, int] = {}    # client -> highest forwarded counter
         self.req_send = None           # sender endpoint, wired by the runtime
         self.commit_recv = None        # receiver endpoint, wired by the runtime
@@ -48,8 +81,7 @@ class ExecutionReplica(ProtocolNode):
         self.registry = RegistryResolver(self, ag_members, f_a)
         self.cp = CheckpointComponent(
             "ex", group, group_members, f_e, self,
-            on_stable=self.on_stable_execution_cp,
-            gossip_ms=cp_gossip_ms, fetch_poll_ms=fetch_poll_ms)
+            on_stable=self.on_stable_execution_cp)
 
     def start(self):
         super().start()
@@ -92,14 +124,6 @@ class ExecutionReplica(ProtocolNode):
         self.req_send.move_window(c, msg.t_c)
         self.req_send.send(c, msg.t_c, request)
 
-    def on_weak_read(self, src, msg: ReadWeak, env):
-        if not self._client_auth_ok(msg, env, need_sig=False):
-            return
-        reply = self.app.execute_readonly(msg.op)
-        self.sim.trace.add(self.sim.now, "weak_serve", self.nid, msg.client, "read",
-                           s_n=self.s_n, nonce=msg.nonce)
-        self.send_mac(msg.client, Result(msg.client, msg.nonce, reply, weak=True))
-
     # -- the committed order -----------------------------------------------------
 
     def _pull(self):
@@ -137,7 +161,7 @@ class ExecutionReplica(ProtocolNode):
             elif isinstance(item, AdminItem):
                 self._apply_admin(item)
         self.s_n = s
-        if s % self.k_e == 0:
+        if s % K_E == 0:
             self.cp.gen_cp(s, self._snapshot())
             self._trace_state()
 
@@ -145,19 +169,8 @@ class ExecutionReplica(ProtocolNode):
         write = item.write
         if not isinstance(write, Write):
             return
-        c = write.client.index
-        if write.t_c <= self.u.get(c, (0,))[0]:
-            return  # duplicate: executed at most once per counter
-        reply = self.app.execute_readonly(write.op) if write.read_only \
-            else self.app.execute(write.op)
-        self.u[c] = (write.t_c, reply)
-        self.sim.trace.add(
-            self.sim.now, "execute", self.nid, "-",
-            "read" if write.read_only else "write",
-            hash_bytes(reply).hex(), s=s, idx=idx, c=c, t_c=write.t_c,
-            op=write.op.hex(), wr=canonical_encode(write).hex(),
-            sig=canonical_encode(item.write_sig).hex())
-        if item.contact == self.group:
+        reply = self.execute_write(s, idx, write, item.write_sig)
+        if reply is not None and item.contact == self.group:
             self.send_mac(write.client, Result(write.client, write.t_c, reply))
 
     def _apply_admin(self, item: AdminItem):

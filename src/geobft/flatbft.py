@@ -6,20 +6,15 @@ point without a hierarchical protocol.
 """
 from __future__ import annotations
 
-from .application import KvApplication
 from .core.messages import ReadWeak, Request, Result, Write
+from .execution import ExecutingNode
 from .ordering import MiniBft
-from .protocol import ProtocolNode
 
 
-class FlatBftReplica(ProtocolNode):
+class FlatBftReplica(ExecutingNode):
     def __init__(self, nid, sim, crypto, members: tuple, f: int,
                  authorized: frozenset, view_timeout_ms: float):
-        super().__init__(nid, sim, crypto)
-        self.authorized = authorized
-        self.app = KvApplication()
-        self.s_n = 0  # last executed sequence number
-        self.u: dict[int, tuple] = {}
+        super().__init__(nid, sim, crypto, authorized)
         self.ordering = MiniBft(self, members, f, self._validate,
                                 view_timeout_ms=view_timeout_ms)
         self.ordering.deliver_handler = self._deliver
@@ -33,7 +28,7 @@ class FlatBftReplica(ProtocolNode):
         if isinstance(msg, Write):
             self._on_write(src, msg, env)
         elif isinstance(msg, ReadWeak):
-            self._on_weak(src, msg, env)
+            self.on_weak_read(src, msg, env)
         else:
             self.ordering.handle(src, msg, env.first_sig())
 
@@ -48,32 +43,16 @@ class FlatBftReplica(ProtocolNode):
             return
         self.ordering.order(Request(msg, env.first_sig(), 0))
 
-    def _on_weak(self, src, msg: ReadWeak, env):
-        if not self._client_auth_ok(msg, env, need_sig=False):
-            return
-        reply = self.app.execute_readonly(msg.op)
-        self.sim.trace.add(self.sim.now, "weak_serve", self.nid, msg.client, "read",
-                           s_n=self.s_n, nonce=msg.nonce)
-        self.send_mac(msg.client, Result(msg.client, msg.nonce, reply, weak=True))
-
     def _deliver(self, s, batch, done):
         for idx, req in enumerate(batch):
             write = req.inner
-            c = write.client.index
-            if write.t_c <= self.u.get(c, (0,))[0]:
-                continue
-            reply = self.app.execute_readonly(write.op) if write.read_only \
-                else self.app.execute(write.op)
-            self.u[c] = (write.t_c, reply)
-            self.sim.trace.add(
-                self.sim.now, "execute", self.nid, "-",
-                "read" if write.read_only else "write",
-                s=s, idx=idx, c=c, t_c=write.t_c, op=write.op.hex())
-            self.send_mac(write.client, Result(write.client, write.t_c, reply))
+            reply = self.execute_write(s, idx, write, req.inner_sig)
+            if reply is not None:
+                self.send_mac(write.client, Result(write.client, write.t_c, reply))
         self.s_n = s
         if s % 16 == 0 and s > 16:
             # executed state doubles as the checkpoint at baseline scale; a
             # 16-sequence tail keeps gap-fetch possible while the proposal
-            # pipeline (low_water + 64) never runs dry
+            # pipeline (low_water + PIPELINE) never runs dry
             self.ordering.gc(s - 16)
         done()

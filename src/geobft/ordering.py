@@ -31,6 +31,8 @@ from .core.messages import (
 )
 from .core.quorum import certificate_signers, tally
 
+BATCH_CAP = 16  # requests per MiniBFT proposal
+PIPELINE = 64   # MiniBFT proposals in flight above the low-water mark
 
 # vote type -> (its votes in a phase record, the flag its quorum sets)
 _PHASES = {ObPrepare: ("prepares", "prepared"), ObCommit: ("commits", "committed")}
@@ -144,13 +146,10 @@ class MiniBft(OrderingBase):
     Votes are view-tagged; a replica's newest-view vote supersedes older ones.
     """
 
-    def __init__(self, node, members, f, validate, view_timeout_ms=16.0,
-                 batch_cap=16, pipeline=64):
+    def __init__(self, node, members, f, validate, view_timeout_ms=16.0):
         super().__init__(node, members, f, validate)
         self.view = 0
         self.view_timeout_ms = view_timeout_ms
-        self.batch_cap = batch_cap
-        self.pipeline = pipeline
         self.next_s = 1
         self.phase: dict[int, dict] = {}
         self.pending: dict[bytes, object] = {}    # digest -> undecided request
@@ -205,12 +204,12 @@ class MiniBft(OrderingBase):
     # -- normal case ----------------------------------------------------------
 
     def _propose(self):
-        while self.pending and self.next_s <= self.low_water + self.pipeline:
+        while self.pending and self.next_s <= self.low_water + PIPELINE:
             unassigned = [(d, r) for d, r in self.pending.items()
                           if d not in self.assigned]
             if not unassigned:
                 return
-            take = unassigned[: self.batch_cap]
+            take = unassigned[:BATCH_CAP]
             batch = tuple(r for _, r in take)
             s = self.next_s
             self.next_s += 1

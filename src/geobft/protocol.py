@@ -21,6 +21,8 @@ from .core.messages import (
 from .core.quorum import tally
 from .simnet import Node
 
+REGISTRY_RETRY_MS = 50.0  # re-ask period of an unanswered registry query
+
 CHANNEL_MSGS = (ChSend, ChMove, ChShare, ChCert, ChProgress)
 CP_MSGS = (Checkpoint, CpAnnounce, CpQuery, CpState)
 
@@ -87,11 +89,10 @@ class ProtocolNode(Node):
 class RegistryResolver:
     """Collects f_a+1 matching signed registry answers from agreement replicas."""
 
-    def __init__(self, node, ag_members: tuple, f_a: int, retry_ms: float = 50.0):
+    def __init__(self, node, ag_members: tuple, f_a: int):
         self.node = node
         self.ag_members = ag_members
         self.f_a = f_a
-        self.retry_ms = retry_ms
         self.nonce = 0
         self.answers: dict[int, dict] = {}
         self.waiting: dict[int, Callable] = {}
@@ -110,7 +111,7 @@ class RegistryResolver:
         query = RegistryQuery(nonce)
         for peer in self.ag_members:
             self.node.send_mac(peer, query)
-        self.node.after(self.retry_ms, lambda: self._ask(nonce))
+        self.node.after(REGISTRY_RETRY_MS, lambda: self._ask(nonce))
 
     def on_info(self, src, msg: RegistryInfo) -> None:
         if src not in self.ag_members or msg.nonce not in self.waiting:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .agreement import AgreementReplica
+from .agreement import COMMIT_CAPACITY, AgreementReplica
 from .client import AdminAction, ClientNode, Workload
 from .core import (
     AGREEMENT,
@@ -23,6 +23,8 @@ from .ordering import MiniBft, SequencerOracle
 from .scenario import ScenarioConfig
 from .simnet import Simulator
 
+REQ_CAPACITY = 2  # request-channel window per client subchannel
+
 
 class EndpointFactory:
     """Builds the request/commit channel endpoints for one IRMC variant."""
@@ -32,27 +34,16 @@ class EndpointFactory:
         self.cfg = cfg
 
     def channel_configs(self, gid: int, group_members: tuple):
-        p = self.cfg.params
+        retransmit_ms = self.cfg.params["retransmit_ms"]
         fp = self.cfg.fault_params
         ag = self.cfg.agreement_members()
         req_fs, req_fr = fp.request_channel()
         com_fs, com_fr = fp.commit_channel()
-        common = dict(
-            retransmit_ms=p["retransmit_ms"],
-            progress_ms=p["progress_ms"],
-            collector_timeout_ms=p["collector_timeout_ms"],
-        )
         req = ChannelConfig(ChannelId("req", gid), tuple(group_members), ag,
-                            req_fs, req_fr, capacity=p["req_capacity"], **common)
+                            req_fs, req_fr, REQ_CAPACITY, retransmit_ms=retransmit_ms)
         com = ChannelConfig(ChannelId("commit", gid), ag, tuple(group_members),
-                            com_fs, com_fr, capacity=p["commit_capacity"], **common)
+                            com_fs, com_fr, COMMIT_CAPACITY, retransmit_ms=retransmit_ms)
         return req, com
-
-    def sender(self, channel_cfg, node):
-        return self.sender_cls(channel_cfg, node)
-
-    def receiver(self, channel_cfg, node):
-        return self.receiver_cls(channel_cfg, node)
 
 
 @dataclass
@@ -91,7 +82,6 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
     for gid in cfg.all_group_ids():
         provider.register_group(GroupKey(EXECUTION, gid), cfg.group_members(gid))
 
-    p = cfg.params
     factory = EndpointFactory(irmc, cfg)
     zone_count = cfg.topology.regions[cfg.agreement_region]
     initial = {gid: (cfg.groups[gid], cfg.group_members(gid))
@@ -101,19 +91,14 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
         if mode == "oracle":
             return SequencerOracle(node, ag_members, cfg.fault_params.f_a,
                                    node.validate_request)
-        return MiniBft(node, ag_members, cfg.fault_params.f_a,
-                       node.validate_request,
-                       view_timeout_ms=p["view_timeout_ms"],
-                       batch_cap=p["batch_cap"])
+        return MiniBft(node, ag_members, cfg.fault_params.f_a, node.validate_request)
 
     agreement = []
     for i, nid in enumerate(ag_members):
         node = AgreementReplica(
             nid, sim, BoundCrypto(provider, nid), ag_members,
             cfg.fault_params.f_a, authorized, admin_id, make_ordering, factory, initial,
-            k_a=p["k_a"], ag_win=p["ag_win"], z=p["z"],
-            commit_capacity=p["commit_capacity"],
-            cp_gossip_ms=p["cp_gossip_ms"], fetch_poll_ms=p["fetch_poll_ms"])
+            z=cfg.params["z"])
         sim.register(nid, node, cfg.agreement_region, i % zone_count)
         agreement.append(node)
 
@@ -126,12 +111,10 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
         for i, nid in enumerate(group_members):
             node = ExecutionReplica(
                 nid, sim, BoundCrypto(provider, nid), gid, group_members,
-                authorized, cfg.fault_params.f_e, cfg.fault_params.f_a,
-                ag_members, k_e=p["k_e"], cp_gossip_ms=p["cp_gossip_ms"],
-                fetch_poll_ms=p["fetch_poll_ms"])
+                authorized, cfg.fault_params.f_e, cfg.fault_params.f_a, ag_members)
             req_cfg, com_cfg = factory.channel_configs(gid, group_members)
-            node.req_send = factory.sender(req_cfg, node)
-            node.commit_recv = factory.receiver(com_cfg, node)
+            node.req_send = factory.sender_cls(req_cfg, node)
+            node.commit_recv = factory.receiver_cls(com_cfg, node)
             node.channels[req_cfg.channel] = node.req_send
             node.channels[com_cfg.channel] = node.commit_recv
             sim.register(nid, node, region, i % zones)
@@ -151,16 +134,13 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
         workload = Workload(issue_until_ms=cfg.duration_ms)
         admin_node = ClientNode(admin_id, sim, BoundCrypto(provider, admin_id),
                                 cfg.fault_params.f_a, cfg.fault_params.f_e,
-                                ag_members, workload, seed,
-                                retry_limit=p["retry_limit"],
-                                admin_script=script)
+                                ag_members, workload, seed, admin_script=script)
         sim.register(admin_id, admin_node, cfg.agreement_region, 0)
 
     return System(sim, cfg, agreement, executions, client_nodes, admin_node, [])
 
 
 def _build_flat(cfg, seed, sim, provider, authorized, clients, admin_id):
-    p = cfg.params
     n = cfg.fault_params.agreement_size
     members = tuple(ReplicaId(AGREEMENT, 0, i) for i in range(n))
     provider.register_group(GroupKey(AGREEMENT, 0), members)
@@ -171,7 +151,7 @@ def _build_flat(cfg, seed, sim, provider, authorized, clients, admin_id):
         region = regions[i % len(regions)]
         node = FlatBftReplica(nid, sim, BoundCrypto(provider, nid), members,
                               cfg.fault_params.f_a, authorized,
-                              view_timeout_ms=p["flat_view_timeout_ms"])
+                              view_timeout_ms=cfg.params["flat_view_timeout_ms"])
         sim.register(nid, node, region, i // len(regions) % cfg.topology.regions[region])
         flat.append(node)
 
@@ -183,7 +163,6 @@ def _build_flat(cfg, seed, sim, provider, authorized, clients, admin_id):
 def _build_clients(cfg, seed, sim, provider, clients, contacts, static_group=None):
     """One ClientNode per client spec, registered in spec order. contacts
     answer registry queries; flat mode also pins the group (static_group)."""
-    p = cfg.params
     client_nodes = []
     for nid, spec in zip(clients, cfg.clients):
         workload = Workload(
@@ -197,10 +176,7 @@ def _build_clients(cfg, seed, sim, provider, clients, contacts, static_group=Non
         )
         node = ClientNode(nid, sim, BoundCrypto(provider, nid),
                           cfg.fault_params.f_a, cfg.fault_params.f_e,
-                          contacts, workload, seed,
-                          retry_limit=p["retry_limit"],
-                          weak_rounds=p["weak_rounds"],
-                          static_group=static_group)
+                          contacts, workload, seed, static_group=static_group)
         sim.register(nid, node, spec.region, spec.zone % cfg.topology.regions[spec.region])
         client_nodes.append(node)
     return client_nodes

@@ -7,32 +7,23 @@ workloads, the fault plan and reconfiguration timeline for one run.
 from __future__ import annotations
 
 import json
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import AGREEMENT, EXECUTION, ClientId, FaultParams, ReplicaId
-from .simnet import FaultPlan, NodeFault, Topology
+from .simnet import BYZANTINE_STRATEGIES, FAULT_KINDS, FaultPlan, NodeFault, Topology
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
-DEFAULT_PARAMS = {
-    "k_a": 10,
-    "k_e": 10,
-    "ag_win": 20,
-    "z": 0,
-    "req_capacity": 2,
-    "commit_capacity": 32,
-    "batch_cap": 16,
-    "cp_gossip_ms": 10.0,
-    "fetch_poll_ms": 25.0,
-    "progress_ms": 50.0,
-    "collector_timeout_ms": 200.0,
-    "view_timeout_ms": 16.0,
-    "flat_view_timeout_ms": 600.0,
-    "retransmit_ms": 0.0,
-    "retry_limit": 4,
-    "weak_rounds": 2,
-}
+# The protocol parameters a scenario may set; the other protocol constants
+# are fixed in the modules that use them (see README).
+DEFAULT_PARAMS = {"z": 0, "retransmit_ms": 0.0, "flat_view_timeout_ms": 600.0}
+
+SCENARIO_KEYS = ("name", "mode", "irmc", "duration_ms", "issue_until_ms", "warmup_ms",
+                 "f_a", "f_e", "topology", "agreement_region", "groups", "pending_groups",
+                 "clients", "params", "faults", "beyond_threshold", "admin")
 
 
 class ScenarioError(ValueError):
@@ -98,14 +89,11 @@ class ScenarioConfig:
             issues.append(f"mode: unknown mode {self.mode!r}")
         if self.irmc not in ("rc", "sc"):
             issues.append(f"irmc: unknown variant {self.irmc!r}")
-        p = self.params
-        if p["commit_capacity"] <= p["k_e"]:
-            issues.append("commit_capacity: must exceed k_e for execution liveness")
-        if p["ag_win"] < p["k_a"]:
-            issues.append("ag_win: must be at least k_a to force periodic checkpoints")
         n_e = len(self.groups)
-        if self.mode != "flat-bft" and not (0 <= p["z"] < max(n_e, 1)):
+        if self.mode != "flat-bft" and not (0 <= self.params["z"] < max(n_e, 1)):
             issues.append(f"z: must satisfy 0 <= z < n_e (= {n_e})")
+        with _field("topology"):
+            self.topology.validate()
         if self.agreement_region not in self.topology.regions:
             issues.append(f"agreement_region: unknown region {self.agreement_region}")
         for gid, region in {**self.groups, **self.pending_groups}.items():
@@ -114,24 +102,36 @@ class ScenarioConfig:
         for spec in self.clients:
             if spec.region not in self.topology.regions:
                 issues.append(f"client region {spec.region}: unknown")
-        if not self.fault_plan.beyond_threshold:
-            by_group: dict = {}
-            for nid in self.fault_plan.faults:
-                if isinstance(nid, ReplicaId):
-                    by_group.setdefault((nid.role, nid.group), 0)
-                    by_group[(nid.role, nid.group)] += 1
-            for (role, gid), n in by_group.items():
-                bound = self.fault_params.f_a if role == AGREEMENT else self.fault_params.f_e
-                if n > bound:
-                    issues.append(
-                        f"fault plan: {n} faulty replicas in {role}{gid} exceeds "
-                        f"threshold {bound} (mark beyond_threshold to allow)")
+        nodes = set(self.agreement_members()) | set(self.client_ids()) | {
+            nid for gid in self.all_group_ids() for nid in self.group_members(gid)}
+        faulty = Counter()  # (role, group) -> faulty replicas
+        for nid, fault in self.fault_plan.faults.items():
+            if nid not in nodes:
+                issues.append(f"faults: {nid} is not a node of the scenario")
+            if fault.kind not in FAULT_KINDS:
+                issues.append(f"faults: unknown kind {fault.kind!r}")
+            elif fault.kind == "byzantine" and fault.strategy not in BYZANTINE_STRATEGIES:
+                issues.append(f"faults: unknown byzantine strategy {fault.strategy!r}")
+            if isinstance(nid, ReplicaId):
+                faulty[(nid.role, nid.group)] += 1
+        for a in self.admin_actions:
+            if a.get("action") not in ("add", "remove") or type(a.get("group")) is not int \
+                    or type(a.get("at_ms")) not in (int, float) \
+                    or a["action"] == "add" and a["group"] not in self.all_group_ids():
+                issues.append(f"admin: {a} needs at_ms, action add|remove and a known group")
+        for (role, gid), n in faulty.items():
+            bound = self.fault_params.f_a if role == AGREEMENT else self.fault_params.f_e
+            if n > bound and not self.fault_plan.beyond_threshold:
+                issues.append(
+                    f"fault plan: {n} faulty replicas in {role}{gid} exceeds "
+                    f"threshold {bound} (mark beyond_threshold to allow)")
         if issues:
             raise ScenarioError("; ".join(issues))
 
 
 def load_scenario(source) -> ScenarioConfig:
-    """Accepts a path, a shipped scenario name, or a parsed dict."""
+    """Accepts a path, a shipped scenario name, or a parsed dict. Any
+    malformed input raises ScenarioError naming the field at fault."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -142,33 +142,65 @@ def load_scenario(source) -> ScenarioConfig:
                 path = candidate
             else:
                 raise ScenarioError(f"no scenario at {source}")
-        raw = json.loads(path.read_text())
-    return _from_dict(raw)
+        with _field(str(path)):
+            raw = json.loads(path.read_text())
+    with _field("scenario"):
+        cfg = _from_dict(raw)
+        cfg.validate()
+    return cfg
 
 
 def shipped_scenarios():
     return sorted(p.stem for p in SCENARIO_DIR.glob("*.json"))
 
 
-def _from_dict(raw: dict) -> ScenarioConfig:
+@contextmanager
+def _field(name: str):
+    """Re-raise a malformed value as a ScenarioError that names its field."""
     try:
+        yield
+    except ScenarioError:
+        raise
+    except KeyError as missing:
+        raise ScenarioError(f"{name}: missing field {missing}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name}: {exc}") from None
+
+
+def _known_keys(obj: dict, allowed, name: str) -> dict:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"{name}: unknown field {unknown[0]!r}")
+    return obj
+
+
+def _from_dict(raw: dict) -> ScenarioConfig:
+    _known_keys(raw, SCENARIO_KEYS, "scenario")
+    with _field("topology"):
         topo_raw = raw["topology"]
         wan = {}
         for pair, delay in topo_raw.get("wan_ms", {}).items():
             a, b = pair.split("-")
             wan[frozenset((a, b))] = float(delay)
         topology = Topology(
-            regions=dict(topo_raw["regions"]),
+            regions={region: int(zones) for region, zones in topo_raw["regions"].items()},
             wan_ms=wan,
             inter_zone_ms=float(topo_raw.get("inter_zone_ms", 1.0)),
             intra_zone_ms=float(topo_raw.get("intra_zone_ms", 0.1)),
             jitter_ms=float(topo_raw.get("jitter_ms", 0.0)),
             proc_ms=float(topo_raw.get("proc_ms", 0.0)),
         )
-        params = dict(DEFAULT_PARAMS)
-        params.update(raw.get("params", {}))
+    params = dict(DEFAULT_PARAMS)
+    with _field("params"):
+        for key, value in _known_keys(raw.get("params", {}), DEFAULT_PARAMS, "params").items():
+            params[key] = type(DEFAULT_PARAMS[key])(value)
+    with _field("duration_ms"):
         duration = float(raw["duration_ms"])
-        clients = []
+    with _field("issue_until_ms/warmup_ms"):
+        issue_until = float(raw.get("issue_until_ms", duration * 0.7))
+        warmup = float(raw.get("warmup_ms", 0.0))
+    clients = []
+    with _field("clients"):
         for spec in raw["clients"]:
             count = int(spec.get("count", 1))
             rate = float(spec.get("rate_per_s", 10.0))
@@ -180,7 +212,7 @@ def _from_dict(raw: dict) -> ScenarioConfig:
                 write_frac_of_strong = float(mix.get("write", strong_frac)) / strong_frac
             for i in range(count):
                 clients.append(ClientSpec(
-                    region=spec["region"],
+                    region=str(spec["region"]),
                     zone=int(spec.get("zone", 0)),
                     strong_rate_per_s=rate * strong_frac,
                     weak_rate_per_s=rate * weak_frac,
@@ -189,10 +221,14 @@ def _from_dict(raw: dict) -> ScenarioConfig:
                     key_space=int(spec.get("key_space", 16)),
                     start_ms=float(spec.get("start_ms", 0.0)),
                 ))
-        plan = FaultPlan(beyond_threshold=bool(raw.get("beyond_threshold", False)))
+    if not isinstance(raw.get("beyond_threshold", False), bool):
+        raise ScenarioError("beyond_threshold: expected true or false")
+    plan = FaultPlan(beyond_threshold=raw.get("beyond_threshold", False))
+    with _field("f_a/f_e"):
         fp = FaultParams(int(raw["f_a"]), int(raw["f_e"]))
+    with _field("faults"):
         for f in raw.get("faults", []):
-            for nid in _expand_selector(f["node"], raw, fp):
+            for nid in _expand_selector(f["node"], fp):
                 plan.faults[nid] = NodeFault(
                     kind=f["kind"],
                     at_ms=float(f.get("at_ms", 0.0)),
@@ -200,32 +236,32 @@ def _from_dict(raw: dict) -> ScenarioConfig:
                     strategy=f.get("strategy"),
                     rate=float(f.get("rate", 0.0)),
                 )
+    with _field("admin"):
         admin = [dict(a) for a in raw.get("admin", [])]
-        cfg = ScenarioConfig(
-            name=raw.get("name", "unnamed"),
-            mode=raw.get("mode", "spider"),
-            irmc=raw.get("irmc", "rc"),
-            duration_ms=duration,
-            issue_until_ms=float(raw.get("issue_until_ms", duration * 0.7)),
-            warmup_ms=float(raw.get("warmup_ms", 0.0)),
-            fault_params=fp,
-            topology=topology,
-            agreement_region=raw["agreement_region"],
-            groups={int(g["id"]): g["region"] for g in raw["groups"]},
-            pending_groups={int(g["id"]): g["region"]
-                            for g in raw.get("pending_groups", [])},
-            clients=clients,
-            params=params,
-            fault_plan=plan,
-            admin_actions=admin,
-        )
-    except KeyError as missing:
-        raise ScenarioError(f"missing scenario field {missing}") from None
-    cfg.validate()
-    return cfg
+    with _field("groups"):
+        groups = {int(g["id"]): str(g["region"]) for g in raw["groups"]}
+    with _field("pending_groups"):
+        pending = {int(g["id"]): str(g["region"]) for g in raw.get("pending_groups", [])}
+    return ScenarioConfig(
+        name=str(raw.get("name", "unnamed")),
+        mode=str(raw.get("mode", "spider")),
+        irmc=str(raw.get("irmc", "rc")),
+        duration_ms=duration,
+        issue_until_ms=issue_until,
+        warmup_ms=warmup,
+        fault_params=fp,
+        topology=topology,
+        agreement_region=str(raw["agreement_region"]),
+        groups=groups,
+        pending_groups=pending,
+        clients=clients,
+        params=params,
+        fault_plan=plan,
+        admin_actions=admin,
+    )
 
 
-def _expand_selector(sel: str, raw: dict, fp: FaultParams):
+def _expand_selector(sel: str, fp: FaultParams):
     """'ag:0:1', 'ex:2:*', 'client:3' or 'leader'."""
     if sel == "leader":
         return [ReplicaId(AGREEMENT, 0, 0)]

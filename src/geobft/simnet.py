@@ -49,6 +49,8 @@ class Topology:
         return self.intra_zone_ms if za == zb else self.inter_zone_ms
 
     def validate(self) -> None:
+        if any(zones < 1 for zones in self.regions.values()):
+            raise ValueError("every region needs at least one zone")
         names = set(self.regions)
         for pair, delay in self.wan_ms.items():
             if not pair <= names:
@@ -57,9 +59,14 @@ class Topology:
                 raise ValueError("inter-region delay below intra-region delay")
 
 
+FAULT_KINDS = ("crash", "partition", "byzantine", "lossy")
+BYZANTINE_STRATEGIES = ("withhold", "lying-collector", "equivocate-send",
+                        "garbage-inject", "equivocating-client")
+
+
 @dataclass
 class NodeFault:
-    kind: str  # "crash" | "partition" | "byzantine" | "lossy"
+    kind: str  # one of FAULT_KINDS
     at_ms: float = 0.0
     until_ms: float = float("inf")
     strategy: Optional[str] = None
@@ -229,9 +236,8 @@ class Counters:
             ck = (channel, kind)
             self.channel_wan[ck] = self.channel_wan.get(ck, 0) + 1
 
-    def wan_messages(self, kind=None) -> int:
-        return sum(v for (k, wan), v in self.msgs.items()
-                   if wan and (kind is None or k == kind))
+    def wan_messages(self) -> int:
+        return sum(v for (_, wan), v in self.msgs.items() if wan)
 
     def wan_bytes(self) -> int:
         return sum(v for (_, wan), v in self.bytes.items() if wan)
@@ -241,7 +247,6 @@ class Simulator:
     def __init__(self, topology: Topology, seed: int, fault_plan: Optional[FaultPlan] = None):
         topology.validate()
         self.topology = topology
-        self.seed = seed
         self.rng = random.Random(seed)
         self.faults = fault_plan or FaultPlan()
         self._fault_of = self.faults.faults.get  # NodeId -> NodeFault or None
@@ -355,7 +360,8 @@ class Simulator:
 
 
 class ByzantineAdapter:
-    """Rewrites a faulty node's outgoing traffic; cannot forge other identities."""
+    """Rewrites a faulty node's outgoing traffic; cannot forge other identities.
+    strategy is one of BYZANTINE_STRATEGIES."""
 
     def __init__(self, strategy: str, rng: random.Random):
         self.strategy = strategy
@@ -450,9 +456,8 @@ class Node:
     def multicast_signed(self, dsts, payload, channel=None):
         self.net_send(dsts, payload, self._signed, channel)
 
-    def send_mac(self, dst, payload, scope=None, channel=None):
-        scope = scope or dst
-        self.net_send((dst,), payload, lambda p: (self.crypto.mac(scope, p),), channel)
+    def send_mac(self, dst, payload):
+        self.net_send((dst,), payload, lambda p: (self.crypto.mac(dst, p),))
 
     def after(self, delay, fn):
         self.sim.after(self.nid, delay, fn)

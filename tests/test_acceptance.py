@@ -228,7 +228,7 @@ def test_criterion_07_global_flow_control():
     plateau = _delivered_up_to(t0, "ag0:0", heal_at)
     mid = _delivered_up_to(t0, "ag0:0", 3000.0)
     resumed = _delivered_up_to(t0, "ag0:0", 9000.0)
-    commit_capacity = sys0.cfg.params["commit_capacity"]
+    commit_capacity = sys0.executions[4][0].commit_recv.cfg.capacity
     conditions += [
         (rep0.ok, "z=0 safety verdicts failed"),
         (plateau == mid, f"z=0 kept advancing during the stall ({mid}->{plateau})"),
@@ -296,8 +296,8 @@ def test_criterion_09_rc_vs_sc_economy():
     rc_sends = rc.channel_wan.get((chan, "ChSend"), 0)
     sc_certs = sc.channel_wan.get((chan, "ChCert"), 0)
     sc_progress = sc.channel_wan.get((chan, "ChProgress"), 0)
-    cfg = sc_sys.cfg
-    ticks = cfg.duration_ms / cfg.params["progress_ms"]
+    progress_ms = sc_sys.executions[2][0].commit_recv.cfg.progress_ms
+    ticks = sc_sys.cfg.duration_ms / progress_ms
     progress_bound = int(ticks * 4 * 3) + 12
     conditions = [
         (rc_pos > 10, f"rc delivered only {rc_pos} positions"),

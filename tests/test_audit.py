@@ -5,6 +5,8 @@ import pytest
 
 from geobft.application import get_op, put_op
 from geobft import cli
+from geobft.core import canonical_decode, canonical_encode
+from geobft.core.messages import Write
 from geobft.audit import (
     AuditView,
     audit_trace,
@@ -150,6 +152,34 @@ def test_seeded_forged_signature_fails_validity(mini):
     mutated.records[execs[0]] = _with_data(first, sig=other[6]["sig"])
     verdict = check_validity(AuditView(mutated, cfg))
     assert not verdict.ok
+
+
+@pytest.fixture(scope="module")
+def flat_threshold():
+    cfg = load_scenario("threshold-faults")
+    system, report = run_scenario(cfg, 1, mode="flat-bft")
+    return cfg, system.sim.trace, report
+
+
+def test_flat_run_re_verifies_its_executions(flat_threshold):
+    _, _, report = flat_threshold
+    ok, detail = report.verdicts["validity"]
+    assert ok and int(detail.split()[0]) > 0, detail
+
+
+def test_flat_execute_with_tampered_request_fails_validity(flat_threshold):
+    cfg, trace, _ = flat_threshold
+    correct = AuditView(trace, cfg).correct_replicas
+    mutated = copy.deepcopy(trace)
+    i = next(i for i, r in enumerate(mutated.records)
+             if r[1] == "execute" and r[2] in correct)
+    record = mutated.records[i]
+    write = canonical_decode(bytes.fromhex(record[6]["wr"]))
+    tampered = Write(write.op + b"!", write.client, write.t_c, write.read_only)
+    mutated.records[i] = _with_data(record, wr=canonical_encode(tampered).hex())
+    verdict = check_validity(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail.startswith("bad signature")
 
 
 def test_seeded_issue_after_own_accept_fails_realtime_order(mini):

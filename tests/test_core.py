@@ -117,21 +117,29 @@ class TestCrypto:
         self.client = ClientId(0)
         self.provider.register_principal(self.client)
 
+    def in_group(self, msg, sig):
+        """The caller-side check of a group signature: a member signed msg."""
+        return sig.signer in self.provider.group_members(self.group) \
+            and self.provider.valid_sig(msg, sig)
+
     def test_sign_verify_in_group(self):
         msg = Write(b"op", self.client, 1)
         sig = self.provider.sign(self.members[0], msg)
-        assert self.provider.valid_sig(msg, sig, self.group)
+        assert self.in_group(msg, sig)
+        assert not self.in_group(msg, self.provider.sign(self.client, msg))
 
     def test_tampered_payload_fails(self):
         msg = Write(b"op", self.client, 1)
         sig = self.provider.sign(self.members[0], msg)
         tampered = Write(b"oq", self.client, 1)
-        assert not self.provider.valid_sig(tampered, sig, self.group)
+        assert not self.in_group(tampered, sig)
 
     def test_wrong_principal_fails(self):
         msg = Write(b"op", self.client, 1)
         sig = self.provider.sign(self.members[0], msg)
-        assert not self.provider.valid_sig(msg, sig, self.members[1])
+        # the caller checks who signed; the provider, that the signer is known
+        assert not (sig.signer == self.members[1] and self.provider.valid_sig(msg, sig))
+        assert not self.provider.valid_sig(msg, Sig(ReplicaId("ex", 9, 0), sig.digest))
 
     def test_mac_vector_verified_by_all_group_members(self):
         msg = Write(b"op", self.client, 1)

@@ -45,7 +45,8 @@ def build_group(kind="minibft", n=4, f=1, seed=1, plan=None, jitter=0.0,
     def validate_factory(node):
         def validate(req):
             return isinstance(req, Request) and \
-                node.crypto.valid_sig(req.inner, req.inner_sig, req.inner.client)
+                req.inner_sig.signer == req.inner.client and \
+                node.crypto.valid_sig(req.inner, req.inner_sig)
         return validate
 
     hosts = []

@@ -1,7 +1,18 @@
 """Scenario schema validation and the shipped catalogue."""
+import copy
+import json
+
 import pytest
 
-from geobft.scenario import ScenarioError, load_scenario, shipped_scenarios
+from geobft import cli
+from geobft.agreement import AG_WIN, COMMIT_CAPACITY, K_A
+from geobft.execution import K_E
+from geobft.scenario import (
+    DEFAULT_PARAMS,
+    ScenarioError,
+    load_scenario,
+    shipped_scenarios,
+)
 
 BASE = {
     "name": "x", "mode": "spider", "irmc": "rc", "duration_ms": 1000,
@@ -26,13 +37,39 @@ def test_base_loads():
 
 
 def test_commit_capacity_must_exceed_k_e():
-    with pytest.raises(ScenarioError, match="commit_capacity"):
-        load_scenario(variant(params={"commit_capacity": 10, "k_e": 10}))
+    # execution liveness: a commit window holds more than one checkpoint interval
+    assert COMMIT_CAPACITY > K_E
 
 
 def test_ag_win_must_cover_k_a():
-    with pytest.raises(ScenarioError, match="ag_win"):
-        load_scenario(variant(params={"ag_win": 5, "k_a": 10}))
+    # the agreement window forces a checkpoint before it fills
+    assert AG_WIN >= K_A
+
+
+# the protocol parameters that are constants of their modules now
+REMOVED_PARAMS = ("k_a", "k_e", "ag_win", "req_capacity", "commit_capacity",
+                  "batch_cap", "cp_gossip_ms", "fetch_poll_ms", "progress_ms",
+                  "collector_timeout_ms", "view_timeout_ms", "retry_limit",
+                  "weak_rounds")
+
+
+def test_params_hold_exactly_the_varied_knobs():
+    assert set(DEFAULT_PARAMS) == {"z", "retransmit_ms", "flat_view_timeout_ms"}
+
+
+@pytest.mark.parametrize("key", REMOVED_PARAMS)
+def test_removed_param_is_rejected_by_name(key):
+    with pytest.raises(ScenarioError, match=f"params: unknown field '{key}'"):
+        load_scenario(variant(params={key: 10}))
+
+
+@pytest.mark.parametrize("params", [{"z": 1}, {"retransmit_ms": 250},
+                                    {"flat_view_timeout_ms": 700}])
+def test_kept_params_load(params):
+    cfg = load_scenario(variant(params=params))
+    (key, value), = params.items()
+    assert cfg.params[key] == value
+    assert cfg.params == {**DEFAULT_PARAMS, **params}
 
 
 def test_z_bounded_by_group_count():
@@ -66,3 +103,80 @@ def test_shipped_scenarios_all_load():
 def test_unknown_mode_rejected():
     with pytest.raises(ScenarioError, match="mode"):
         load_scenario(variant(mode="hybrid"))
+
+
+def _set(raw, path, value):
+    """A deep copy of raw with the value at path (keys and list indices) set."""
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+FAULT = {"node": "ex:1:0", "kind": "crash"}
+MALFORMED = [
+    (("f_a",), "x", "f_a"),
+    (("duration_ms",), "long", "duration_ms"),
+    (("topology", "wan_ms"), {"V-O-X": 35}, "topology"),
+    (("clients",), 5, "clients"),
+    (("groups",), "x", "groups"),
+    (("faults",), [dict(FAULT, node="bogus")], "faults"),
+    (("faults",), [dict(FAULT, kind="explode")], "faults: unknown kind 'explode'"),
+    (("faults",), [dict(FAULT, kind="byzantine", strategy="nope")],
+     "faults: unknown byzantine strategy 'nope'"),
+    (("faults",), [dict(FAULT, kind="byzantine")], "faults: unknown byzantine strategy"),
+    (("faults",), [dict(FAULT, node="ex:9:0")], "faults: ex9:0 is not a node"),
+    (("faults",), [dict(FAULT, node="client:1")], "faults: c1 is not a node"),
+    (("admin",), [{"at_ms": 100, "group": 2}], "admin"),
+    (("admin",), [{"at_ms": 100, "action": "grow", "group": 2}], "admin"),
+    (("admin",), [{"at_ms": "soon", "action": "remove", "group": 2}], "admin"),
+    (("admin",), [{"at_ms": 100, "action": "add", "group": 7}], "admin"),
+    (("surprise",), 1, "scenario: unknown field 'surprise'"),
+    (("topology", "regions"), {"V": "four", "O": 3}, "topology"),
+    (("topology", "regions"), {"V": 0, "O": 3}, "topology: every region"),
+    (("topology", "wan_ms"), {"V-Q": 35}, "topology: latency entry"),
+    (("params",), {"z": "one"}, "params: .*'one'"),
+    (("params",), [], "params"),
+    (("beyond_threshold",), "yes", "beyond_threshold"),
+]
+
+
+@pytest.mark.parametrize("path,value,named", MALFORMED,
+                         ids=[f"{'.'.join(p)}={v!r}"[:40] for p, v, _ in MALFORMED])
+def test_malformed_scenario_raises_scenario_error(path, value, named):
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(_set(BASE, path, value))
+
+
+def _paths(node, prefix=()):
+    """Every key and index path into a parsed JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def test_any_wrong_value_raises_only_scenario_error():
+    raw = variant(faults=[dict(FAULT)], admin=[{"at_ms": 10, "action": "add", "group": 3}],
+                  pending_groups=[{"id": 3, "region": "O"}])
+    load_scenario(raw)
+    for path in _paths(raw):
+        for value in ("x", -1, 1.5, None, True, [], {}, [1], {"a": 1}):
+            try:
+                load_scenario(_set(raw, path, value))
+            except ScenarioError:
+                pass
+
+
+def test_run_command_reports_a_malformed_scenario(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(variant(params={"k_a": 10})))
+    assert cli.main(["run", str(path)]) == 2
+    assert "params: unknown field 'k_a'" in capsys.readouterr().err

@@ -107,10 +107,10 @@ def test_byzantine_cannot_authenticate_as_another_principal():
     # signature, and a signature forged for another signer fails verification
     from geobft.core.crypto import Sig
     fake = Sig(nb.nid, na.crypto.digest(b"forged"))
-    ok = nb.crypto.valid_sig(b"forged", fake, nb.nid)
+    ok = fake.signer == nb.nid and nb.crypto.valid_sig(b"forged", fake)
     assert ok  # structurally consistent records do verify
     tampered = Sig(nb.nid, na.crypto.digest(b"forged-other"))
-    assert not nb.crypto.valid_sig(b"forged", tampered, nb.nid)
+    assert not (tampered.signer == nb.nid and nb.crypto.valid_sig(b"forged", tampered))
 
 
 def test_invalid_authenticator_never_dispatched():
@@ -153,7 +153,8 @@ def test_send_counts_full_envelope_encoding():
     payload = ChSend(ChannelId("req", 1), 0, 1, Write(b"put k v", c, 1))
     nodes[a].net_send((b,), payload, lambda p: ())
     nodes[a].send_signed(b, payload)
-    nodes[c].send_mac(b, Write(b"op", c, 2), scope=group)
+    nodes[c].net_send((b,), Write(b"op", c, 2),
+                      lambda p: (nodes[c].crypto.mac(group, p),))
     nodes[a].net_send((b,), payload, lambda p: (nodes[a].crypto.sign(p),
                                                 nodes[a].crypto.mac(b, p)))
     nodes[byz].send_signed(b, payload)
@@ -218,7 +219,8 @@ def test_equivocating_multicast_diverges_per_destination(monkeypatch, net_spy):
     assert [env.payload.payload for env in envs] == \
         [b"\x01equiv", b"\x00equiv", b"\x01equiv"]
     for env in envs:
-        assert nodes[1].crypto.valid_sig(env.payload, env.auth[0], nodes[0].nid)
+        assert env.auth[0].signer == nodes[0].nid
+        assert nodes[1].crypto.valid_sig(env.payload, env.auth[0])
     sim.run_until(100)
     assert [len(n.got) for n in nodes] == [0, 1, 1, 1]
 
