@@ -6,14 +6,13 @@ provenance, window monotonicity, and checkpoint-equivalence digests.
 All checkers are pure functions of one AuditView, built once per audit:
 the trace's records grouped by event plus the scenario facts (fault plan,
 authorized clients). The linearization candidate is the agreement order,
-replayed once, with a brute-force search as a cross-check oracle for tiny
-histories.
+replayed once (tests/test_audit.py cross-checks it against a brute-force
+search on tiny histories).
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import permutations
 
 from .application import ABSENT, KvApplication
 from .core import ClientId, hash_bytes
@@ -397,32 +396,6 @@ def check_liveness(view) -> Verdict:
                        f"{len(unresolved)} weak reads unresolved, e.g. {unresolved[0]}")
     return Verdict("liveness", True,
                    f"{len(strong_issued)} strong + {len(weak_issued)} weak resolved")
-
-
-def linearizable_bruteforce(ops) -> bool:
-    """Exhaustive check for tiny histories: ops are
-    (issue, accept, op_bytes, reply_bytes); permutation must respect real time
-    and replay against the reference application."""
-    n = len(ops)
-    if n > 8:
-        raise ValueError("brute force limited to 8 operations")
-    for perm in permutations(range(n)):
-        # real-time: if a completes before b is issued, a must precede b
-        ok = True
-        pos = {op: i for i, op in enumerate(perm)}
-        for a in range(n):
-            for b in range(n):
-                if ops[a][1] < ops[b][0] and pos[a] > pos[b]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        app = KvApplication()
-        if all(app.execute(ops[i][2]) == ops[i][3] for i in perm):
-            return True
-    return False
 
 
 STANDARD_CHECKS = (

@@ -3,7 +3,10 @@
 Senders exchange signed hashes of their Sends inside the sender group;
 a collector assembles f_s+1 matching shares into one Certificate per
 receiver. Periodic Progress claims let receivers police collectors that
-withhold certificates and switch to a different one after a timeout.
+withhold certificates and switch to a different one after a timeout. A
+sender claims progress only to the receivers not known, by their moves,
+to be past some claimed position: a receiver waiting on q has not moved
+past q, so every claim >= q still reaches it.
 Windows, blocked sends and moves come from the shared endpoints in
 base.py; a receiver's moves also name its collector.
 """
@@ -122,9 +125,12 @@ class ScSender(SenderEndpoint):
             while p + 1 in held:
                 p += 1
             pvec.append((sc, p))
-        if not pvec:
-            return
-        self._broadcast(self.cfg.receivers, ChProgress(self.cfg.channel, tuple(pvec)))
+        # a receiver whose move passed every claim waits on none of them
+        moves = self.recv_moves
+        behind = [r for r in self.cfg.receivers
+                  if any(moves.get(sc, {}).get(r, 0) <= p for sc, p in pvec)]
+        if behind:
+            self._broadcast(behind, ChProgress(self.cfg.channel, tuple(pvec)))
 
     def _resend(self):
         for sc, held in self.content.items():

@@ -24,6 +24,13 @@ DEFAULT_PARAMS = {"z": 0, "retransmit_ms": 0.0, "flat_view_timeout_ms": 600.0}
 SCENARIO_KEYS = ("name", "mode", "irmc", "duration_ms", "issue_until_ms", "warmup_ms",
                  "f_a", "f_e", "topology", "agreement_region", "groups", "pending_groups",
                  "clients", "params", "faults", "beyond_threshold", "admin")
+TOPOLOGY_KEYS = ("regions", "wan_ms", "inter_zone_ms", "intra_zone_ms", "jitter_ms", "proc_ms")
+CLIENT_KEYS = ("count", "region", "rate_per_s", "zone", "mix", "value_size", "key_space",
+               "start_ms")
+MIX_KEYS = ("write", "read_strong", "read_weak")
+GROUP_KEYS = ("id", "region")
+FAULT_KEYS = ("node", "kind", "at_ms", "until_ms", "strategy", "rate")
+ADMIN_KEYS = ("at_ms", "action", "group")
 
 
 class ScenarioError(ValueError):
@@ -168,6 +175,8 @@ def _field(name: str):
 
 
 def _known_keys(obj: dict, allowed, name: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{name}: expected an object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ScenarioError(f"{name}: unknown field {unknown[0]!r}")
@@ -177,7 +186,7 @@ def _known_keys(obj: dict, allowed, name: str) -> dict:
 def _from_dict(raw: dict) -> ScenarioConfig:
     _known_keys(raw, SCENARIO_KEYS, "scenario")
     with _field("topology"):
-        topo_raw = raw["topology"]
+        topo_raw = _known_keys(raw["topology"], TOPOLOGY_KEYS, "topology")
         wan = {}
         for pair, delay in topo_raw.get("wan_ms", {}).items():
             a, b = pair.split("-")
@@ -201,10 +210,11 @@ def _from_dict(raw: dict) -> ScenarioConfig:
         warmup = float(raw.get("warmup_ms", 0.0))
     clients = []
     with _field("clients"):
-        for spec in raw["clients"]:
+        for n, spec in enumerate(raw["clients"]):
+            _known_keys(spec, CLIENT_KEYS, f"clients[{n}]")
             count = int(spec.get("count", 1))
             rate = float(spec.get("rate_per_s", 10.0))
-            mix = spec.get("mix", {"write": 1.0})
+            mix = _known_keys(spec.get("mix", {"write": 1.0}), MIX_KEYS, f"clients[{n}].mix")
             weak_frac = float(mix.get("read_weak", 0.0))
             strong_frac = 1.0 - weak_frac
             write_frac_of_strong = 1.0
@@ -227,8 +237,9 @@ def _from_dict(raw: dict) -> ScenarioConfig:
     with _field("f_a/f_e"):
         fp = FaultParams(int(raw["f_a"]), int(raw["f_e"]))
     with _field("faults"):
-        for f in raw.get("faults", []):
-            for nid in _expand_selector(f["node"], fp):
+        for n, f in enumerate(raw.get("faults", [])):
+            _known_keys(f, FAULT_KEYS, f"faults[{n}]")
+            for nid in _expand_selector(f["node"], fp, f"faults[{n}].node"):
                 plan.faults[nid] = NodeFault(
                     kind=f["kind"],
                     at_ms=float(f.get("at_ms", 0.0)),
@@ -237,11 +248,12 @@ def _from_dict(raw: dict) -> ScenarioConfig:
                     rate=float(f.get("rate", 0.0)),
                 )
     with _field("admin"):
-        admin = [dict(a) for a in raw.get("admin", [])]
+        admin = [dict(_known_keys(a, ADMIN_KEYS, f"admin[{n}]"))
+                 for n, a in enumerate(raw.get("admin", []))]
     with _field("groups"):
-        groups = {int(g["id"]): str(g["region"]) for g in raw["groups"]}
+        groups = _group_regions(raw["groups"], "groups")
     with _field("pending_groups"):
-        pending = {int(g["id"]): str(g["region"]) for g in raw.get("pending_groups", [])}
+        pending = _group_regions(raw.get("pending_groups", []), "pending_groups")
     return ScenarioConfig(
         name=str(raw.get("name", "unnamed")),
         mode=str(raw.get("mode", "spider")),
@@ -261,15 +273,29 @@ def _from_dict(raw: dict) -> ScenarioConfig:
     )
 
 
-def _expand_selector(sel: str, fp: FaultParams):
-    """'ag:0:1', 'ex:2:*', 'client:3' or 'leader'."""
+def _group_regions(entries, name: str) -> dict:
+    groups = {}
+    for n, g in enumerate(entries):
+        _known_keys(g, GROUP_KEYS, f"{name}[{n}]")
+        groups[int(g["id"])] = str(g["region"])
+    return groups
+
+
+def _expand_selector(sel: str, fp: FaultParams, name: str):
+    """'ag:0:1', 'ex:2:*', 'client:3' or 'leader'; anything else raises
+    ScenarioError naming the field."""
     if sel == "leader":
         return [ReplicaId(AGREEMENT, 0, 0)]
-    parts = sel.split(":")
-    if parts[0] == "client":
-        return [ClientId(int(parts[1]))]
-    role, gid, idx = parts[0], int(parts[1]), parts[2]
-    size = fp.agreement_size if role == AGREEMENT else fp.execution_size
-    if idx == "*":
-        return [ReplicaId(role, gid, i) for i in range(size)]
-    return [ReplicaId(role, gid, int(idx))]
+    parts = str(sel).split(":")
+    try:
+        if parts[0] == "client" and len(parts) == 2:
+            return [ClientId(int(parts[1]))]
+        if parts[0] in (AGREEMENT, EXECUTION) and len(parts) == 3:
+            role, gid, idx = parts[0], int(parts[1]), parts[2]
+            size = fp.agreement_size if role == AGREEMENT else fp.execution_size
+            if idx == "*":
+                return [ReplicaId(role, gid, i) for i in range(size)]
+            return [ReplicaId(role, gid, int(idx))]
+    except ValueError:
+        pass
+    raise ScenarioError(f"{name}: bad node selector {sel!r}")

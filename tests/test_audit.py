@@ -1,9 +1,10 @@
 """The checkers must accept honest traces and catch seeded defects."""
 import copy
+from itertools import permutations
 
 import pytest
 
-from geobft.application import get_op, put_op
+from geobft.application import KvApplication, get_op, put_op
 from geobft import cli
 from geobft.core import canonical_decode, canonical_encode
 from geobft.core.messages import Write
@@ -21,7 +22,6 @@ from geobft.audit import (
     check_validity,
     check_weak_reads,
     check_window_monotonicity,
-    linearizable_bruteforce,
 )
 from geobft.harness import run_scenario
 from geobft.scenario import load_scenario
@@ -237,6 +237,24 @@ def test_seeded_lost_accept_fails_liveness(mini):
     del mutated.records[_first(mutated.records, "client_accept", t_c=1)]
     verdict = check_liveness(AuditView(mutated, cfg))
     assert not verdict.ok
+
+
+def linearizable_bruteforce(ops) -> bool:
+    """Exhaustive check for tiny histories: ops are
+    (issue, accept, op_bytes, reply_bytes); a permutation must respect real
+    time and replay against the reference application."""
+    n = len(ops)
+    assert n <= 8, "brute force limited to 8 operations"
+    for perm in permutations(range(n)):
+        # real time: if a completes before b is issued, a must precede b
+        pos = {op: i for i, op in enumerate(perm)}
+        if any(ops[a][1] < ops[b][0] and pos[a] > pos[b]
+               for a in range(n) for b in range(n)):
+            continue
+        app = KvApplication()
+        if all(app.execute(ops[i][2]) == ops[i][3] for i in perm):
+            return True
+    return False
 
 
 class TestBruteForceOracle:

@@ -5,9 +5,11 @@ import hashlib
 
 import pytest
 
+from geobft.core.messages import ChProgress
 from geobft.irmc import RcReceiver, RcSender, ScReceiver, ScSender
 from geobft.irmc import conformance
 from geobft.irmc.conformance import make_factory, run_conformance, run_schedule
+from geobft.simnet import Simulator
 
 FACTORIES = {
     "rc": make_factory(RcSender, RcReceiver),
@@ -38,8 +40,11 @@ def test_schedule_deterministic(variant):
 # on purpose updates the literals and says why.
 PINNED_BATCH = {
     "rc": (944, 32, [], "ad3c941a322b4fc5cf56e40bf464802d"),
-    "sc": (677, 244, [], "2a6a83df6b515229130f2472f75ee0ff"),
+    "sc": (678, 241, [], "f054a008604921ad892252395fe472c9"),
 }
+# ChProgress sends of the same batch: sc senders claim progress only to the
+# receivers not known to be past every claim, and rc has no progress claims.
+PINNED_PROGRESS_SENDS = {"rc": 0, "sc": 9327}
 
 
 @pytest.mark.parametrize("variant", sorted(PINNED_BATCH))
@@ -51,12 +56,22 @@ def test_pinned_conformance_batch(variant, monkeypatch):
         digests.append(trace.digest())
         return original(trace, *args)
 
+    progress = []
+    send = Simulator.send
+
+    def counted_send(sim, src, dst, env, channel=None):
+        if type(env.payload) is ChProgress:
+            progress.append(dst)
+        send(sim, src, dst, env, channel)
+
     monkeypatch.setattr(conformance, "audit_schedule", audit)
+    monkeypatch.setattr(Simulator, "send", counted_send)
     report = run_conformance(FACTORIES[variant], 2, 2, seed=1002, schedules=30)
     assert len(digests) == 30
     joined = hashlib.blake2b("".join(digests).encode(), digest_size=16).hexdigest()
     assert (report.deliveries, report.too_olds, report.failures, joined) == \
         PINNED_BATCH[variant]
+    assert len(progress) == PINNED_PROGRESS_SENDS[variant]
 
 
 @pytest.fixture(scope="module")

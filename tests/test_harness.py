@@ -64,7 +64,7 @@ def test_pinned_trace_digest(scenario, irmc, tmp_path):
 # pinned beside it.
 PINNED_ADAPTED = {
     ("spider", "rc"): ("9505d83e7a04115bc4bf8944e3174598", 1648156),
-    ("spider", "sc"): ("266ade0f60ccbca4d96897b25875600e", 1881814),
+    ("spider", "sc"): ("266ade0f60ccbca4d96897b25875600e", 1880104),
     ("oracle", "rc"): ("d2316f05a87324cebc4a73d3a189b4ce", 1701957),
 }
 
@@ -172,24 +172,44 @@ def test_lossy_links_recover_with_retransmission(variant):
     assert all(isinstance(outs[0], Delivered) for outs in resolved)
 
 
-_DIGEST_SCRIPT = (
+_SCENARIO_DIGEST = (
     "import sys\n"
     "from geobft.harness import run_scenario\n"
     "_, report = run_scenario('rc-vs-sc', 4, irmc=sys.argv[1])\n"
     "print(report.trace_digest)\n"
 )
+# one f=2 sc conformance schedule, whose senders pick progress-claim
+# receivers from their move tables
+_SCHEDULE_DIGEST = (
+    "from geobft.irmc import ScReceiver, ScSender, conformance\n"
+    "digests = []\n"
+    "audit = conformance.audit_schedule\n"
+    "def capture(trace, *args):\n"
+    "    digests.append(trace.digest())\n"
+    "    return audit(trace, *args)\n"
+    "conformance.audit_schedule = capture\n"
+    "factory = conformance.make_factory(ScSender, ScReceiver)\n"
+    "assert conformance.run_schedule(factory, 2, 2, seed=1002) == []\n"
+    "print(digests[0])\n"
+)
+_DIGEST_RUNS = {
+    "rc": (_SCENARIO_DIGEST, "rc"),
+    "sc": (_SCENARIO_DIGEST, "sc"),
+    "sc-schedule-f2": (_SCHEDULE_DIGEST,),
+}
 
 
-@pytest.mark.parametrize("variant", ["rc", "sc"])
+@pytest.mark.parametrize("variant", sorted(_DIGEST_RUNS))
 def test_trace_digest_independent_of_hash_seed(variant):
     """Same (scenario, seed), fresh interpreters with different string
     hashing: the traces must be byte-identical."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    script, *args = _DIGEST_RUNS[variant]
     digests = set()
     for hashseed in ("1", "4242"):
         env = {**os.environ, "PYTHONHASHSEED": hashseed,
                "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, variant],
+        out = subprocess.run([sys.executable, "-c", script, *args],
                              env=env, capture_output=True, text=True, check=True)
         digests.add(out.stdout.strip())
     assert len(digests) == 1 and "" not in digests, digests

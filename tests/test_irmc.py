@@ -1,8 +1,10 @@
 """Endpoint-level channel behavior for both implementations."""
 import pytest
 
+from geobft.core import ReplicaId
 from geobft.core.messages import ChMove, ChSend
 from geobft.irmc.base import Delivered, TooOld
+from geobft.simnet import FaultPlan, NodeFault
 from tests.conftest import Channel, NetSpy
 
 
@@ -188,6 +190,71 @@ class TestScDelivery:
         ch.run()
         for ep in ch.s_eps:
             assert ep.window(0).start == 11
+
+
+class TestScProgressClaims:
+    """A sender claims progress only to the receivers whose moves have not
+    passed every claimed position."""
+
+    @staticmethod
+    def _certify(ch, positions=(1, 2)):
+        for p in positions:
+            for ep in ch.s_eps:
+                ep.send(0, p, b"m%d" % p)
+        ch.run(300)
+
+    @staticmethod
+    def _claims_to(ch, spy, ms=200.0):
+        """Per receiver, the ChProgress sends it gets over the next ms."""
+        del spy.sent[:]
+        ch.sim.run_until(ch.sim.now + ms)
+        got = {r: 0 for r in ch.receivers}
+        for _, dst, env in spy.sent:
+            if type(env.payload).__name__ == "ChProgress":
+                got[dst] += 1
+        return got
+
+    def test_no_claim_once_every_receiver_moved_past(self, net_spy):
+        ch = Channel("sc")
+        spy = net_spy(ch.sim)
+        self._certify(ch)
+        assert all(n > 0 for n in self._claims_to(ch, spy).values())
+        for ep in ch.r_eps:
+            ep.move_window(0, 3)
+        ch.run(ch.sim.now + 200)
+        assert all(ep.window(0).start == 3 for ep in ch.s_eps)
+        assert set(self._claims_to(ch, spy).values()) == {0}
+        del spy.sent[:]
+        for ep in ch.s_eps:
+            ep._progress_tick()
+        assert NetSpy.payloads(spy.sent, "ChProgress") == []
+
+    def test_only_the_lagging_receiver_gets_the_claim(self, net_spy):
+        # cut off, the last receiver never hears the senders' window move
+        plan = FaultPlan()
+        lagging = ReplicaId("ag", 0, 3)
+        plan.faults[lagging] = NodeFault("partition", at_ms=0.0, until_ms=float("inf"))
+        ch = Channel("sc", fault_plan=plan)
+        spy = net_spy(ch.sim)
+        self._certify(ch)
+        for ep in ch.r_eps[:-1]:
+            ep.move_window(0, 3)
+        ch.run(ch.sim.now + 200)
+        got = self._claims_to(ch, spy)
+        assert got.pop(lagging) > 0
+        assert set(got.values()) == {0}
+
+    def test_inflated_move_silences_only_its_sender(self, net_spy):
+        ch = Channel("sc")
+        spy = net_spy(ch.sim)
+        self._certify(ch)
+        liar = ch.receivers[0]
+        for ep in ch.s_eps:
+            ep._on_move(liar, ChMove(ch.cfg.channel, 0, 1000, collector=0, counter=1))
+        assert all(ep.window(0).start == 1 for ep in ch.s_eps)  # one move moves nothing
+        got = self._claims_to(ch, spy)
+        assert got.pop(liar) == 0
+        assert all(n > 0 for n in got.values())
 
 
 class TestWideAreaEconomy:

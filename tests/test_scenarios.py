@@ -140,14 +140,40 @@ MALFORMED = [
     (("params",), {"z": "one"}, "params: .*'one'"),
     (("params",), [], "params"),
     (("beyond_threshold",), "yes", "beyond_threshold"),
+    # unknown keys below the top level are named with their entry
+    (("topology", "latency_ms"), 1, r"topology: unknown field 'latency_ms'"),
+    (("clients", 0, "rate"), 5, r"clients\[0\]: unknown field 'rate'"),
+    (("clients", 0, "mix"), {"write": 0.5, "reads": 0.5},
+     r"clients\[0\]\.mix: unknown field 'reads'"),
+    (("clients", 0), "c0", r"clients\[0\]: expected an object"),
+    (("groups", 1, "zone"), 0, r"groups\[1\]: unknown field 'zone'"),
+    (("pending_groups",), [{"id": 3, "region": "O", "size": 3}],
+     r"pending_groups\[0\]: unknown field 'size'"),
+    (("faults",), [dict(FAULT, at=5)], r"faults\[0\]: unknown field 'at'"),
+    (("admin",), [{"at_ms": 100, "action": "remove", "group": 2, "when": 1}],
+     r"admin\[0\]: unknown field 'when'"),
 ]
 
 
 @pytest.mark.parametrize("path,value,named", MALFORMED,
-                         ids=[f"{'.'.join(p)}={v!r}"[:40] for p, v, _ in MALFORMED])
+                         ids=[f"{'.'.join(map(str, p))}={v!r}"[:40] for p, v, _ in MALFORMED])
 def test_malformed_scenario_raises_scenario_error(path, value, named):
     with pytest.raises(ScenarioError, match=named):
         load_scenario(_set(BASE, path, value))
+
+
+@pytest.mark.parametrize("selector", ["ex:1:0:9", "client:0:x", "ex:1", "ag:0:1:*",
+                                      "xx:1:0", "ex:one:0", "client"])
+def test_malformed_fault_selector_is_rejected_by_field(selector):
+    with pytest.raises(ScenarioError, match=r"faults\[0\]\.node: bad node selector"):
+        load_scenario(variant(faults=[dict(FAULT, node=selector)]))
+
+
+def test_client_with_misspelt_rate_does_not_load():
+    """Before, "rate" was ignored and the client ran at the default rate."""
+    clients = [{"count": 1, "region": "V", "rate": 5}]
+    with pytest.raises(ScenarioError, match=r"clients\[0\]: unknown field 'rate'"):
+        load_scenario(variant(clients=clients))
 
 
 def _paths(node, prefix=()):
