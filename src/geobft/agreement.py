@@ -272,12 +272,13 @@ class AgreementReplica(ProtocolNode):
                            hash_bytes(core).hex(), s=self.s_n)
 
     def on_stable_agreement_cp(self, s: int, state: bytes):
-        cp_s, t_items, hist, reg, version = canonical_decode(state)
-        hist_len = len(hist)
+        # the state's history is the tail of delivered sequences up to s, so
+        # it holds min(s, COMMIT_CAPACITY) of them; decode only to jump
         for gid in sorted(self.commit_send):
-            self.commit_send[gid].move_window(0, s - hist_len + 1)
+            self.commit_send[gid].move_window(0, s - min(s, COMMIT_CAPACITY) + 1)
         self.ordering.gc(s + 1)
         if s > self.s_n:
+            cp_s, t_items, hist, reg, version = canonical_decode(state)
             self._jump_to(s, t_items, hist, reg, version)
         self.win_lo = s + 1
         self._resume_parked()

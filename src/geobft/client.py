@@ -1,11 +1,13 @@
 """Client library: writes, strong reads, weak reads.
 
-Strong operations consume the client counter, are broadcast to every
-member of the chosen execution group, rebroadcast every retry period,
-and accepted on f+1 matching replies. Weak reads run on an independent
-loop (no counter obligations) and escalate to a strong read after too
-many mismatching rounds. Groups are resolved through the BFT registry;
-an unresponsive group is abandoned after a bounded number of retries.
+A client runs its scenario `ClientSpec` until the run's issue horizon.
+Strong operations consume the client counter, go to every member of the
+client's group under one MAC for that group, are resent every retry
+period, and are accepted on f+1 matching replies. Weak reads run on an
+independent loop (no counter obligations) and escalate to a strong read
+after too many mismatching rounds. A spider client resolves groups
+through the BFT registry and leaves an unresponsive group after bounded
+retries.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .application import RESUBMIT, get_op, put_op
-from .core import GroupKey
 from .core.messages import (
     AddGroup,
     ReadWeak,
@@ -24,21 +25,13 @@ from .core.messages import (
     Write,
 )
 from .core.quorum import tally
-from .protocol import ProtocolNode, RegistryResolver
+from .protocol import ProtocolNode, RegistryResolver, group_key
+from .scenario import ClientSpec
 
 RETRY_LIMIT = 4  # strong-request retries before a spider client switches group
 WEAK_ROUNDS = 2  # mismatching weak-read rounds before escalating to a strong read
-
-
-@dataclass
-class Workload:
-    strong_rate_per_s: float = 0.0
-    weak_rate_per_s: float = 0.0
-    write_fraction: float = 1.0  # of strong ops; the rest are strong reads
-    value_size: int = 32
-    key_space: int = 16
-    issue_until_ms: float = 0.0
-    start_ms: float = 0.0
+VALUE_SIZE = 32  # bytes of a written value
+KEY_SPACE = 16   # keys k0..k15 that requests pick from
 
 
 @dataclass
@@ -52,11 +45,12 @@ class AdminAction:
 
 class ClientNode(ProtocolNode):
     def __init__(self, nid, sim, crypto, f_a: int, f_e: int, ag_members: tuple,
-                 workload: Workload, seed: int, static_group: Optional[tuple] = None,
-                 admin_script: tuple = ()):
+                 spec: ClientSpec, issue_until_ms: float, seed: int,
+                 static_group: Optional[tuple] = None, admin_script: tuple = ()):
         super().__init__(nid, sim, crypto)
         self.ag_members = ag_members
-        self.workload = workload
+        self.spec = spec
+        self.issue_until_ms = issue_until_ms
         self.rng = random.Random((seed, nid.index, "wl").__repr__())
         self.static_group = static_group  # (gid, members, quorum) for flat mode
         self.admin_script = sorted(admin_script, key=lambda a: a.at_ms)
@@ -70,7 +64,6 @@ class ClientNode(ProtocolNode):
         self.outstanding: Optional[dict] = None
         self.queue: list = []
         self.weak_nonce = 0
-        self.weak_tally: dict[int, dict] = {}
         self.weak_current: Optional[dict] = None
         self.done_strong = 0
 
@@ -80,7 +73,7 @@ class ClientNode(ProtocolNode):
         super().start()
         for action in self.admin_script:
             self.after(action.at_ms, lambda a=action: self._enqueue_admin(a))
-        self.after(self.workload.start_ms, self._boot)
+        self.after(self.spec.start_ms, self._boot)
 
     def _boot(self):
         if self.static_group is not None:
@@ -96,9 +89,9 @@ class ClientNode(ProtocolNode):
         self._begin()
 
     def _begin(self):
-        if self.workload.strong_rate_per_s > 0:
+        if self.spec.strong_rate_per_s > 0:
             self._schedule_next_strong(first=True)
-        if self.workload.weak_rate_per_s > 0:
+        if self.spec.weak_rate_per_s > 0:
             self._schedule_next_weak(first=True)
 
     def _choose_group(self, exclude):
@@ -121,20 +114,20 @@ class ClientNode(ProtocolNode):
         return self.rng.expovariate(rate) * 1000.0
 
     def _schedule_next_strong(self, first=False):
-        gap = self._gap_ms(self.workload.strong_rate_per_s)
+        gap = self._gap_ms(self.spec.strong_rate_per_s)
         if first:
-            gap = self.rng.uniform(0, 1000.0 / self.workload.strong_rate_per_s)
+            gap = self.rng.uniform(0, 1000.0 / self.spec.strong_rate_per_s)
         self.after(gap, self._next_strong)
 
     def _next_strong(self):
-        if self.sim.now > self.workload.issue_until_ms:
+        if self.sim.now > self.issue_until_ms:
             return
         # closed loop: at most one outstanding request per client
         if self.outstanding is None and not self.queue:
-            key = f"k{self.rng.randrange(self.workload.key_space)}"
-            if self.rng.random() < self.workload.write_fraction:
+            key = f"k{self.rng.randrange(KEY_SPACE)}"
+            if self.rng.random() < self.spec.write_fraction:
                 value = bytes(self.rng.randrange(256)
-                              for _ in range(self.workload.value_size))
+                              for _ in range(VALUE_SIZE))
                 op, read_only = put_op(key, value), False
             else:
                 op, read_only = get_op(key), True
@@ -179,21 +172,17 @@ class ClientNode(ProtocolNode):
         self._send_group(self.outstanding["inner"], signed=True)
 
     def _send_group(self, msg, signed: bool):
-        """Send msg to every member of the current group. Spider mode MACs
-        it for the group, so one envelope serves every member; flat mode
-        MACs it per member. A strong request also carries a signature."""
-        crypto = self.crypto
+        """Send msg to every member of the current group under one MAC for
+        that group, so one envelope serves every member in both modes; it
+        stands in for a MAC vector with an entry per member. A strong
+        request also carries a signature."""
+        crypto, scope = self.crypto, group_key(self.group)
 
-        def auth_for(scope):
-            if signed:
-                return lambda p: (crypto.mac(scope, p), crypto.sign(p))
-            return lambda p: (crypto.mac(scope, p),)
+        def auth(p):
+            mac = crypto.mac(scope, p)
+            return (mac, crypto.sign(p)) if signed else (mac,)
 
-        if self.static_group is None:
-            self.net_send(self.group_members, msg, auth_for(GroupKey("ex", self.group)))
-        else:
-            for member in self.group_members:
-                self.net_send((member,), msg, auth_for(member))
+        self.net_send(self.group_members, msg, auth)
 
     def _retry_period(self) -> float:
         if not self.group_members:
@@ -281,16 +270,16 @@ class ClientNode(ProtocolNode):
     # -- weak reads ------------------------------------------------------------------
 
     def _schedule_next_weak(self, first=False):
-        gap = self._gap_ms(self.workload.weak_rate_per_s)
+        gap = self._gap_ms(self.spec.weak_rate_per_s)
         if first:
-            gap = self.rng.uniform(0, 1000.0 / self.workload.weak_rate_per_s)
+            gap = self.rng.uniform(0, 1000.0 / self.spec.weak_rate_per_s)
         self.after(gap, self._next_weak)
 
     def _next_weak(self):
-        if self.sim.now > self.workload.issue_until_ms:
+        if self.sim.now > self.issue_until_ms:
             return
         if self.weak_current is None and self.group_members:
-            key = f"k{self.rng.randrange(self.workload.key_space)}"
+            key = f"k{self.rng.randrange(KEY_SPACE)}"
             self.weak_current = {
                 "op": get_op(key), "rounds": 0, "issued": self.sim.now,
             }
@@ -304,7 +293,7 @@ class ClientNode(ProtocolNode):
         self.weak_nonce += 1
         nonce = self.weak_nonce
         cur["nonce"] = nonce
-        self.weak_tally[nonce] = {}
+        cur["tally"] = {}
         if cur["rounds"] == 0:
             self.sim.trace.add(self.sim.now, "client_issue", self.nid, "-",
                                "read_weak", t_c=nonce, group=self.group,
@@ -322,7 +311,7 @@ class ClientNode(ProtocolNode):
         cur = self.weak_current
         if cur is None or msg.t_c != cur.get("nonce") or msg.client != self.nid:
             return
-        replies = self.weak_tally.setdefault(msg.t_c, {})
+        replies = cur["tally"]
         if src in replies:
             return
         replies[src] = msg.reply
@@ -334,14 +323,12 @@ class ClientNode(ProtocolNode):
                            latency=self.sim.now - cur["issued"],
                            reply=won[0].hex(), issued=cur["issued"])
         self.weak_current = None
-        del self.weak_tally[msg.t_c]
 
     def _weak_timeout(self, nonce):
         cur = self.weak_current
         if cur is None or cur.get("nonce") != nonce:
             return
         cur["rounds"] += 1
-        self.weak_tally.pop(nonce, None)
         if cur["rounds"] > WEAK_ROUNDS:
             # stalled read: upgrade to a strongly consistent read
             self.sim.trace.add(self.sim.now, "client_escalate", self.nid, "-",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .core import GroupKey, Mac
+from .core import AGREEMENT, AGREEMENT_GROUP, EXECUTION, GroupKey, Mac
 from .core.messages import (
     Checkpoint,
     ChCert,
@@ -25,6 +25,11 @@ REGISTRY_RETRY_MS = 50.0  # re-ask period of an unanswered registry query
 
 CHANNEL_MSGS = (ChSend, ChMove, ChShare, ChCert, ChProgress)
 CP_MSGS = (Checkpoint, CpAnnounce, CpQuery, CpState)
+
+
+def group_key(group: int) -> GroupKey:
+    """The key that names group id `group`: its MAC scope and member set."""
+    return GroupKey(AGREEMENT if group == AGREEMENT_GROUP else EXECUTION, group)
 
 
 class ProtocolNode(Node):
@@ -82,8 +87,7 @@ class ProtocolNode(Node):
 
     def group_members_of(self, group: int) -> tuple:
         """Membership oracle for validating transferred checkpoint certificates."""
-        key = GroupKey("ex" if group != 0 else "ag", group)
-        return tuple(self.crypto.provider.group_members(key))
+        return tuple(self.crypto.provider.group_members(group_key(group)))
 
 
 class RegistryResolver:

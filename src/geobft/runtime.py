@@ -5,22 +5,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .agreement import COMMIT_CAPACITY, AgreementReplica
-from .client import AdminAction, ClientNode, Workload
-from .core import (
-    AGREEMENT,
-    BoundCrypto,
-    CryptoProvider,
-    EXECUTION,
-    GroupKey,
-    ReplicaId,
-)
+from .client import AdminAction, ClientNode
+from .core import AGREEMENT, AGREEMENT_GROUP, BoundCrypto, CryptoProvider, ReplicaId
 from .core.messages import ChannelId
 from .execution import ExecutionReplica
 from .flatbft import FlatBftReplica
 from .irmc import VARIANTS
 from .irmc.base import ChannelConfig
 from .ordering import MiniBft, SequencerOracle
-from .scenario import ScenarioConfig
+from .protocol import group_key
+from .scenario import ClientSpec, ScenarioConfig
 from .simnet import Simulator
 
 REQ_CAPACITY = 2  # request-channel window per client subchannel
@@ -68,19 +62,18 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
     sim = Simulator(cfg.topology, seed, cfg.fault_plan)
     provider = CryptoProvider()
 
-    clients = cfg.client_ids()
     admin_id = cfg.admin_id
-    authorized = frozenset(clients) | {admin_id}
+    authorized = frozenset(cfg.client_ids()) | {admin_id}
     for c in list(authorized):
         provider.register_principal(c)
 
     if mode == "flat-bft":
-        return _build_flat(cfg, seed, sim, provider, authorized, clients, admin_id)
+        return _build_flat(cfg, seed, sim, provider, authorized)
 
     ag_members = cfg.agreement_members()
-    provider.register_group(GroupKey(AGREEMENT, 0), ag_members)
+    provider.register_group(group_key(AGREEMENT_GROUP), ag_members)
     for gid in cfg.all_group_ids():
-        provider.register_group(GroupKey(EXECUTION, gid), cfg.group_members(gid))
+        provider.register_group(group_key(gid), cfg.group_members(gid))
 
     factory = EndpointFactory(irmc, cfg)
     zone_count = cfg.topology.regions[cfg.agreement_region]
@@ -120,30 +113,15 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
             sim.register(nid, node, region, i % zones)
             executions[gid].append(node)
 
-    client_nodes = _build_clients(cfg, seed, sim, provider, clients, ag_members)
-
-    admin_node = None
-    if cfg.admin_actions:
-        script = tuple(
-            AdminAction(at_ms=a["at_ms"], action=a["action"], group=int(a["group"]),
-                        region=cfg.region_of_group(int(a["group"]))
-                        if a["action"] == "add" else "",
-                        members=cfg.group_members(int(a["group"]))
-                        if a["action"] == "add" else ())
-            for a in cfg.admin_actions)
-        workload = Workload(issue_until_ms=cfg.duration_ms)
-        admin_node = ClientNode(admin_id, sim, BoundCrypto(provider, admin_id),
-                                cfg.fault_params.f_a, cfg.fault_params.f_e,
-                                ag_members, workload, seed, admin_script=script)
-        sim.register(admin_id, admin_node, cfg.agreement_region, 0)
-
+    client_nodes = _build_clients(cfg, seed, sim, provider, ag_members)
+    admin_node = client_nodes.pop() if cfg.admin_actions else None
     return System(sim, cfg, agreement, executions, client_nodes, admin_node, [])
 
 
-def _build_flat(cfg, seed, sim, provider, authorized, clients, admin_id):
+def _build_flat(cfg, seed, sim, provider, authorized):
     n = cfg.fault_params.agreement_size
     members = tuple(ReplicaId(AGREEMENT, 0, i) for i in range(n))
-    provider.register_group(GroupKey(AGREEMENT, 0), members)
+    provider.register_group(group_key(AGREEMENT_GROUP), members)
     regions = [cfg.agreement_region] + sorted(r for r in cfg.topology.regions
                                               if r != cfg.agreement_region)
     flat = []
@@ -155,28 +133,36 @@ def _build_flat(cfg, seed, sim, provider, authorized, clients, admin_id):
         sim.register(nid, node, region, i // len(regions) % cfg.topology.regions[region])
         flat.append(node)
 
-    client_nodes = _build_clients(cfg, seed, sim, provider, clients, members,
-                                  static_group=(0, members, cfg.fault_params.f_a + 1))
+    client_nodes = _build_clients(
+        cfg, seed, sim, provider, members,
+        static_group=(AGREEMENT_GROUP, members, cfg.fault_params.f_a + 1))
     return System(sim, cfg, [], {}, client_nodes, None, flat)
 
 
-def _build_clients(cfg, seed, sim, provider, clients, contacts, static_group=None):
+def _build_clients(cfg, seed, sim, provider, contacts, static_group=None):
     """One ClientNode per client spec, registered in spec order. contacts
-    answer registry queries; flat mode also pins the group (static_group)."""
+    answer registry queries; flat mode also pins the group (static_group).
+    A spider or oracle run with admin actions then adds the admin client,
+    which issues no workload, in the agreement region's zone 0; flat
+    replicas order no admin requests."""
+    specs = list(zip(cfg.client_ids(), cfg.clients, [()] * len(cfg.clients)))
+    if cfg.admin_actions and static_group is None:
+        script = tuple(
+            AdminAction(at_ms=a["at_ms"], action=a["action"], group=int(a["group"]),
+                        region=cfg.region_of_group(int(a["group"]))
+                        if a["action"] == "add" else "",
+                        members=cfg.group_members(int(a["group"]))
+                        if a["action"] == "add" else ())
+            for a in cfg.admin_actions)
+        idle = ClientSpec(region=cfg.agreement_region, zone=0, strong_rate_per_s=0.0,
+                          weak_rate_per_s=0.0, write_fraction=1.0)
+        specs.append((cfg.admin_id, idle, script))
     client_nodes = []
-    for nid, spec in zip(clients, cfg.clients):
-        workload = Workload(
-            strong_rate_per_s=spec.strong_rate_per_s,
-            weak_rate_per_s=spec.weak_rate_per_s,
-            write_fraction=spec.write_fraction,
-            value_size=spec.value_size,
-            key_space=spec.key_space,
-            issue_until_ms=cfg.issue_until_ms,
-            start_ms=spec.start_ms,
-        )
+    for nid, spec, script in specs:
         node = ClientNode(nid, sim, BoundCrypto(provider, nid),
-                          cfg.fault_params.f_a, cfg.fault_params.f_e,
-                          contacts, workload, seed, static_group=static_group)
+                          cfg.fault_params.f_a, cfg.fault_params.f_e, contacts,
+                          spec, cfg.issue_until_ms, seed,
+                          static_group=static_group, admin_script=script)
         sim.register(nid, node, spec.region, spec.zone % cfg.topology.regions[spec.region])
         client_nodes.append(node)
     return client_nodes

@@ -24,9 +24,8 @@ DEFAULT_PARAMS = {"z": 0, "retransmit_ms": 0.0, "flat_view_timeout_ms": 600.0}
 SCENARIO_KEYS = ("name", "mode", "irmc", "duration_ms", "issue_until_ms", "warmup_ms",
                  "f_a", "f_e", "topology", "agreement_region", "groups", "pending_groups",
                  "clients", "params", "faults", "beyond_threshold", "admin")
-TOPOLOGY_KEYS = ("regions", "wan_ms", "inter_zone_ms", "intra_zone_ms", "jitter_ms", "proc_ms")
-CLIENT_KEYS = ("count", "region", "rate_per_s", "zone", "mix", "value_size", "key_space",
-               "start_ms")
+TOPOLOGY_KEYS = ("regions", "wan_ms", "inter_zone_ms", "intra_zone_ms", "jitter_ms")
+CLIENT_KEYS = ("count", "region", "rate_per_s", "zone", "mix", "start_ms")
 MIX_KEYS = ("write", "read_strong", "read_weak")
 GROUP_KEYS = ("id", "region")
 FAULT_KEYS = ("node", "kind", "at_ms", "until_ms", "strategy", "rate")
@@ -44,8 +43,6 @@ class ClientSpec:
     strong_rate_per_s: float
     weak_rate_per_s: float
     write_fraction: float
-    value_size: int = 32
-    key_space: int = 16
     start_ms: float = 0.0
 
 
@@ -197,7 +194,6 @@ def _from_dict(raw: dict) -> ScenarioConfig:
             inter_zone_ms=float(topo_raw.get("inter_zone_ms", 1.0)),
             intra_zone_ms=float(topo_raw.get("intra_zone_ms", 0.1)),
             jitter_ms=float(topo_raw.get("jitter_ms", 0.0)),
-            proc_ms=float(topo_raw.get("proc_ms", 0.0)),
         )
     params = dict(DEFAULT_PARAMS)
     with _field("params"):
@@ -215,11 +211,17 @@ def _from_dict(raw: dict) -> ScenarioConfig:
             count = int(spec.get("count", 1))
             rate = float(spec.get("rate_per_s", 10.0))
             mix = _known_keys(spec.get("mix", {"write": 1.0}), MIX_KEYS, f"clients[{n}].mix")
-            weak_frac = float(mix.get("read_weak", 0.0))
+            with _field(f"clients[{n}].mix"):
+                fracs = {key: float(mix.get(key, 0.0)) for key in MIX_KEYS}
+                if not all(0.0 <= x <= 1.0 for x in fracs.values()) \
+                        or abs(sum(fracs.values()) - 1.0) > 1e-9:
+                    raise ValueError(f"fractions {fracs} must each lie in [0, 1] "
+                                     "and sum to 1")
+            weak_frac = fracs["read_weak"]
             strong_frac = 1.0 - weak_frac
             write_frac_of_strong = 1.0
             if strong_frac > 0:
-                write_frac_of_strong = float(mix.get("write", strong_frac)) / strong_frac
+                write_frac_of_strong = fracs["write"] / strong_frac
             for i in range(count):
                 clients.append(ClientSpec(
                     region=str(spec["region"]),
@@ -227,8 +229,6 @@ def _from_dict(raw: dict) -> ScenarioConfig:
                     strong_rate_per_s=rate * strong_frac,
                     weak_rate_per_s=rate * weak_frac,
                     write_fraction=min(1.0, write_frac_of_strong),
-                    value_size=int(spec.get("value_size", 32)),
-                    key_space=int(spec.get("key_space", 16)),
                     start_ms=float(spec.get("start_ms", 0.0)),
                 ))
     if not isinstance(raw.get("beyond_threshold", False), bool):
@@ -277,7 +277,11 @@ def _group_regions(entries, name: str) -> dict:
     groups = {}
     for n, g in enumerate(entries):
         _known_keys(g, GROUP_KEYS, f"{name}[{n}]")
-        groups[int(g["id"])] = str(g["region"])
+        gid = int(g["id"])
+        if gid < 1:
+            raise ScenarioError(f"{name}[{n}].id: execution group ids start at 1 "
+                                "(0 names the agreement group)")
+        groups[gid] = str(g["region"])
     return groups
 
 

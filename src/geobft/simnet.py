@@ -40,7 +40,6 @@ class Topology:
     inter_zone_ms: float = 1.0
     intra_zone_ms: float = 0.1
     jitter_ms: float = 0.0
-    proc_ms: float = 0.0  # fixed per-message handling cost at the receiver
 
     def latency(self, a: tuple, b: tuple) -> float:
         (ra, za), (rb, zb) = a, b
@@ -314,7 +313,7 @@ class Simulator:
         topology = self.topology
         self.counters.count(type(env.payload).__name__, src_place[0] != dst_place[0],
                             env.wire_size(), channel)
-        delay = topology.latency(src_place, dst_place) + topology.proc_ms
+        delay = topology.latency(src_place, dst_place)
         if topology.jitter_ms:
             delay += self.rng.random() * topology.jitter_ms
         self._push(now + delay, src, self._deliver, (src, dst, env))

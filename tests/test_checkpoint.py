@@ -2,8 +2,18 @@
 and gossip that reaches only the members behind."""
 from collections import Counter
 
+import pytest
+
+from geobft.agreement import COMMIT_CAPACITY, AgreementReplica
 from geobft.checkpoint import CheckpointComponent
-from geobft.core import BoundCrypto, CryptoProvider, GroupKey, ReplicaId, hash_bytes
+from geobft.core import (
+    BoundCrypto,
+    CryptoProvider,
+    GroupKey,
+    ReplicaId,
+    canonical_decode,
+    hash_bytes,
+)
 from geobft.core.messages import Checkpoint, CpAnnounce, CpState
 from geobft.harness import run_scenario
 from geobft.protocol import ProtocolNode
@@ -201,3 +211,25 @@ def test_all_correct_run_sends_no_announce():
     assert [k for k in system.sim.counters.msgs if k[0] == "CpAnnounce"] == []
     assert [r for r in trace.events("net_drop") if r[4] == "CpAnnounce"] == []
     assert all(ok for ok, _ in report.verdicts.values())
+
+
+@pytest.mark.parametrize("irmc", ["rc", "sc"])
+def test_stable_agreement_history_is_the_delivered_tail(irmc, monkeypatch):
+    """on_stable_agreement_cp moves the commit channels to s - min(s,
+    COMMIT_CAPACITY) + 1 without decoding the state: it holds the history
+    of exactly the sequences max(1, s - 31)..s. lag-catchup's replicas
+    also jump to a transferred state."""
+    stable = []
+    on_stable = AgreementReplica.on_stable_agreement_cp
+
+    def recording(replica, s, state):
+        stable.append((s, state, s > replica.s_n))
+        on_stable(replica, s, state)
+
+    monkeypatch.setattr(AgreementReplica, "on_stable_agreement_cp", recording)
+    run_scenario("lag-catchup", 1, irmc=irmc)
+    assert any(jumped for _, _, jumped in stable)
+    for s, state, _ in stable:
+        cp_s, _, hist, _, _ = canonical_decode(state)
+        assert cp_s == s
+        assert [hs for hs, _ in hist] == list(range(max(1, s - COMMIT_CAPACITY + 1), s + 1))

@@ -8,11 +8,20 @@ from geobft import cli
 from geobft.agreement import AG_WIN, COMMIT_CAPACITY, K_A
 from geobft.execution import K_E
 from geobft.scenario import (
+    ADMIN_KEYS,
+    CLIENT_KEYS,
     DEFAULT_PARAMS,
+    FAULT_KEYS,
+    GROUP_KEYS,
+    MIX_KEYS,
+    SCENARIO_DIR,
+    SCENARIO_KEYS,
+    TOPOLOGY_KEYS,
     ScenarioError,
     load_scenario,
     shipped_scenarios,
 )
+from tests.test_perfbench_inputs import SCENARIO_WORKLOADS, workloads
 
 BASE = {
     "name": "x", "mode": "spider", "irmc": "rc", "duration_ms": 1000,
@@ -70,6 +79,59 @@ def test_kept_params_load(params):
     (key, value), = params.items()
     assert cfg.params[key] == value
     assert cfg.params == {**DEFAULT_PARAMS, **params}
+
+
+# the client and topology knobs that no workload varied, now constants
+# (client.VALUE_SIZE, client.KEY_SPACE) or gone (proc_ms)
+REMOVED_KEYS = [(("clients", 0, "value_size"), r"clients\[0\]: unknown field 'value_size'"),
+                (("clients", 0, "key_space"), r"clients\[0\]: unknown field 'key_space'"),
+                (("topology", "proc_ms"), r"topology: unknown field 'proc_ms'")]
+
+
+@pytest.mark.parametrize("path,named", REMOVED_KEYS, ids=[p[-1] for p, _ in REMOVED_KEYS])
+def test_removed_key_is_rejected_by_name(path, named):
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(_set(BASE, path, 1))
+
+
+def _keys_in_use():
+    """(schema table name, key) for every key that a shipped scenario or a
+    perfbench-generated scenario sets."""
+    raws = [json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+            for name in shipped_scenarios()]
+    raws += [workloads.WORKLOADS[w][1](seed) for w in SCENARIO_WORKLOADS for seed in (1, 2, 3)]
+    used = set()
+    for raw in raws:
+        used |= {("scenario", k) for k in raw}
+        used |= {("topology", k) for k in raw["topology"]}
+        used |= {("params", k) for k in raw.get("params", {})}
+        for spec in raw["clients"]:
+            used |= {("client", k) for k in spec}
+            used |= {("mix", k) for k in spec.get("mix", {})}
+        for table, entries in (("group", raw["groups"] + raw.get("pending_groups", [])),
+                               ("fault", raw.get("faults", [])),
+                               ("admin", raw.get("admin", []))):
+            used |= {(table, k) for entry in entries for k in entry}
+    return used
+
+
+# Keys no shipped or generated scenario sets, with the reason each stays.
+UNUSED_KEYS_KEPT = {
+    # lossy links: test_lossy_links_recover_with_retransmission sets it, and
+    # a generator of valid scenarios will draw it
+    ("fault", "rate"),
+}
+
+
+def test_every_scenario_key_is_set_by_some_workload():
+    """A knob that no workload sets has one value in use: it becomes a constant."""
+    tables = {"scenario": SCENARIO_KEYS, "topology": TOPOLOGY_KEYS, "params": DEFAULT_PARAMS,
+              "client": CLIENT_KEYS, "mix": MIX_KEYS, "group": GROUP_KEYS,
+              "fault": FAULT_KEYS, "admin": ADMIN_KEYS}
+    schema = {(table, k) for table, keys in tables.items() for k in keys}
+    used = _keys_in_use()
+    assert used <= schema
+    assert schema - used == UNUSED_KEYS_KEPT
 
 
 def test_z_bounded_by_group_count():
@@ -152,6 +214,12 @@ MALFORMED = [
     (("faults",), [dict(FAULT, at=5)], r"faults\[0\]: unknown field 'at'"),
     (("admin",), [{"at_ms": 100, "action": "remove", "group": 2, "when": 1}],
      r"admin\[0\]: unknown field 'when'"),
+    # each mix fraction lies in [0, 1] and together they sum to 1
+    (("clients", 0, "mix"), {"read_weak": 1.5}, r"clients\[0\]\.mix: fractions"),
+    (("clients", 0, "mix"), {"write": 0.2, "read_strong": 0.2}, r"clients\[0\]\.mix: fractions"),
+    (("clients", 0, "mix"), {"write": -0.5, "read_weak": 1.5}, r"clients\[0\]\.mix: fractions"),
+    # group id 0 names the agreement group
+    (("groups", 0, "id"), 0, r"groups\[0\]\.id: execution group ids start at 1"),
 ]
 
 

@@ -1,4 +1,6 @@
 """Simulator guarantees: determinism, latency model, conservation, faults."""
+import pytest
+
 from geobft.core import (
     BoundCrypto,
     ClientId,
@@ -369,19 +371,16 @@ def first_strong_request(net_spy, mode):
     return system, sent
 
 
-def test_spider_client_request_is_one_shared_envelope(net_spy):
-    system, sent = first_strong_request(net_spy, "spider")
-    members = tuple(n.nid for n in system.executions[1])
+@pytest.mark.parametrize("mode", ["spider", "flat-bft"])
+def test_client_request_is_one_shared_envelope(net_spy, mode):
+    """The client MACs for its group in both modes: an execution group in
+    spider mode, the flat replica set in flat mode."""
+    system, sent = first_strong_request(net_spy, mode)
+    if mode == "spider":
+        members, scope = tuple(n.nid for n in system.executions[1]), GroupKey("ex", 1)
+    else:
+        members, scope = tuple(n.nid for n in system.flat), GroupKey("ag", 0)
     first = sent[:len(members)]
     assert [dst for dst, _ in first] == list(members)
     assert len({id(env) for _, env in first}) == 1
-    assert first[0][1].auth[0].scope == GroupKey("ex", 1)
-
-
-def test_flat_client_request_is_one_envelope_per_member(net_spy):
-    system, sent = first_strong_request(net_spy, "flat-bft")
-    members = tuple(n.nid for n in system.flat)
-    first = sent[:len(members)]
-    assert [dst for dst, _ in first] == list(members)
-    assert len({id(env) for _, env in first}) == len(members)
-    assert [env.auth[0].scope for _, env in first] == list(members)
+    assert first[0][1].auth[0].scope == scope
