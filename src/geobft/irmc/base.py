@@ -6,6 +6,17 @@ SenderEndpoint and ReceiverEndpoint. Windows slide by the (f+1)-highest
 move rule of core/quorum.py. The two variants differ only in how the
 f_s+1 quorum is collected (rc: at each receiver; sc: at a sender-side
 collector) and in how a receiver move is announced to the senders.
+
+A sender sends its window moves (on the window's advance and on every
+retransmit tick) only to the receivers behind them: SenderEndpoint.behind
+lists the receivers whose shown move is below the position. Skipping the
+others changes nothing at them. A correct receiver's window start is at
+least every move it has announced (move_window advances the window, and
+the sc collector switch announces window.start). backed_position ignores
+an ask at or below current, so a sender move at or below a receiver's
+shown move cannot change that receiver's window, its TooOld outcomes or
+its pending receives. A receiver that inflates its moves silences only
+its own syncs.
 """
 from __future__ import annotations
 
@@ -167,13 +178,23 @@ class SenderEndpoint(EndpointBase):
         self._trace("ch_move_call", sc=sc, p=p, side="s")
         self._sync_receivers(sc, p)
 
+    def behind(self, sc, p) -> list:
+        """The receivers, in cfg.receivers order, whose shown move on sc is below p."""
+        shown = self.recv_moves.get(sc, {})
+        return [r for r in self.cfg.receivers if shown.get(r, 0) < p]
+
     def _sync_receivers(self, sc, start):
         # also tells lagging receivers the window passed them; quorum-backed
         # by the receiver moves that advanced this window in the first place
         if start <= self.moves_sent.get(sc, 0):
             return
         self.moves_sent[sc] = start
-        self._broadcast(self.cfg.receivers, ChMove(self.cfg.channel, sc, start))
+        self._send_move(sc, start)
+
+    def _send_move(self, sc, p):
+        dsts = self.behind(sc, p)
+        if dsts:
+            self._broadcast(dsts, ChMove(self.cfg.channel, sc, p))
 
     def _receiver_moved(self, src, sc, p):
         """Receiver src asked for p; the window follows the f_r+1-highest ask."""
@@ -211,7 +232,7 @@ class SenderEndpoint(EndpointBase):
             return
         self._resend()
         for sc, p in self.moves_sent.items():
-            self._broadcast(self.cfg.receivers, ChMove(self.cfg.channel, sc, p))
+            self._send_move(sc, p)
 
     def close(self) -> None:
         # blocked sends resolve as no-ops so fan-out joins cannot deadlock

@@ -4,9 +4,10 @@ Senders exchange signed hashes of their Sends inside the sender group;
 a collector assembles f_s+1 matching shares into one Certificate per
 receiver. Periodic Progress claims let receivers police collectors that
 withhold certificates and switch to a different one after a timeout. A
-sender claims progress only to the receivers not known, by their moves,
-to be past some claimed position: a receiver waiting on q has not moved
-past q, so every claim >= q still reaches it.
+sender claims progress only to the receivers behind some claim (for a
+claimed (sc, p), SenderEndpoint.behind(sc, p+1), the rule its window
+moves follow): a receiver waiting on q has not moved past q, so every
+claim >= q still reaches it.
 Windows, blocked sends and moves come from the shared endpoints in
 base.py; a receiver's moves also name its collector.
 """
@@ -126,11 +127,10 @@ class ScSender(SenderEndpoint):
                 p += 1
             pvec.append((sc, p))
         # a receiver whose move passed every claim waits on none of them
-        moves = self.recv_moves
-        behind = [r for r in self.cfg.receivers
-                  if any(moves.get(sc, {}).get(r, 0) <= p for sc, p in pvec)]
-        if behind:
-            self._broadcast(behind, ChProgress(self.cfg.channel, tuple(pvec)))
+        waiting = {r for sc, p in pvec for r in self.behind(sc, p + 1)}
+        if waiting:
+            dsts = [r for r in self.cfg.receivers if r in waiting]
+            self._broadcast(dsts, ChProgress(self.cfg.channel, tuple(pvec)))
 
     def _resend(self):
         for sc, held in self.content.items():

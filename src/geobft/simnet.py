@@ -257,6 +257,7 @@ class Simulator:
         self._places: dict = {}
         self._slots: dict = {}  # owner -> [order key, last sequence number]
         self._stopped = False
+        self._started = 0  # registered nodes already started, in registration order
 
     # -- wiring ------------------------------------------------------------
 
@@ -345,7 +346,10 @@ class Simulator:
         self._stopped = True
 
     def run_until(self, t_end: float) -> None:
-        for node in list(self._nodes.values()):
+        """Run events up to t_end; nodes registered since the last call start first."""
+        fresh = list(self._nodes.values())[self._started:]
+        self._started += len(fresh)
+        for node in fresh:
             start = getattr(node, "start", None)
             if start is not None:
                 start()

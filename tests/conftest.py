@@ -21,7 +21,7 @@ class Channel:
 
     def __init__(self, variant="rc", n_s=3, n_r=4, f_s=1, f_r=1, capacity=4,
                  seed=1, wan=10.0, fault_plan=None, progress_ms=20.0,
-                 collector_timeout_ms=80.0):
+                 collector_timeout_ms=80.0, retransmit_ms=0.0):
         sender_cls, receiver_cls = VARIANTS[variant]
         self.sim = Simulator(small_topology(wan, n_s, n_r), seed,
                              fault_plan or FaultPlan())
@@ -32,6 +32,7 @@ class Channel:
             self.provider.register_principal(nid)
         self.cfg = ChannelConfig(ChannelId("req", 1), self.senders, self.receivers,
                                  f_s, f_r, capacity=capacity,
+                                 retransmit_ms=retransmit_ms,
                                  progress_ms=progress_ms,
                                  collector_timeout_ms=collector_timeout_ms)
         self.nodes = {}

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from geobft.core.messages import ChProgress
+from geobft.core.messages import ChMove, ChProgress
 from geobft.irmc import RcReceiver, RcSender, ScReceiver, ScSender
 from geobft.irmc import conformance
 from geobft.irmc.conformance import make_factory, run_conformance, run_schedule
@@ -39,12 +39,15 @@ def test_schedule_deterministic(variant):
 # trace digests) of one f=2 batch. A change that alters channel behaviour
 # on purpose updates the literals and says why.
 PINNED_BATCH = {
-    "rc": (944, 32, [], "ad3c941a322b4fc5cf56e40bf464802d"),
-    "sc": (678, 241, [], "f054a008604921ad892252395fe472c9"),
+    "rc": (944, 32, [], "165869c6654cae78d95a34e70cbbbc0f"),
+    "sc": (676, 245, [], "4b720127f5470ac8ab4803e1136ba27d"),
 }
 # ChProgress sends of the same batch: sc senders claim progress only to the
 # receivers not known to be past every claim, and rc has no progress claims.
-PINNED_PROGRESS_SENDS = {"rc": 0, "sc": 9327}
+PINNED_PROGRESS_SENDS = {"rc": 0, "sc": 9316}
+# ChMove sends of the same batch, both directions: a sender sends its window
+# move only to the receivers whose shown move is below it.
+PINNED_MOVE_SENDS = {"rc": 11089, "sc": 11043}
 
 
 @pytest.mark.parametrize("variant", sorted(PINNED_BATCH))
@@ -57,11 +60,14 @@ def test_pinned_conformance_batch(variant, monkeypatch):
         return original(trace, *args)
 
     progress = []
+    moves = []
     send = Simulator.send
 
     def counted_send(sim, src, dst, env, channel=None):
         if type(env.payload) is ChProgress:
             progress.append(dst)
+        elif type(env.payload) is ChMove:
+            moves.append(dst)
         send(sim, src, dst, env, channel)
 
     monkeypatch.setattr(conformance, "audit_schedule", audit)
@@ -71,7 +77,8 @@ def test_pinned_conformance_batch(variant, monkeypatch):
     joined = hashlib.blake2b("".join(digests).encode(), digest_size=16).hexdigest()
     assert (report.deliveries, report.too_olds, report.failures, joined) == \
         PINNED_BATCH[variant]
-    assert len(progress) == PINNED_PROGRESS_SENDS[variant]
+    assert (len(progress), len(moves)) == \
+        (PINNED_PROGRESS_SENDS[variant], PINNED_MOVE_SENDS[variant])
 
 
 @pytest.fixture(scope="module")

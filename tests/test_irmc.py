@@ -275,3 +275,82 @@ class TestWideAreaEconomy:
         assert all(v for v in done.values())
         sent = NetSpy.payloads(spy.sent, payload_kind)
         assert len(sent) == per_payload * positions
+
+
+@pytest.mark.parametrize("variant", ["rc", "sc"])
+class TestSenderMoves:
+    """A sender sends a window move only to the receivers whose shown move
+    is below it, on the window's advance and on each retransmit tick."""
+
+    @staticmethod
+    def _moves_to(ch, spy):
+        """Per receiver, the ChMove sends the senders made to it so far."""
+        got = {r: 0 for r in ch.receivers}
+        for src, dst, env in spy.sent:
+            if src in ch.senders and type(env.payload) is ChMove:
+                got[dst] += 1
+        return got
+
+    def test_no_sync_to_a_receiver_that_showed_the_move(self, variant, net_spy):
+        ch = Channel(variant)
+        spy = net_spy(ch.sim)
+        r0, r1, r2, r3 = ch.receivers
+        for ep in ch.r_eps[:2]:  # f_r+1 moves advance every sender window
+            ep.move_window(0, 11)
+        ch.run(500)
+        assert all(ep.window(0).start == 11 for ep in ch.s_eps + ch.r_eps)
+        assert self._moves_to(ch, spy) == {r0: 0, r1: 0, r2: 3, r3: 3}
+        # every receiver has now shown 11: a retransmit pass sends no move
+        del spy.sent[:]
+        for ep in ch.s_eps:
+            ep._retransmit()
+        assert NetSpy.payloads(spy.sent, "ChMove") == []
+
+    def test_partitioned_receiver_gets_the_move_and_resolves_too_old(self, variant,
+                                                                    net_spy):
+        lagging = ReplicaId("ag", 0, 3)
+        plan = FaultPlan()
+        plan.faults[lagging] = NodeFault("partition", at_ms=0.0, until_ms=250.0)
+        ch = Channel(variant, fault_plan=plan, retransmit_ms=100.0)
+        spy = net_spy(ch.sim)
+        got = []
+        ch.r_eps[3].receive(0, 5, collect(got))
+        for ep in ch.r_eps[:3]:
+            ep.move_window(0, 8)
+        ch.run(50)
+        first = self._moves_to(ch, spy)
+        assert first[lagging] == 3
+        assert first[ch.receivers[0]] == first[ch.receivers[1]] == 0
+        del spy.sent[:]
+        ch.run(1000)
+        assert got == [TooOld(8)]  # a tick after the partition heals
+        # ticks at 100, 200 and 300 ms from each of three senders
+        assert self._moves_to(ch, spy) == {r: 9 if r == lagging else 0
+                                           for r in ch.receivers}
+
+    def test_inflated_move_silences_only_the_liar(self, variant, net_spy):
+        ch = Channel(variant)
+        spy = net_spy(ch.sim)
+        liar, r1, r2, r3 = ch.receivers
+        for ep in ch.s_eps:
+            ep.handle(liar, ChMove(ch.cfg.channel, 0, 1000, collector=0, counter=1))
+        ch.r_eps[1].move_window(0, 11)
+        ch.run(500)
+        assert all(ep.window(0).start == 11 for ep in ch.s_eps)
+        assert self._moves_to(ch, spy) == {liar: 0, r1: 0, r2: 3, r3: 3}
+        assert ch.r_eps[2].window(0).start == ch.r_eps[3].window(0).start == 11
+
+    def test_tick_resends_moves_only_to_receivers_behind(self, variant, net_spy):
+        lagging = ReplicaId("ag", 0, 3)
+        plan = FaultPlan()
+        plan.faults[lagging] = NodeFault("partition", at_ms=0.0, until_ms=float("inf"))
+        ch = Channel(variant, fault_plan=plan, retransmit_ms=100.0)
+        spy = net_spy(ch.sim)
+        for ep in ch.r_eps[:3]:
+            ep.move_window(0, 11)
+        ch.run(1000)
+        del spy.sent[:]
+        ch.run(1500)  # ticks at 1100 ... 1500
+        moves = self._moves_to(ch, spy)
+        assert moves.pop(lagging) == 5 * len(ch.senders)
+        assert set(moves.values()) == {0}

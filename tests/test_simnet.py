@@ -384,3 +384,22 @@ def test_client_request_is_one_shared_envelope(net_spy, mode):
     assert [dst for dst, _ in first] == list(members)
     assert len({id(env) for _, env in first}) == 1
     assert first[0][1].auth[0].scope == scope
+
+
+def test_split_run_starts_each_node_once():
+    """run_until starts a node once: a run split at several horizons sends
+    and records what one run to the last horizon does."""
+    from tests.conftest import Channel
+
+    def run(horizons):
+        plan = FaultPlan()
+        plan.faults[ReplicaId("ex", 1, 0)] = NodeFault("byzantine",
+                                                       strategy="garbage-inject")
+        ch = Channel("rc", fault_plan=plan)
+        for t in horizons:
+            ch.sim.run_until(t)
+        return ch.sim.counters.msgs, ch.sim.trace.digest()
+
+    whole = run([1000.0])
+    assert sum(whole[0].values()) == 40  # one garbage send per 25 ms
+    assert run([250.0, 500.0, 750.0, 1000.0]) == whole

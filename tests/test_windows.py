@@ -1,3 +1,6 @@
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from geobft.core.quorum import backed_position
 from geobft.irmc import (
     BLOCKED,
@@ -34,6 +37,21 @@ class TestReceiverWindowRule:
     def test_four_senders(self):
         req = {"S1": 3, "S2": 5, "S3": 8, "S4": 8}
         assert backed_position(req, 1, 6) == 8
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(asks=st.dictionaries(st.integers(0, 6), st.integers(0, 40), max_size=7),
+       f=st.integers(0, 3), current=st.integers(0, 40), who=st.integers(0, 7),
+       data=st.data())
+def test_ask_at_or_below_current_never_moves_the_window(asks, f, current, who, data):
+    """Adding an ask at or below current, or raising one to such a value,
+    leaves the rule's result as it was. A sender may therefore skip a
+    move to a receiver whose own moves (and so its window) reached it."""
+    lo = asks.get(who, -1) + 1
+    assume(lo <= current)
+    x = data.draw(st.integers(lo, current))
+    assert backed_position({**asks, who: x}, f, current) == \
+        backed_position(asks, f, current)
 
 
 class TestClassify:
