@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from operator import attrgetter
 from typing import Optional
 
 _TAG_NONE = 0
@@ -38,9 +39,10 @@ _HDR = struct.Struct(">BH")  # message tag + type code
 
 _BYTES_KEY = "_canonical"  # where a message instance keeps its encoding
 
-_type_header: dict[type, bytes] = {}
-_code_type: dict[int, type] = {}
+# class -> (message tag and type code, function giving its field values as a tuple)
+_layout: dict[type, tuple] = {}
 _type_fields: dict[type, tuple[str, ...]] = {}
+_code_type: dict[int, type] = {}
 
 
 class CodecError(ValueError):
@@ -55,13 +57,20 @@ def register_message(code: int):
             raise CodecError(f"duplicate message code {code}")
         if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
             raise CodecError(f"{cls.__name__} must be a frozen dataclass")
-        _type_header[cls] = _HDR.pack(_TAG_MSG, code)
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        _layout[cls] = (_HDR.pack(_TAG_MSG, code), _field_getter(names))
+        _type_fields[cls] = names
         _code_type[code] = cls
-        _type_fields[cls] = tuple(f.name for f in dataclasses.fields(cls))
-        _encoders[cls] = _encode_message
         return cls
 
     return deco
+
+
+def _field_getter(names: tuple):
+    """A function giving a message's field values as a tuple, in order."""
+    if len(names) >= 2:
+        return attrgetter(*names)  # gives a tuple for two or more names
+    return lambda msg: tuple(getattr(msg, name) for name in names)
 
 
 def message_store(value) -> Optional[dict]:
@@ -70,91 +79,71 @@ def message_store(value) -> Optional[dict]:
     Values kept there are derived from the message's fields, so equal
     instances may hold them or not without any visible difference.
     """
-    return value.__dict__ if type(value) in _type_header else None
+    return value.__dict__ if type(value) in _layout else None
 
 
 def _message_bytes(msg) -> bytes:
     store = msg.__dict__
     raw = store.get(_BYTES_KEY)
     if raw is None:
-        cls = type(msg)
-        out = bytearray(_type_header[cls])
-        for name in _type_fields[cls]:
-            _encode_into(getattr(msg, name), out)
+        header, fields = _layout[type(msg)]
+        out = bytearray(header)
+        _encode_values(fields(msg), out)
         raw = store[_BYTES_KEY] = bytes(out)
     return raw
 
 
-def _encode_none(value, out: bytearray) -> None:
-    out.append(_TAG_NONE)
+def _encode_values(values, out: bytearray) -> None:
+    """Append the encoding of each value to out: the one place that holds
+    each type's tag and length rule. A registered message is spliced in
+    from its stored bytes; a subclass of a built-in type (an IntEnum, say)
+    encodes as its base type."""
+    for value in values:
+        kind = type(value)
+        if kind in _layout:
+            raw = value.__dict__.get(_BYTES_KEY)
+            out += raw if raw is not None else _message_bytes(value)
+        elif kind is int:
+            if not 0 <= value < 1 << 64:
+                raise CodecError(f"integer out of u64 range: {value}")
+            out.append(_TAG_INT)
+            out += _U64.pack(value)
+        elif kind is bytes:
+            out.append(_TAG_BYTES)
+            out += _U32.pack(len(value))
+            out += value
+        elif value is None:
+            out.append(_TAG_NONE)
+        elif kind is tuple or kind is list:
+            out.append(_TAG_SEQ)
+            out += _U32.pack(len(value))
+            _encode_values(value, out)
+        elif kind is str:
+            raw = value.encode("utf-8")
+            out.append(_TAG_STR)
+            out += _U32.pack(len(raw))
+            out += raw
+        elif kind is bool:
+            out.append(_TAG_TRUE if value else _TAG_FALSE)
+        else:
+            _encode_values((_as_base_type(value),), out)
 
 
-def _encode_bool(value, out: bytearray) -> None:
-    out.append(_TAG_TRUE if value else _TAG_FALSE)
-
-
-def _encode_int(value, out: bytearray) -> None:
-    if not 0 <= value < 1 << 64:
-        raise CodecError(f"integer out of u64 range: {value}")
-    out.append(_TAG_INT)
-    out += _U64.pack(value)
-
-
-def _encode_bytes(value, out: bytearray) -> None:
-    out.append(_TAG_BYTES)
-    out += _U32.pack(len(value))
-    out += value
-
-
-def _encode_str(value, out: bytearray) -> None:
-    raw = value.encode("utf-8")
-    out.append(_TAG_STR)
-    out += _U32.pack(len(raw))
-    out += raw
-
-
-def _encode_seq(value, out: bytearray) -> None:
-    out.append(_TAG_SEQ)
-    out += _U32.pack(len(value))
-    for item in value:
-        _encode_into(item, out)
-
-
-def _encode_message(value, out: bytearray) -> None:
-    out += _message_bytes(value)
-
-
-# exact type -> encoder; register_message adds each message class
-_encoders: dict = {type(None): _encode_none, bool: _encode_bool, int: _encode_int,
-                   bytes: _encode_bytes, str: _encode_str,
-                   tuple: _encode_seq, list: _encode_seq}
-
-
-def _encode_into(value, out: bytearray) -> None:
-    encode = _encoders.get(type(value))
-    if encode is None:
-        encode = _encoder_by_isinstance(value)
-    encode(value, out)
-
-
-def _encoder_by_isinstance(value):
-    """The encoder for a subclass of a built-in type the codec knows."""
-    if isinstance(value, int):  # bool has no subclasses
-        return _encode_int
-    if isinstance(value, bytes):
-        return _encode_bytes
-    if isinstance(value, str):
-        return _encode_str
-    if isinstance(value, (tuple, list)):
-        return _encode_seq
+def _as_base_type(value):
+    """A subclass instance as a value of the built-in type the codec knows."""
+    for base in (int, bytes, str, tuple):  # bool has no subclasses
+        if isinstance(value, base):
+            return base(value)
+    if isinstance(value, list):
+        return tuple(value)
     raise CodecError(f"unregistered type: {type(value).__name__}")
 
 
 def canonical_encode(value) -> bytes:
-    if type(value) in _type_header:
+    if type(value) in _layout:
         return _message_bytes(value)
     out = bytearray()
-    _encode_into(value, out)
+    _encode_values((value,), out)
     return bytes(out)
 
 

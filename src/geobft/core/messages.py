@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .codec import canonical_encode, message_store, register_message
+from .codec import canonical_encode, register_message
 from .crypto import Sig
 from .ids import ClientId, ReplicaId
 
@@ -347,6 +347,8 @@ class RegistryInfo:
 # the Envelope message header (tag, type code) plus the auth tuple's
 # sequence header (tag, u32 length)
 _ENVELOPE_FRAMING = 8
+# a Sig's message header plus its digest's bytes header (tag, u32 length)
+_SIG_FRAMING = 8
 
 
 @register_message(72)
@@ -358,15 +360,19 @@ class Envelope:
     auth: tuple = field(default_factory=tuple)
 
     def wire_size(self) -> int:
-        """len(canonical_encode(self)), from the bytes the payload and each
-        authenticator already store, without encoding the envelope; kept in
-        the message store, so an envelope multicast to many is sized once."""
-        store = message_store(self)
+        """len(canonical_encode(self)), from the bytes the payload, each
+        signer and each other authenticator already store, without
+        encoding the envelope or a Sig; kept in the message store, so an
+        envelope multicast to many is sized once."""
+        store = self.__dict__  # this envelope's message store
         size = store.get("_wire_size")
         if size is None:
             size = _ENVELOPE_FRAMING + len(canonical_encode(self.payload))
             for a in self.auth:
-                size += len(canonical_encode(a))
+                if type(a) is Sig:
+                    size += _SIG_FRAMING + len(canonical_encode(a.signer)) + len(a.digest)
+                else:
+                    size += len(canonical_encode(a))
             store["_wire_size"] = size
         return size
 

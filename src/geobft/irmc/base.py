@@ -111,6 +111,7 @@ class EndpointBase:
         self.cfg = cfg
         self.node = node
         self._chan = str(cfg.channel)  # names the channel in traces and counters
+        self._me = str(node.nid)       # names the owning node in traces
         self.windows: dict[int, SubchannelWindow] = {}
         self.closed = False
         self.on_new_subchannel: Optional[Callable[[int], None]] = None
@@ -132,8 +133,8 @@ class EndpointBase:
                 self.on_new_subchannel(sc)
 
     def _trace(self, event: str, digest: str = "-", **data) -> None:
-        self.node.sim.trace.add(self.node.sim.now, event, self.node.nid, "-",
-                                self._chan, digest, **data)
+        sim = self.node.sim
+        sim.trace.add(sim.now, event, self._me, "-", self._chan, digest, **data)
 
     def _broadcast(self, dsts, msg) -> None:
         self.node.multicast_signed(dsts, msg, channel=self._chan)

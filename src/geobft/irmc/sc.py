@@ -14,6 +14,7 @@ base.py; a receiver's moves also name its collector.
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import Optional
 
 from ..core.messages import ChCert, ChMove, ChProgress, ChSend, ChShare
 from ..core.quorum import backed_position, certificate_signers, tally
@@ -39,6 +40,7 @@ class ScSender(SenderEndpoint):
         self.collector_of: dict = {
             r: r.index % len(cfg.senders) for r in cfg.receivers
         }
+        self._progress: Optional[ChProgress] = None  # reused while its claims hold
 
     def _transmit(self, sc, p, m):
         self.content.setdefault(sc, {})[p] = m
@@ -130,7 +132,11 @@ class ScSender(SenderEndpoint):
         waiting = {r for sc, p in pvec for r in self.behind(sc, p + 1)}
         if waiting:
             dsts = [r for r in self.cfg.receivers if r in waiting]
-            self._broadcast(dsts, ChProgress(self.cfg.channel, tuple(pvec)))
+            pvec = tuple(pvec)
+            msg = self._progress
+            if msg is None or msg.pvec != pvec:
+                msg = self._progress = ChProgress(self.cfg.channel, pvec)
+            self._broadcast(dsts, msg)
 
     def _resend(self):
         for sc, held in self.content.items():

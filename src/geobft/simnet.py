@@ -25,6 +25,7 @@ import heapq
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
 
 from .core import BoundCrypto, Mac, NodeId, Sig, hash_bytes
@@ -50,12 +51,20 @@ class Topology:
     def validate(self) -> None:
         if any(zones < 1 for zones in self.regions.values()):
             raise ValueError("every region needs at least one zone")
+        for name in ("inter_zone_ms", "intra_zone_ms", "jitter_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} is negative")
         names = set(self.regions)
         for pair, delay in self.wan_ms.items():
             if not pair <= names:
                 raise ValueError(f"latency entry {set(pair)} names unknown region")
+            if len(pair) != 2:
+                raise ValueError(f"latency entry {set(pair)} names one region twice")
             if delay < self.inter_zone_ms:
                 raise ValueError("inter-region delay below intra-region delay")
+        for a, b in combinations(sorted(names), 2):
+            if frozenset((a, b)) not in self.wan_ms:
+                raise ValueError(f"no WAN delay between {a} and {b}")
 
 
 FAULT_KINDS = ("crash", "partition", "byzantine", "lossy")
@@ -223,23 +232,69 @@ class Counters:
     """Message and byte accounting, split by WAN/local and channel."""
 
     def __init__(self):
-        self.msgs: dict = {}
-        self.bytes: dict = {}
-        self.channel_wan: dict = {}  # (channel str, payload type) -> count
+        self._tally: dict = {}  # (payload type, wan, channel) -> [messages, bytes]
 
     def count(self, kind: str, wan: bool, size: int, channel: Optional[str]):
-        key = (kind, wan)
-        self.msgs[key] = self.msgs.get(key, 0) + 1
-        self.bytes[key] = self.bytes.get(key, 0) + size
-        if wan and channel is not None:
-            ck = (channel, kind)
-            self.channel_wan[ck] = self.channel_wan.get(ck, 0) + 1
+        key = (kind, wan, channel)
+        tally = self._tally.get(key)
+        if tally is None:
+            self._tally[key] = [1, size]
+        else:
+            tally[0] += 1
+            tally[1] += size
+
+    def _totals(self, i: int) -> dict:
+        out: dict = {}
+        for (kind, wan, _), tally in self._tally.items():
+            out[kind, wan] = out.get((kind, wan), 0) + tally[i]
+        return out
+
+    @property
+    def msgs(self) -> dict:
+        """(payload type, wan) -> messages sent."""
+        return self._totals(0)
+
+    @property
+    def bytes(self) -> dict:
+        """(payload type, wan) -> bytes sent."""
+        return self._totals(1)
+
+    @property
+    def channel_wan(self) -> dict:
+        """(channel str, payload type) -> WAN messages sent on that channel."""
+        out: dict = {}
+        for (kind, wan, channel), tally in self._tally.items():
+            if wan and channel is not None:
+                out[channel, kind] = out.get((channel, kind), 0) + tally[0]
+        return out
 
     def wan_messages(self) -> int:
-        return sum(v for (_, wan), v in self.msgs.items() if wan)
+        return sum(t[0] for (_, wan, _), t in self._tally.items() if wan)
 
     def wan_bytes(self) -> int:
-        return sum(v for (_, wan), v in self.bytes.items() if wan)
+        return sum(t[1] for (_, wan, _), t in self._tally.items() if wan)
+
+
+class _Entry:
+    """What the simulator holds for one node id, found with one lookup per
+    message end: the node, its place, its row of the delay table, its fault
+    and its event-order slot (order key and last sequence number).
+
+    An entry is made when the id registers or first queues a timer,
+    whichever comes first, and reads the fault plan then. The order key is
+    assigned when the id first queues an event. The node is called through
+    its attributes at delivery time, so a handler patched on the instance
+    after registration is the one that runs.
+    """
+
+    __slots__ = ("nid", "node", "place", "region", "index", "delays", "fault", "order", "seq")
+
+    def __init__(self, nid, fault: Optional[NodeFault]):
+        self.nid = nid
+        self.node = self.place = self.region = self.index = self.delays = None
+        self.fault = fault
+        self.order = None
+        self.seq = 0
 
 
 class Simulator:
@@ -248,14 +303,18 @@ class Simulator:
         self.topology = topology
         self.rng = random.Random(seed)
         self.faults = fault_plan or FaultPlan()
-        self._fault_of = self.faults.faults.get  # NodeId -> NodeFault or None
         self.now = 0.0
         self.trace = TraceLog()
         self.counters = Counters()
         self._heap: list = []
-        self._nodes: dict = {}
-        self._places: dict = {}
-        self._slots: dict = {}  # owner -> [order key, last sequence number]
+        self._nodes: dict = {}    # registered NodeId -> node, in registration order
+        self._entries: dict = {}  # NodeId -> _Entry
+        self._owners = 0          # order keys assigned so far
+        # one-way delay between every two (region, zone) places, by place index
+        places = [(r, z) for r, zones in topology.regions.items() for z in range(zones)]
+        self._place_index = {place: i for i, place in enumerate(places)}
+        self._delays = [[topology.latency(a, b) for b in places] for a in places]
+        self._jitter = topology.jitter_ms
         self._stopped = False
         self._started = 0  # registered nodes already started, in registration order
 
@@ -264,11 +323,23 @@ class Simulator:
     def register(self, nid: NodeId, node, region: str, zone: int) -> None:
         if nid in self._nodes:
             raise ValueError(f"duplicate node {nid}")
+        place = (region, zone)
+        index = self._place_index.get(place)
+        if index is None:
+            raise ValueError(f"{nid}: no place {region}:{zone} in the topology")
+        entry = self._entry(nid)
+        entry.node, entry.place, entry.region = node, place, region
+        entry.index, entry.delays = index, self._delays[index]
         self._nodes[nid] = node
-        self._places[nid] = (region, zone)
+
+    def _entry(self, nid) -> _Entry:
+        entry = self._entries.get(nid)
+        if entry is None:
+            entry = self._entries[nid] = _Entry(nid, self.faults.for_node(nid))
+        return entry
 
     def place(self, nid) -> tuple:
-        return self._places[nid]
+        return self._entries[nid].place
 
     def nodes(self):
         return dict(self._nodes)
@@ -293,45 +364,46 @@ class Simulator:
     # A queued event is (time, order key, sequence number, fn, args); the
     # first three are unique, so fn(*args) runs without a closure per event.
 
-    def _push(self, time: float, owner, fn, args: tuple):
-        slot = self._slots.get(owner)
-        if slot is None:
+    def _push(self, time: float, owner: _Entry, fn, args: tuple):
+        order = owner.order
+        if order is None:
             # keys are assigned on first use; construction order is deterministic
-            slot = self._slots[owner] = [len(self._slots), 0]
-        slot[1] += 1
-        heapq.heappush(self._heap, (time, slot[0], slot[1], fn, args))
+            order = owner.order = self._owners
+            self._owners += 1
+        owner.seq += 1
+        heapq.heappush(self._heap, (time, order, owner.seq, fn, args))
 
     def send(self, src: NodeId, dst: NodeId, env: Envelope, channel: Optional[str] = None) -> None:
         """One-way transmission; applies crash/partition/loss at both ends."""
         now = self.now
-        fault = self._fault_of(src)
+        sender = self._entries[src]
+        fault = sender.fault
         if fault is not None and (self._fault_down(fault, now)
                                   or self._lossy_drop(fault, now)):
             self.trace.add(now, "net_drop", src, dst, type(env.payload).__name__)
             return
-        places = self._places
-        src_place, dst_place = places[src], places[dst]
-        topology = self.topology
-        self.counters.count(type(env.payload).__name__, src_place[0] != dst_place[0],
+        receiver = self._entries[dst]
+        self.counters.count(type(env.payload).__name__, sender.region != receiver.region,
                             env.wire_size(), channel)
-        delay = topology.latency(src_place, dst_place)
-        if topology.jitter_ms:
-            delay += self.rng.random() * topology.jitter_ms
-        self._push(now + delay, src, self._deliver, (src, dst, env))
+        delay = sender.delays[receiver.index]
+        if self._jitter:
+            delay += self.rng.random() * self._jitter
+        self._push(now + delay, sender, self._deliver, (src, receiver, env))
 
-    def _deliver(self, src, dst, env: Envelope) -> None:
-        fault = self._fault_of(dst)
+    def _deliver(self, src, receiver: _Entry, env: Envelope) -> None:
+        fault = receiver.fault
         if fault is not None and self._fault_down(fault, self.now):
-            self.trace.add(self.now, "net_drop", src, dst, type(env.payload).__name__)
+            self.trace.add(self.now, "net_drop", src, receiver.nid, type(env.payload).__name__)
             return
-        self._nodes[dst].handle_envelope(src, env)
+        receiver.node.handle_envelope(src, env)
 
     def after(self, owner: NodeId, delay: float, fn: Callable[[], None]) -> None:
         """Timer owned by a node; silently skipped if the owner is down when it fires."""
-        self._push(self.now + delay, owner, self._fire, (owner, fn))
+        entry = self._entry(owner)
+        self._push(self.now + delay, entry, self._fire, (entry, fn))
 
-    def _fire(self, owner, fn: Callable[[], None]) -> None:
-        fault = self._fault_of(owner)
+    def _fire(self, owner: _Entry, fn: Callable[[], None]) -> None:
+        fault = owner.fault
         if fault is None or not self._fault_down(fault, self.now):
             fn()
 

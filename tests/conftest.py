@@ -21,9 +21,9 @@ class Channel:
 
     def __init__(self, variant="rc", n_s=3, n_r=4, f_s=1, f_r=1, capacity=4,
                  seed=1, wan=10.0, fault_plan=None, progress_ms=20.0,
-                 collector_timeout_ms=80.0, retransmit_ms=0.0):
+                 collector_timeout_ms=80.0, retransmit_ms=0.0, jitter=0.0):
         sender_cls, receiver_cls = VARIANTS[variant]
-        self.sim = Simulator(small_topology(wan, n_s, n_r), seed,
+        self.sim = Simulator(small_topology(wan, n_s, n_r, jitter), seed,
                              fault_plan or FaultPlan())
         self.provider = CryptoProvider()
         self.senders = tuple(ReplicaId("ex", 1, i) for i in range(n_s))

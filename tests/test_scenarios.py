@@ -1,6 +1,7 @@
 """Scenario schema validation and the shipped catalogue."""
 import copy
 import json
+import re
 
 import pytest
 
@@ -274,3 +275,49 @@ def test_run_command_reports_a_malformed_scenario(tmp_path, capsys):
     path.write_text(json.dumps(variant(params={"k_a": 10})))
     assert cli.main(["run", str(path)]) == 2
     assert "params: unknown field 'k_a'" in capsys.readouterr().err
+
+
+THREE_REGIONS = {"V": 4, "O": 3, "S": 3}
+BAD_TOPOLOGIES = [
+    # a missing pair used to load and end the run with a KeyError at its first send
+    ({"regions": THREE_REGIONS, "wan_ms": {"V-O": 35, "V-S": 60}},
+     "topology: no WAN delay between O and S"),
+    ({"regions": {"V": 4, "O": 3}, "wan_ms": {}}, "topology: no WAN delay between O and V"),
+    ({"regions": {"V": 4, "O": 3}, "wan_ms": {"V-O": 35, "V-V": 35}},
+     "topology: latency entry {'V'} names one region twice"),
+    # a negative delay would schedule events in the past
+    ({"regions": {"V": 4, "O": 3}, "wan_ms": {"V-O": 35}, "jitter_ms": -1},
+     "topology: jitter_ms is negative"),
+    ({"regions": {"V": 4, "O": 3}, "wan_ms": {"V-O": 35}, "inter_zone_ms": -1},
+     "topology: inter_zone_ms is negative"),
+    ({"regions": {"V": 4, "O": 3}, "wan_ms": {"V-O": 35}, "intra_zone_ms": -0.1},
+     "topology: intra_zone_ms is negative"),
+]
+
+
+@pytest.mark.parametrize("topology,named", BAD_TOPOLOGIES,
+                         ids=[named.split(": ", 1)[1] for _, named in BAD_TOPOLOGIES])
+def test_bad_topology_raises_scenario_error_naming_it(topology, named):
+    with pytest.raises(ScenarioError, match=re.escape(named)):
+        load_scenario(variant(topology=topology))
+
+
+def test_every_region_pair_with_a_delay_loads():
+    topology = {"regions": THREE_REGIONS, "wan_ms": {"V-O": 35, "S-V": 60, "O-S": 45},
+                "jitter_ms": 0.0, "intra_zone_ms": 0.0}
+    cfg = load_scenario(variant(topology=topology))
+    assert cfg.topology.latency(("S", 0), ("O", 1)) == 45.0
+
+
+def test_single_region_topology_needs_no_wan_delay():
+    raw = variant(topology={"regions": {"V": 4}, "wan_ms": {}},
+                  groups=[{"id": 1, "region": "V"}])
+    assert load_scenario(raw).topology.wan_ms == {}
+
+
+def test_benchmark_scenario_without_one_pair_does_not_load():
+    """Before, it loaded and the run died with a KeyError at its first I-T send."""
+    raw = workloads.writes_rc(1)
+    del raw["topology"]["wan_ms"]["I-T"]
+    with pytest.raises(ScenarioError, match="topology: no WAN delay between I and T"):
+        load_scenario(raw)

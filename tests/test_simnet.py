@@ -174,6 +174,49 @@ def test_send_counts_full_envelope_encoding():
     assert len(nodes[c].got) == 1
 
 
+def test_send_counts_full_envelope_encoding_for_any_signer():
+    """A Sig is sized from its signer's stored bytes: a client id, which
+    encodes shorter than a replica id, a replica id with multi-digit group
+    and index, and a group-scoped Mac beside a Sig all count a full encode."""
+    client, wide, b = ClientId(3), ReplicaId("ex", 12, 345), ReplicaId("ag", 0, 0)
+    sim = Simulator(small_topology(), 1)
+    provider = CryptoProvider()
+    group = GroupKey("ag", 0)
+    provider.register_group(group, [b])
+    nodes = {}
+    for zone, nid in enumerate((client, wide)):
+        provider.register_principal(nid)
+        nodes[nid] = Echo(nid, sim, BoundCrypto(provider, nid))
+        sim.register(nid, nodes[nid], "S", zone)
+    nodes[b] = Echo(b, sim, BoundCrypto(provider, b))
+    sim.register(b, nodes[b], "R", 0)
+
+    sent = []
+    send = sim.send
+
+    def spy(src, dst, env, channel=None):
+        before = sum(sim.counters.bytes.values())
+        send(src, dst, env, channel)
+        sent.append((env, sum(sim.counters.bytes.values()) - before))
+
+    sim.send = spy
+    write = Write(b"put k v", client, 1)
+    nodes[client].send_signed(b, write)
+    nodes[wide].send_signed(b, ChSend(ChannelId("req", 12), 0, 1, write))
+    crypto = nodes[client].crypto
+    nodes[client].net_send((b,), Write(b"op", client, 2),
+                           lambda p: (crypto.sign(p), crypto.mac(group, p)))
+    assert [[type(a).__name__ for a in env.auth] for env, _ in sent] == [
+        ["Sig"], ["Sig"], ["Sig", "Mac"]]
+    assert [env.auth[0].signer for env, _ in sent] == [client, wide, client]
+    # ints encode at fixed width: the kind of id sets its length, not its digits
+    assert len(canonical_encode(client)) < len(canonical_encode(b)) == len(canonical_encode(wide))
+    for env, size in sent:
+        assert size == env.wire_size() == len(canonical_encode(rebuilt(env)))
+    sim.run_until(100)
+    assert len(nodes[b].got) == 3
+
+
 def build_group(plan=None, n=4):
     """n nodes in one region, one per zone."""
     sim = Simulator(small_topology(n_s=n), 1, plan)
@@ -403,3 +446,71 @@ def test_split_run_starts_each_node_once():
     whole = run([1000.0])
     assert sum(whole[0].values()) == 40  # one garbage send per 25 ms
     assert run([250.0, 500.0, 750.0, 1000.0]) == whole
+
+
+def test_same_instant_events_run_in_first_queue_order_of_owners():
+    """Events due at one instant run owner by owner, in the order in which
+    each owner first queued an event (not the order of registration), and
+    one owner's events run in the order they were queued."""
+    sim, na, nb = build_pair(wan=10.0)  # registers a, then b
+    ran = []
+    nb.on_payload = lambda src, env: ran.append(("deliver", env.payload))
+    nb.after(10.0, lambda: ran.append("b1"))  # b queues first
+    na.send_signed(nb.nid, b"x")              # a's first event: due at 10.0
+    na.after(10.0, lambda: ran.append("a1"))
+    nb.after(10.0, lambda: ran.append("b2"))
+    na.after(5.0, lambda: ran.append("a0"))
+    sim.run_until(20.0)
+    assert ran == ["a0", "b1", "b2", ("deliver", b"x"), "a1"]
+
+
+def test_counters_match_the_sends_they_count(net_spy):
+    """msgs, bytes and channel_wan equal the totals recomputed from every
+    send of a jittered sc run, sized by wire_size and placed by sim.place."""
+    from tests.conftest import Channel
+
+    ch = Channel("sc", jitter=2.0, retransmit_ms=30.0)
+    spy = net_spy(ch.sim)
+    for ep in ch.s_eps:
+        for p in range(1, 7):
+            ep.send(0, p, b"m%d" % p)
+    for ep in ch.r_eps:
+        for p in range(1, 7):
+            ep.receive(0, p, lambda out, ep=ep, p=p: ep.move_window(0, p + 1))
+    ch.run(600.0)
+
+    msgs, size, chan = {}, {}, {}
+    for src, dst, env in spy.sent:
+        kind = type(env.payload).__name__
+        wan = ch.sim.place(src)[0] != ch.sim.place(dst)[0]
+        msgs[kind, wan] = msgs.get((kind, wan), 0) + 1
+        size[kind, wan] = size.get((kind, wan), 0) + env.wire_size()
+        if wan:
+            key = (str(env.payload.channel), kind)
+            chan[key] = chan.get(key, 0) + 1
+    counters = ch.sim.counters
+    assert {wan for _, wan in msgs} == {True, False}
+    assert {"ChShare", "ChCert", "ChMove", "ChProgress"} <= {kind for kind, _ in msgs}
+    assert counters.msgs == msgs
+    assert counters.bytes == size
+    assert counters.channel_wan == chan
+    assert counters.wan_messages() == sum(n for (_, wan), n in msgs.items() if wan)
+    assert counters.wan_bytes() == sum(n for (_, wan), n in size.items() if wan)
+    assert all(ep.window(0).start == 7 for ep in ch.r_eps)
+
+
+def test_register_rejects_a_place_outside_the_topology():
+    sim, na, _ = build_pair()
+    for region, zone in (("Q", 0), ("S", 4)):  # small_topology: S has zones 0-3
+        with pytest.raises(ValueError, match="no place"):
+            sim.register(ReplicaId("ex", 9, zone), na, region, zone)
+
+
+def test_fault_plan_is_read_when_a_node_registers():
+    """A node's fault is read once, when the simulator first meets its id."""
+    plan = FaultPlan()
+    sim, na, nb = build_pair(plan=plan)
+    plan.faults[nb.nid] = NodeFault("crash", at_ms=0.0)  # too late: nb registered
+    na.send_signed(nb.nid, b"hello")
+    sim.run_until(100)
+    assert len(nb.got) == 1
