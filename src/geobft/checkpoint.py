@@ -6,10 +6,10 @@ certificate rules of core/quorum.py); delivery to the owner is monotone
 and at most once per sequence number. Signatures, not MACs: group size
 2f+1 makes MAC-based certificates unsound.
 
-Gossip is quiet when no one lags: each replica keeps the highest sequence
-number every member has shown it (by a signed Checkpoint vote or by a
-CpAnnounce), and a gossip tick announces the latest stable checkpoint only
-to the members that have shown less. An announce is only a hint; a
+Gossip is quiet when no one lags: a progress row (core/quorum.py) keeps the
+highest sequence number each other member has shown (by a signed Checkpoint
+vote or by a CpAnnounce), and a gossip tick announces the latest stable
+checkpoint only to the members behind it. An announce is only a hint; a
 transfer is still checked against its f+1 certificate, so a member that
 overstates its progress only withholds hints from itself.
 """
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 
 from .core import hash_bytes
 from .core.messages import Checkpoint, CpAnnounce, CpQuery, CpState
-from .core.quorum import certificate_signers, tally
+from .core.quorum import behind, certificate_signers, progress_row, show, tally
 
 GOSSIP_MS = 10.0      # how soon a lagging member hears of a stable checkpoint
 FETCH_POLL_MS = 25.0  # re-query period while fetching a checkpoint
@@ -45,7 +45,7 @@ class CheckpointComponent:
         self.fetching: Optional[int] = None
         self._fetch_peers: list = []
         self._announce: Optional[CpAnnounce] = None  # reused while delivered_s holds
-        self.shown = dict.fromkeys(members, 0)  # member -> highest s it has shown
+        self.shown = progress_row(m for m in members if m is not node.nid)
         node.every(GOSSIP_MS, self._gossip)
 
     # -- creating ------------------------------------------------------------
@@ -83,7 +83,7 @@ class CheckpointComponent:
             return
         if sig is None or sig.signer != src:
             return
-        self.shown[src] = max(self.shown[src], msg.s)
+        show(self.shown, src, msg.s)
         self._record_vote(msg.s, src, msg.digest, sig)
 
     def _record_vote(self, s, signer, digest, sig):
@@ -188,20 +188,20 @@ class CheckpointComponent:
     def on_announce(self, src, msg: CpAnnounce) -> None:
         if src not in self.members or msg.group != self.group:
             return
-        self.shown[src] = max(self.shown[src], msg.s)
+        show(self.shown, src, msg.s)
         if msg.s > self.delivered_s and self.fetching is None:
             self.node.send_signed(src, CpQuery(self.scope, msg.s))
 
     def _gossip(self):
         """Announce the latest stable checkpoint to the members behind it."""
         s = self.delivered_s
-        behind = [m for m in self.members if self.shown[m] < s and m != self.node.nid]
-        if not behind:
+        dsts = behind(self.shown, s)
+        if not dsts:
             return
         msg = self._announce
         if msg is None or msg.s != s:
             msg = self._announce = CpAnnounce(self.scope, self.group, s)
-        self.node.multicast_signed(behind, msg)
+        self.node.multicast_signed(dsts, msg)
 
     def latest_stable(self) -> int:
         return self.delivered_s

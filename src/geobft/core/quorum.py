@@ -1,8 +1,11 @@
 """The quorum rules every layer applies, each decided in one place.
 
+- progress rows: the highest position each peer has shown, 0 until it
+  shows more (progress_row, show), and the peers below a position (behind).
+  Checkpoint gossip, IRMC moves, sc claims and sc Move counters use them.
 - backed_position: the (f+1)-highest position f+1 principals asked for.
-  It slides IRMC windows (sender and receiver moves) and bounds sc
-  Progress claims.
+  Applied to a progress row, it slides IRMC windows (sender and receiver
+  moves) and bounds sc Progress claims.
 - tally: the first value that q distinct voters hold. Client replies and
   registry answers (f+1), checkpoint votes (f+1), rc copies and sc shares
   (f_s+1), and MiniBFT prepare and commit votes (2f+1) use it.
@@ -15,9 +18,30 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 
+def progress_row(peers) -> dict:
+    """A progress row: every peer, in the given order, at position 0."""
+    return dict.fromkeys(peers, 0)
+
+
+def show(row: dict, peer, p: int) -> bool:
+    """Raise peer's position in row to p. True only if it rose; a peer
+    outside the row is ignored."""
+    held = row.get(peer)
+    if held is None or p <= held:
+        return False
+    row[peer] = p
+    return True
+
+
+def behind(row: dict, p: int) -> list:
+    """The peers, in row order, whose position is below p."""
+    return [peer for peer, held in row.items() if held < p]
+
+
 def backed_position(asks: dict, f: int, current: int) -> int:
     """The (f+1)-highest position in asks (principal -> position), taken
-    only once f+1 principals have asked; never below current."""
+    only once f+1 principals have asked; never below current. A progress
+    row's silent peers hold 0, which never lifts it above a current >= 0."""
     if len(asks) < f + 1:
         return current
     return max(current, sorted(asks.values(), reverse=True)[f])

@@ -71,17 +71,22 @@ class ExecutingNode(ProtocolNode):
 
 class ExecutionReplica(ExecutingNode):
     def __init__(self, nid, sim, crypto, group: int, group_members: tuple,
-                 authorized: frozenset, f_e: int, f_a: int, ag_members: tuple):
+                 authorized: frozenset, f_e: int, f_a: int, ag_members: tuple,
+                 endpoint_factory):
         super().__init__(nid, sim, crypto, authorized)
         self.group = group
         self.t: dict[int, int] = {}    # client -> highest forwarded counter
-        self.req_send = None           # sender endpoint, wired by the runtime
-        self.commit_recv = None        # receiver endpoint, wired by the runtime
         self._pulling = False
         self.registry = RegistryResolver(self, ag_members, f_a)
+        # same-instant timers fire in arming order: gossip, sender, receiver
         self.cp = CheckpointComponent(
             "ex", group, group_members, f_e, self,
             on_stable=self.on_stable_execution_cp)
+        req_cfg, com_cfg = endpoint_factory.channel_configs(group, group_members)
+        self.req_send = endpoint_factory.sender_cls(req_cfg, self)
+        self.commit_recv = endpoint_factory.receiver_cls(com_cfg, self)
+        self.channels[req_cfg.channel] = self.req_send
+        self.channels[com_cfg.channel] = self.commit_recv
 
     def start(self):
         super().start()
@@ -118,8 +123,6 @@ class ExecutionReplica(ExecutingNode):
                     self.send_mac(msg.client, Result(msg.client, msg.t_c, reply))
             return  # silent on a retry with no result yet
         self.t[c] = msg.t_c
-        if self.req_send is None:
-            return
         request = Request(msg, env.first_sig(), self.group)
         self.req_send.move_window(c, msg.t_c)
         self.req_send.send(c, msg.t_c, request)
@@ -127,7 +130,7 @@ class ExecutionReplica(ExecutingNode):
     # -- the committed order -----------------------------------------------------
 
     def _pull(self):
-        if self._pulling or self.commit_recv is None:
+        if self._pulling:
             return
         self._pulling = True
         self.commit_recv.receive(0, self.s_n + 1, self._got)
@@ -162,8 +165,9 @@ class ExecutionReplica(ExecutingNode):
                 self._apply_admin(item)
         self.s_n = s
         if s % K_E == 0:
-            self.cp.gen_cp(s, self._snapshot())
-            self._trace_state()
+            snapshot = self._snapshot()
+            self.cp.gen_cp(s, snapshot)
+            self._trace_state(snapshot)
 
     def _apply_full(self, s, idx, item: FullReq):
         write = item.write
@@ -189,8 +193,8 @@ class ExecutionReplica(ExecutingNode):
         u_sorted = tuple((c, tc, r) for c, (tc, r) in sorted(self.u.items()))
         return canonical_encode((self.s_n, u_sorted, self.app.snapshot()))
 
-    def _trace_state(self):
-        full = hash_bytes(self._snapshot())
+    def _trace_state(self, snapshot: bytes):
+        full = hash_bytes(snapshot)
         projected = canonical_encode(
             (self.s_n, tuple((c, tc) for c, (tc, _) in sorted(self.u.items())),
              self.app.snapshot()))
@@ -199,13 +203,12 @@ class ExecutionReplica(ExecutingNode):
                            projected=hash_bytes(projected).hex())
 
     def on_stable_execution_cp(self, s: int, state: bytes):
-        if self.commit_recv is not None:
-            self.commit_recv.move_window(0, s + 1)
+        self.commit_recv.move_window(0, s + 1)
         if s > self.s_n:
             self.s_n, u_sorted, app_bytes = canonical_decode(state)
             self.u = {c: (tc, r) for c, tc, r in u_sorted}
             self.app.restore(app_bytes)
-            self._trace_state()
+            self._trace_state(self._snapshot())
         self._pull()
 
     def _seek_checkpoint(self, s_min: int):

@@ -2,29 +2,32 @@
 
 Subchannel windows, send/receive outcome classification, blocked sends,
 window moves in both directions and TooOld all live here, in
-SenderEndpoint and ReceiverEndpoint. Windows slide by the (f+1)-highest
-move rule of core/quorum.py. The two variants differ only in how the
-f_s+1 quorum is collected (rc: at each receiver; sc: at a sender-side
-collector) and in how a receiver move is announced to the senders.
+SenderEndpoint and ReceiverEndpoint. Each endpoint keeps one progress row
+(core/quorum.py) per subchannel of the highest move each peer has shown,
+and a window slides by the (f+1)-highest move in it. The two variants
+differ only in how the f_s+1 quorum is collected (rc: at each receiver;
+sc: at a sender-side collector) and in how a receiver move is announced
+to the senders.
 
 A sender sends its window moves (on the window's advance and on every
-retransmit tick) only to the receivers behind them: SenderEndpoint.behind
-lists the receivers whose shown move is below the position. Skipping the
-others changes nothing at them. A correct receiver's window start is at
-least every move it has announced (move_window advances the window, and
-the sc collector switch announces window.start). backed_position ignores
-an ask at or below current, so a sender move at or below a receiver's
-shown move cannot change that receiver's window, its TooOld outcomes or
-its pending receives. A receiver that inflates its moves silences only
-its own syncs.
+retransmit tick) only to the receivers behind them:
+behind(recv_moves[sc], p) lists the receivers whose shown move is below
+p. Skipping the others changes nothing at them. A correct receiver's
+window start is at least every move it has announced (move_window
+advances the window, and the sc collector switch announces
+window.start). backed_position ignores an ask at or below current, so a
+sender move at or below a receiver's shown move cannot change that
+receiver's window, its TooOld outcomes or its pending receives. A
+receiver that inflates its moves silences only its own syncs.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.messages import ChannelId, ChMove
-from ..core.quorum import backed_position
+from ..core.quorum import backed_position, behind, progress_row, show
 
 
 @dataclass
@@ -153,7 +156,7 @@ class SenderEndpoint(EndpointBase):
 
     def __init__(self, cfg: ChannelConfig, node):
         super().__init__(cfg, node)
-        self.recv_moves: dict[int, dict] = {}  # sc -> receiver -> requested p
+        self.recv_moves = defaultdict(lambda: progress_row(cfg.receivers))  # sc -> row
         self.pending: dict[int, list] = {}     # sc -> blocked (p, m, on_complete)
 
     def send(self, sc, p, m, on_complete=None):
@@ -179,11 +182,6 @@ class SenderEndpoint(EndpointBase):
         self._trace("ch_move_call", sc=sc, p=p, side="s")
         self._sync_receivers(sc, p)
 
-    def behind(self, sc, p) -> list:
-        """The receivers, in cfg.receivers order, whose shown move on sc is below p."""
-        shown = self.recv_moves.get(sc, {})
-        return [r for r in self.cfg.receivers if shown.get(r, 0) < p]
-
     def _sync_receivers(self, sc, start):
         # also tells lagging receivers the window passed them; quorum-backed
         # by the receiver moves that advanced this window in the first place
@@ -193,16 +191,15 @@ class SenderEndpoint(EndpointBase):
         self._send_move(sc, start)
 
     def _send_move(self, sc, p):
-        dsts = self.behind(sc, p)
+        dsts = behind(self.recv_moves[sc], p)
         if dsts:
             self._broadcast(dsts, ChMove(self.cfg.channel, sc, p))
 
     def _receiver_moved(self, src, sc, p):
         """Receiver src asked for p; the window follows the f_r+1-highest ask."""
-        held = self.recv_moves.setdefault(sc, {})
-        if p <= held.get(src, 0):
+        held = self.recv_moves[sc]
+        if not show(held, src, p):
             return  # stale or replayed
-        held[src] = p
         win = self.window(sc)
         new_start = backed_position(held, self.cfg.f_r, win.start)
         if new_start > win.start:
@@ -258,7 +255,7 @@ class ReceiverEndpoint(EndpointBase):
         super().__init__(cfg, node)
         self.delivered: dict[int, dict] = {}     # sc -> p -> payload
         self.pending_recv: dict[tuple, list] = {}  # (sc, p) -> callbacks
-        self.sender_moves: dict[int, dict] = {}  # sc -> sender -> requested p
+        self.sender_moves = defaultdict(lambda: progress_row(cfg.senders))  # sc -> row
 
     def receive(self, sc, p, callback):
         if self.closed:
@@ -304,10 +301,9 @@ class ReceiverEndpoint(EndpointBase):
     def _on_move(self, src, msg):
         sc = msg.sc
         self._note_subchannel(sc)
-        held = self.sender_moves.setdefault(sc, {})
-        if msg.p <= held.get(src, 0):
+        held = self.sender_moves[sc]
+        if not show(held, src, msg.p):
             return
-        held[src] = msg.p
         win = self.window(sc)
         new_start = backed_position(held, self.cfg.f_s, win.start)
         if new_start > win.start:

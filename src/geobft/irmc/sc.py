@@ -5,7 +5,7 @@ a collector assembles f_s+1 matching shares into one Certificate per
 receiver. Periodic Progress claims let receivers police collectors that
 withhold certificates and switch to a different one after a timeout. A
 sender claims progress only to the receivers behind some claim (for a
-claimed (sc, p), SenderEndpoint.behind(sc, p+1), the rule its window
+claimed (sc, p), behind(recv_moves[sc], p+1), the rule its window
 moves follow): a receiver waiting on q has not moved past q, so every
 claim >= q still reaches it.
 Windows, blocked sends and moves come from the shared endpoints in
@@ -13,11 +13,13 @@ base.py; a receiver's moves also name its collector.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import itemgetter
 from typing import Optional
 
 from ..core.messages import ChCert, ChMove, ChProgress, ChSend, ChShare
-from ..core.quorum import backed_position, certificate_signers, tally
+from ..core.quorum import (
+    backed_position, behind, certificate_signers, progress_row, show, tally)
 from .base import ChannelConfig, ReceiverEndpoint, SenderEndpoint, drop_below
 
 
@@ -36,7 +38,7 @@ class ScSender(SenderEndpoint):
         self.content: dict[int, dict] = {}   # sc -> p -> payload (own sends)
         self.shares: dict[int, dict] = {}    # sc -> p -> signer -> (digest, Sig)
         self.certs: dict[int, dict] = {}     # sc -> p -> ChCert
-        self.move_counters: dict = {}        # receiver -> highest Move counter
+        self.move_counters = progress_row(cfg.receivers)  # highest Move counter
         self.collector_of: dict = {
             r: r.index % len(cfg.senders) for r in cfg.receivers
         }
@@ -93,10 +95,8 @@ class ScSender(SenderEndpoint):
         self._broadcast(self._collected_by_me(), cert)
 
     def _on_move(self, src, msg):
-        if msg.counter is not None:
-            if msg.counter <= self.move_counters.get(src, -1):
-                return  # replayed Move
-            self.move_counters[src] = msg.counter
+        if msg.counter is not None and not show(self.move_counters, src, msg.counter):
+            return  # replayed Move
         newly_selected = False
         if msg.collector is not None:
             was = self.collector_of.get(src)
@@ -129,7 +129,8 @@ class ScSender(SenderEndpoint):
                 p += 1
             pvec.append((sc, p))
         # a receiver whose move passed every claim waits on none of them
-        waiting = {r for sc, p in pvec for r in self.behind(sc, p + 1)}
+        # ids are interned, so the list tests compare by identity, not hash
+        waiting = [r for sc, p in pvec for r in behind(self.recv_moves[sc], p + 1)]
         if waiting:
             dsts = [r for r in self.cfg.receivers if r in waiting]
             pvec = tuple(pvec)
@@ -158,7 +159,7 @@ class ScReceiver(ReceiverEndpoint):
         self.my_index = cfg.receivers.index(node.nid)
         self.collector = self.my_index % len(cfg.senders)
         self.move_counter = 0
-        self.progress_claims: dict[int, dict] = {}
+        self.progress_claims = defaultdict(lambda: progress_row(cfg.senders))  # sc -> row
         self._timer_pending = False
 
     def _announce(self, sc, p):
@@ -199,12 +200,11 @@ class ScReceiver(ReceiverEndpoint):
         if msg.channel != self.cfg.channel:
             return
         for sc, p in msg.pvec:
-            held = self.progress_claims.setdefault(sc, {})
-            held[src] = max(held.get(src, 0), p)
+            show(self.progress_claims[sc], src, p)
         self._check_stall()
 
     def _trusted_claim(self, sc) -> int:
-        return backed_position(self.progress_claims.get(sc, {}), self.cfg.f_s, 0)
+        return backed_position(self.progress_claims[sc], self.cfg.f_s, 0)
 
     def _stalled_subchannels(self):
         stalled = []

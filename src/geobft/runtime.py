@@ -104,12 +104,8 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
         for i, nid in enumerate(group_members):
             node = ExecutionReplica(
                 nid, sim, BoundCrypto(provider, nid), gid, group_members,
-                authorized, cfg.fault_params.f_e, cfg.fault_params.f_a, ag_members)
-            req_cfg, com_cfg = factory.channel_configs(gid, group_members)
-            node.req_send = factory.sender_cls(req_cfg, node)
-            node.commit_recv = factory.receiver_cls(com_cfg, node)
-            node.channels[req_cfg.channel] = node.req_send
-            node.channels[com_cfg.channel] = node.commit_recv
+                authorized, cfg.fault_params.f_e, cfg.fault_params.f_a, ag_members,
+                factory)
             sim.register(nid, node, region, i % zones)
             executions[gid].append(node)
 

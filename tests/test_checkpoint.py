@@ -132,6 +132,15 @@ def test_delivery_is_monotone_per_replica():
 
 # -- gossip: announce only to the members not known to hold the checkpoint ---
 
+def test_gossip_row_holds_the_other_members_in_member_order():
+    # a node never shows itself a checkpoint: an entry for itself would
+    # stay at 0 and count it behind every stable checkpoint
+    sim, hosts = build_group()
+    for host in hosts:
+        assert list(host.cp.shown.items()) == [
+            (m, 0) for m in host.cp.members if m is not host.nid]
+
+
 def announces(spy, since=0):
     """(src, dst) of every CpAnnounce sent after the first `since` sends."""
     return [(src, dst) for src, dst, env in spy.sent[since:]

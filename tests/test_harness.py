@@ -198,6 +198,8 @@ _DIGEST_RUNS = {
     "sc": (_SCENARIO_DIGEST, "rc-vs-sc", "4", "sc"),
     # retransmitted window moves go to the receivers behind them
     "flow-control-z0-rc": (_SCENARIO_DIGEST, "flow-control-z0", "2", "rc"),
+    # checkpoint gossip picks its announce targets from a progress row
+    "lag-catchup-rc": (_SCENARIO_DIGEST, "lag-catchup", "1", "rc"),
     "sc-schedule-f2": (_SCHEDULE_DIGEST,),
 }
 

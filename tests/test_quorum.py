@@ -2,9 +2,19 @@
 
 The six window-rule cases of backed_position are in test_windows.py.
 """
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from geobft.core import CryptoProvider, ReplicaId
 from geobft.core.messages import ObCommit, ObNewView, ObSeqInfo, ObViewChange, VcRecord
-from geobft.core.quorum import certificate_signers, tally
+from geobft.core.quorum import (
+    backed_position,
+    behind,
+    certificate_signers,
+    progress_row,
+    show,
+    tally,
+)
 
 from tests.test_ordering import build_group, make_request
 
@@ -80,6 +90,83 @@ class TestTally:
     def test_key_selects_the_value(self):
         votes = {"a": (b"d1", "sig-a"), "b": (b"d2", "sig-b"), "c": (b"d1", "sig-c")}
         assert tally(votes, 2, key=lambda vote: vote[0]) == (b"d1", ["a", "c"])
+
+
+# a peer order that is neither index nor name order
+ROW_PEERS = (C, A, D, B)
+NON_PEERS = (OUTSIDER, ReplicaId("ex", 1, 0))
+
+
+class TestProgressRow:
+    def test_row_holds_every_peer_at_zero_in_peer_order(self):
+        row = progress_row(ROW_PEERS)
+        assert list(row.items()) == [(C, 0), (A, 0), (D, 0), (B, 0)]
+
+    def test_show_raises_only_upward(self):
+        row = progress_row(ROW_PEERS)
+        assert show(row, A, 5) is True
+        assert row[A] == 5
+        assert show(row, A, 5) is False  # an equal position is no rise
+        assert show(row, A, 3) is False
+        assert row[A] == 5
+        assert show(row, A, 6) is True
+        assert row[A] == 6
+
+    def test_show_ignores_zero_and_non_peers(self):
+        row = progress_row(ROW_PEERS)
+        assert show(row, B, 0) is False
+        assert show(row, OUTSIDER, 9) is False
+        assert row == dict.fromkeys(ROW_PEERS, 0)
+
+    def test_behind_keeps_peer_order(self):
+        row = progress_row(ROW_PEERS)
+        show(row, D, 4)
+        assert behind(row, 4) == [C, A, B]
+        assert behind(row, 5) == [C, A, D, B]
+        assert behind(row, 0) == []
+
+
+# Reference copies of the sparse tables that progress rows replaced: a
+# handler dropped non-peers, a move or counter table recorded only a rise
+# (stale or replayed otherwise), a claims table kept max(held, p), and a
+# missing peer counted as 0.
+
+def _sparse_record(held, peer, p):
+    if peer not in ROW_PEERS or p <= held.get(peer, 0):
+        return False
+    held[peer] = p
+    return True
+
+
+def _sparse_claim(held, peer, p):
+    if peer in ROW_PEERS:
+        held[peer] = max(held.get(peer, 0), p)
+
+
+def _sparse_behind(shown, p):
+    return [r for r in ROW_PEERS if shown.get(r, 0) < p]
+
+
+def _sparse_backed_position(asks, f, current):
+    if len(asks) < f + 1:
+        return current
+    return max(current, sorted(asks.values(), reverse=True)[f])
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(ROW_PEERS + NON_PEERS), st.integers(0, 6)),
+                max_size=24),
+       st.integers(0, 3), st.integers(0, 8), st.integers(0, 8))
+def test_row_agrees_with_the_sparse_tables_it_replaced(shows, f, current, p):
+    row = progress_row(ROW_PEERS)
+    moves, claims = {}, {}
+    for peer, q in shows:
+        assert show(row, peer, q) == _sparse_record(moves, peer, q)
+        _sparse_claim(claims, peer, q)
+    assert behind(row, p) == _sparse_behind(moves, p) == _sparse_behind(claims, p)
+    backed = backed_position(row, f, current)
+    assert backed == _sparse_backed_position(moves, f, current)
+    assert backed == _sparse_backed_position(claims, f, current)
 
 
 def _seqinfo_host():
