@@ -20,40 +20,26 @@ from .core.messages import (
     ChannelId,
     Execute,
     FullReq,
-    ObCommit,
-    ObFetch,
-    ObNewView,
-    ObPrePrepare,
-    ObPrepare,
-    ObSeqInfo,
-    ObViewChange,
-    OracleAssign,
-    OracleSubmit,
     Placeholder,
     RegistryInfo,
     RegistryQuery,
     RemoveGroup,
-    Request,
     Write,
 )
 from .irmc.base import TooOld
+from .ordering import ORDERING_MSGS
 from .protocol import ProtocolNode
 
 K_A = 10              # agreement checkpoint interval, in sequence numbers
 AG_WIN = 20           # delivery window above the latest stable checkpoint
 COMMIT_CAPACITY = 32  # commit-channel window; also how much history a checkpoint keeps
 
-ORDERING_MSGS = (ObPrePrepare, ObPrepare, ObCommit, ObViewChange, ObNewView,
-                 ObFetch, ObSeqInfo, OracleSubmit, OracleAssign)
-
 
 class AgreementReplica(ProtocolNode):
     def __init__(self, nid, sim, crypto, members: tuple, f_a: int,
-                 authorized: frozenset, admin: object, ordering_factory,
+                 authorized: frozenset, admin: object, ordering_cls,
                  endpoint_factory, initial_groups: dict, z: int = 0):
-        super().__init__(nid, sim, crypto)
-        self.authorized = authorized
-        self.admin = admin
+        super().__init__(nid, sim, crypto, authorized, admin)
         self.z = z
         self.endpoint_factory = endpoint_factory
 
@@ -69,7 +55,7 @@ class AgreementReplica(ProtocolNode):
         self._intakes: set = set()
         self._parked: Optional[tuple] = None
 
-        self.ordering = ordering_factory(self)
+        self.ordering = ordering_cls(self, members, f_a)
         self.ordering.deliver_handler = self.on_deliver
         self.cp = CheckpointComponent(
             "ag", 0, members, f_a, self, on_stable=self.on_stable_agreement_cp)
@@ -79,19 +65,6 @@ class AgreementReplica(ProtocolNode):
     @property
     def win_hi(self) -> int:
         return self.win_lo + AG_WIN - 1
-
-    # -- request validity (A-Validity gate for the black-box) --------------------
-
-    def validate_request(self, req) -> bool:
-        if not isinstance(req, Request):
-            return False
-        inner = req.inner
-        if isinstance(inner, (AddGroup, RemoveGroup)):
-            if inner.client != self.admin:
-                return False
-        elif not isinstance(inner, Write):
-            return False
-        return self._request_signed(req)
 
     # -- group wiring -------------------------------------------------------------
 
@@ -140,12 +113,10 @@ class AgreementReplica(ProtocolNode):
                 self.t_plus[c] = max(self.t_plus.get(c, 1), outcome.start)
             else:
                 req = outcome.payload
-                if isinstance(req, Request) and isinstance(req.inner, (Write, AddGroup, RemoveGroup)) \
-                        and req.inner.client.index == c and req.inner.t_c == cursor:
+                if self.validate_request(req) and req.inner.client.index == c \
+                        and req.inner.t_c == cursor:
                     self.ordering.order(req)
-                    self.t_plus[c] = max(self.t_plus.get(c, 1), req.inner.t_c + 1)
-                else:
-                    self.t_plus[c] = max(self.t_plus.get(c, 1), cursor + 1)
+                self.t_plus[c] = max(self.t_plus.get(c, 1), cursor + 1)
             self._intake_pull(gid, c)
 
         recv.receive(c, cursor, got)

@@ -6,7 +6,8 @@ import sys
 
 from .audit import audit_trace
 from .harness import run_scenario
-from .scenario import ScenarioError, load_scenario, shipped_scenarios
+from .irmc import VARIANTS
+from .scenario import MODES, ScenarioError, load_scenario, shipped_scenarios
 from .simnet import TraceFormatError, read_trace
 
 
@@ -20,8 +21,8 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run one scenario and audit the trace")
     run_p.add_argument("scenario", help="scenario path or shipped scenario name")
     run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument("--mode", choices=("spider", "flat-bft", "oracle"))
-    run_p.add_argument("--irmc", choices=("rc", "sc"))
+    run_p.add_argument("--mode", choices=MODES)
+    run_p.add_argument("--irmc", choices=tuple(VARIANTS))
     run_p.add_argument("--out", help="directory for the trace and report files")
 
     audit_p = sub.add_parser("audit", help="re-run the safety checkers on a trace")
@@ -34,8 +35,8 @@ def main(argv=None) -> int:
     sweep_p.add_argument("scenario")
     sweep_p.add_argument("--seeds", default="1..5",
                          help="inclusive range, e.g. 1..10")
-    sweep_p.add_argument("--mode", choices=("spider", "flat-bft", "oracle"))
-    sweep_p.add_argument("--irmc", choices=("rc", "sc"))
+    sweep_p.add_argument("--mode", choices=MODES)
+    sweep_p.add_argument("--irmc", choices=tuple(VARIANTS))
 
     list_p = sub.add_parser("list", help="list shipped scenarios")
 

@@ -1,6 +1,6 @@
 """Execution replica state machine.
 
-Validates and forwards client requests into the request channel, pulls
+Admits and forwards client requests into the request channel, pulls
 the committed order from the commit channel, executes against the
 deterministic application with at-most-once semantics, replies when it
 is the client's contact group, serves weak reads directly, and
@@ -33,15 +33,49 @@ K_E = 10  # execution checkpoint interval, in sequence numbers
 
 class ExecutingNode(ProtocolNode):
     """A replica that runs the application, in a spider execution group or
-    in the flat-bft baseline: it executes each client counter at most once
-    and serves weak reads from its current state."""
+    in the flat-bft baseline: it is a client's contact, executes each client
+    counter at most once and serves weak reads from its current state."""
 
-    def __init__(self, nid, sim, crypto, authorized: frozenset):
-        super().__init__(nid, sim, crypto)
-        self.authorized = authorized
+    def __init__(self, nid, sim, crypto, authorized: frozenset, admin: object = None):
+        super().__init__(nid, sim, crypto, authorized, admin)
         self.app = KvApplication()
         self.s_n = 0                   # last executed sequence number
+        self.t: dict[int, int] = {}    # client -> highest forwarded counter
         self.u: dict[int, tuple] = {}  # client -> (t_c, reply bytes)
+
+    def route_client(self, src, env) -> bool:
+        """Strong requests take the contact path; weak reads are served."""
+        msg = env.payload
+        if isinstance(msg, (Write, AddGroup, RemoveGroup)):
+            self.on_write_request(src, msg, env)
+        elif isinstance(msg, ReadWeak):
+            self.on_weak_read(src, msg, env)
+        else:
+            return False
+        return True
+
+    def on_write_request(self, src, msg, env):
+        """Writes, strong reads and admin reconfiguration requests: admit,
+        answer a retry from the reply cache, forward a new counter."""
+        sig = env.first_sig()
+        if not (self.from_client(msg, env) and self.admits(msg, sig)):
+            return
+        c = msg.client.index
+        if msg.t_c <= self.t.get(c, 0):
+            held = self.u.get(c)
+            if held is not None and held[0] == msg.t_c:
+                if held[1] == PLACEHOLDER:
+                    # skipped group-specific read: client must resubmit
+                    self.send_mac(msg.client,
+                                  Result(msg.client, msg.t_c, RESUBMIT, resubmit=True))
+                else:
+                    self.send_mac(msg.client, Result(msg.client, msg.t_c, held[1]))
+            return  # silent on a retry with no result yet
+        self.t[c] = msg.t_c
+        self.forward(msg, sig)
+
+    def forward(self, msg, sig):  # pragma: no cover
+        raise NotImplementedError
 
     def execute_write(self, s: int, idx: int, write: Write, sig):
         """The reply, or None if write's counter already ran; the trace record
@@ -61,7 +95,7 @@ class ExecutingNode(ProtocolNode):
         return reply
 
     def on_weak_read(self, src, msg: ReadWeak, env):
-        if not self._client_auth_ok(msg, env, need_sig=False):
+        if not self.from_client(msg, env):
             return
         reply = self.app.execute_readonly(msg.op)
         self.sim.trace.add(self.sim.now, "weak_serve", self.nid, msg.client, "read",
@@ -71,11 +105,10 @@ class ExecutingNode(ProtocolNode):
 
 class ExecutionReplica(ExecutingNode):
     def __init__(self, nid, sim, crypto, group: int, group_members: tuple,
-                 authorized: frozenset, f_e: int, f_a: int, ag_members: tuple,
-                 endpoint_factory):
-        super().__init__(nid, sim, crypto, authorized)
+                 authorized: frozenset, admin: object, f_e: int, f_a: int,
+                 ag_members: tuple, endpoint_factory):
+        super().__init__(nid, sim, crypto, authorized, admin)
         self.group = group
-        self.t: dict[int, int] = {}    # client -> highest forwarded counter
         self._pulling = False
         self.registry = RegistryResolver(self, ag_members, f_a)
         # same-instant timers fire in arming order: gossip, sender, receiver
@@ -95,37 +128,17 @@ class ExecutionReplica(ExecutingNode):
     # -- client-facing ---------------------------------------------------------
 
     def on_payload(self, src, env):
-        msg = env.payload
-        if self.route_channel(src, env) or self.route_checkpoint(src, env):
+        if self.route_channel(src, env) or self.route_checkpoint(src, env) \
+                or self.route_client(src, env):
             return
-        if isinstance(msg, (Write, AddGroup, RemoveGroup)):
-            self.on_write_request(src, msg, env)
-        elif isinstance(msg, ReadWeak):
-            self.on_weak_read(src, msg, env)
-        elif isinstance(msg, RegistryInfo):
-            self.registry.on_info(src, msg)
+        if isinstance(env.payload, RegistryInfo):
+            self.registry.on_info(src, env.payload)
 
-    def on_write_request(self, src, msg, env):
-        """Writes, strong reads and admin reconfiguration requests."""
-        # MAC first, then the client signature; silently drop on failure
-        if not self._client_auth_ok(msg, env, need_sig=True):
-            return
+    def forward(self, msg, sig):
+        """Into the client's request subchannel, its window moved up to msg."""
         c = msg.client.index
-        if msg.t_c <= self.t.get(c, 0):
-            held = self.u.get(c)
-            if held is not None and held[0] == msg.t_c:
-                reply = held[1]
-                if reply == PLACEHOLDER:
-                    # skipped group-specific read: client must resubmit
-                    self.send_mac(msg.client,
-                                  Result(msg.client, msg.t_c, RESUBMIT, resubmit=True))
-                else:
-                    self.send_mac(msg.client, Result(msg.client, msg.t_c, reply))
-            return  # silent on a retry with no result yet
-        self.t[c] = msg.t_c
-        request = Request(msg, env.first_sig(), self.group)
         self.req_send.move_window(c, msg.t_c)
-        self.req_send.send(c, msg.t_c, request)
+        self.req_send.send(c, msg.t_c, Request(msg, sig, self.group))
 
     # -- the committed order -----------------------------------------------------
 

@@ -27,6 +27,8 @@ from .base import ChannelConfig, TooOld
 
 SENDER_STRATEGIES = ("withhold", "equivocate-send", "garbage-inject", "lying-collector")
 RECEIVER_STRATEGIES = ("withhold", "inflate-move")
+POSITIONS = 8  # positions each schedule sends on its one subchannel
+CAPACITY = 4   # the schedule channel's window
 
 
 @dataclass
@@ -65,8 +67,7 @@ def _payload(tag: int, p: int) -> bytes:
     return b"payload-%d-%d" % (tag, p)
 
 
-def run_schedule(make_endpoints, f_s, f_r, seed, positions=8, capacity=4,
-                 report: ConformanceReport = None) -> list:
+def run_schedule(make_endpoints, f_s, f_r, seed, report: ConformanceReport = None) -> list:
     """One randomized schedule; returns the list of property violations."""
     rng = random.Random(seed)
     n_s = rng.choice((2 * f_s + 1, 3 * f_s + 1))
@@ -95,10 +96,10 @@ def run_schedule(make_endpoints, f_s, f_r, seed, positions=8, capacity=4,
         provider.register_principal(nid)
 
     cfg = ChannelConfig(ChannelId("req", 1), senders, receivers, f_s, f_r,
-                        capacity=capacity, progress_ms=20.0, collector_timeout_ms=80.0)
+                        capacity=CAPACITY, progress_ms=20.0, collector_timeout_ms=80.0)
     tag = seed & 0xFFFF
     # a schedule may skip one position: correct senders move past it instead
-    skipped = rng.randrange(2, positions) if rng.random() < 0.35 else None
+    skipped = rng.randrange(2, POSITIONS) if rng.random() < 0.35 else None
 
     nodes = {}
     for i, nid in enumerate(senders):
@@ -114,7 +115,7 @@ def run_schedule(make_endpoints, f_s, f_r, seed, positions=8, capacity=4,
     for nid, ep in endpoints.items():
         nodes[nid].endpoint = ep
 
-    outstanding = {r: positions for r in receivers if r not in
+    outstanding = {r: POSITIONS for r in receivers if r not in
                    {receivers[i] for i in faulty_r}}
     drain = [False]
 
@@ -126,7 +127,7 @@ def run_schedule(make_endpoints, f_s, f_r, seed, positions=8, capacity=4,
 
     def sender_script(node):
         def step(p):
-            if p > positions:
+            if p > POSITIONS:
                 return
             ep = node.endpoint
             if skipped is not None and p == skipped:
@@ -140,7 +141,7 @@ def run_schedule(make_endpoints, f_s, f_r, seed, positions=8, capacity=4,
 
     def receiver_script(node):
         def step(p):
-            if p > positions:
+            if p > POSITIONS:
                 return
             ep = node.endpoint
 
@@ -150,7 +151,7 @@ def run_schedule(make_endpoints, f_s, f_r, seed, positions=8, capacity=4,
                 else:
                     nxt = p + 1
                 if node.nid in outstanding:
-                    outstanding[node.nid] = max(0, positions - nxt + 1)
+                    outstanding[node.nid] = max(0, POSITIONS - nxt + 1)
                 check_done()
 
                 def advance():
@@ -165,7 +166,7 @@ def run_schedule(make_endpoints, f_s, f_r, seed, positions=8, capacity=4,
         # arbitrary signed-by-itself traffic: wild moves and junk requests
         def misbehave():
             ep = node.endpoint
-            p = rng.randrange(1, positions * 20)
+            p = rng.randrange(1, POSITIONS * 20)
             ep.move_window(0, p)
             node.after(rng.uniform(1.0, 10.0), misbehave)
         return lambda: node.after(rng.uniform(0.0, 5.0), misbehave)
@@ -283,14 +284,12 @@ def make_factory(sender_cls, receiver_cls):
     return factory
 
 
-def run_conformance(factory, f_s, f_r, seed, schedules, positions=8,
-                    capacity=4) -> ConformanceReport:
+def run_conformance(factory, f_s, f_r, seed, schedules) -> ConformanceReport:
     report = ConformanceReport()
     rng = random.Random(seed)
     for _ in range(schedules):
         sched_seed = rng.randrange(1 << 30)
-        violations = run_schedule(factory, f_s, f_r, sched_seed, positions,
-                                  capacity, report)
+        violations = run_schedule(factory, f_s, f_r, sched_seed, report)
         report.schedules += 1
         for v in violations:
             report.failures.append(f"seed={sched_seed}: {v}")

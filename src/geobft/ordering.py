@@ -7,7 +7,8 @@ change, running among the 3f_a+1 agreement replicas of one region.
 
 Delivery is blocking: the next (s, batch) is handed to the owner only
 after the owner signals completion of the previous one, in order and
-gap-free above the low-water mark set by gc(). MiniBFT's 2f+1 vote
+gap-free above the low-water mark set by gc(). A request is ordered only
+if the owner node's validate_request admits it. MiniBFT's 2f+1 vote
 quorums and its commit, prepare and view-change certificates are the
 tally and certificate rules of core/quorum.py.
 """
@@ -34,6 +35,10 @@ from .core.quorum import certificate_signers, tally
 BATCH_CAP = 16  # requests per MiniBFT proposal
 PIPELINE = 64   # MiniBFT proposals in flight above the low-water mark
 
+# the payloads an owner hands to its ordering's handle()
+ORDERING_MSGS = (ObPrePrepare, ObPrepare, ObCommit, ObViewChange, ObNewView,
+                 ObFetch, ObSeqInfo, OracleSubmit, OracleAssign)
+
 # vote type -> (its votes in a phase record, the flag its quorum sets)
 _PHASES = {ObPrepare: ("prepares", "prepared"), ObCommit: ("commits", "committed")}
 _VIEW_DIGEST = itemgetter(0, 1)  # a held vote (view, digest, sig) -> (view, digest)
@@ -42,11 +47,10 @@ _VIEW_DIGEST = itemgetter(0, 1)  # a held vote (view, digest, sig) -> (view, dig
 class OrderingBase:
     """Shared in-order blocking delivery plumbing."""
 
-    def __init__(self, node, members: tuple, f: int, validate: Callable):
+    def __init__(self, node, members: tuple, f: int):
         self.node = node
         self.members = members
         self.f = f
-        self.validate = validate
         self.deliver_handler: Optional[Callable] = None  # fn(s, batch, done)
         self.ready: dict[int, tuple] = {}
         self.next_deliver = 1
@@ -95,14 +99,14 @@ class OrderingBase:
 class SequencerOracle(OrderingBase):
     """Single designated assigner; isolates architecture bugs from consensus bugs."""
 
-    def __init__(self, node, members, f, validate):
-        super().__init__(node, members, f, validate)
+    def __init__(self, node, members, f):
+        super().__init__(node, members, f)
         self.assigner = members[0]
         self.next_s = 1
         self.assigned: dict[bytes, int] = {}
 
     def order(self, req):
-        if not self.validate(req):
+        if not self.node.validate_request(req):
             return
         if self.node.nid == self.assigner:
             self._assign(req)
@@ -131,7 +135,7 @@ class SequencerOracle(OrderingBase):
 
     def handle(self, src, msg, sig=None):
         if isinstance(msg, OracleSubmit):
-            if self.node.nid == self.assigner and self.validate(msg.req):
+            if self.node.nid == self.assigner and self.node.validate_request(msg.req):
                 self._assign(msg.req)
         elif isinstance(msg, OracleAssign):
             if src == self.assigner:
@@ -146,8 +150,8 @@ class MiniBft(OrderingBase):
     Votes are view-tagged; a replica's newest-view vote supersedes older ones.
     """
 
-    def __init__(self, node, members, f, validate, view_timeout_ms=16.0):
-        super().__init__(node, members, f, validate)
+    def __init__(self, node, members, f, view_timeout_ms=16.0):
+        super().__init__(node, members, f)
         self.view = 0
         self.view_timeout_ms = view_timeout_ms
         self.next_s = 1
@@ -171,7 +175,7 @@ class MiniBft(OrderingBase):
     # -- contract ------------------------------------------------------------
 
     def order(self, req):
-        if not self.validate(req):
+        if not self.node.validate_request(req):
             return
         digest = self.node.crypto.digest(req)
         if digest in self.pending or digest in self.assigned:
@@ -241,7 +245,7 @@ class MiniBft(OrderingBase):
             return  # at most one proposal accepted per (view, s)
         if rec["view"] is not None and rec["view"] > msg.view:
             return
-        if not all(self.validate(r) for r in msg.batch):
+        if not all(self.node.validate_request(r) for r in msg.batch):
             return
         digest = self.node.crypto.digest(msg.batch)
         rec.update(view=msg.view, batch=msg.batch, digest=digest, pp_sig=sig,
@@ -483,7 +487,7 @@ class MiniBft(OrderingBase):
         if src not in self.members:
             return
         if isinstance(msg, OracleSubmit):
-            if self.validate(msg.req):
+            if self.node.validate_request(msg.req):
                 d = self.node.crypto.digest(msg.req)
                 if d not in self.assigned:
                     self.pending.setdefault(d, msg.req)

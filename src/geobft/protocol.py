@@ -1,11 +1,13 @@
-"""Shared plumbing for protocol participants: payload dispatch and the
-BFT registry-resolution helper used by clients and execution replicas."""
+"""Shared plumbing for protocol participants: payload dispatch, the one
+rule for which client requests a replica admits, and the BFT
+registry-resolution helper used by clients and execution replicas."""
 from __future__ import annotations
 
 from typing import Callable
 
 from .core import AGREEMENT, AGREEMENT_GROUP, EXECUTION, GroupKey, Mac
 from .core.messages import (
+    AddGroup,
     Checkpoint,
     ChCert,
     ChMove,
@@ -17,6 +19,9 @@ from .core.messages import (
     CpState,
     RegistryInfo,
     RegistryQuery,
+    RemoveGroup,
+    Request,
+    Write,
 )
 from .core.quorum import tally
 from .simnet import Node
@@ -33,10 +38,15 @@ def group_key(group: int) -> GroupKey:
 
 
 class ProtocolNode(Node):
-    """Routes verified payloads to channel endpoints and the checkpoint component."""
+    """Routes verified payloads to channel endpoints and the checkpoint
+    component, and admits client requests: only clients in `authorized`,
+    and reconfiguration only from `admin` (None admits none)."""
 
-    def __init__(self, nid, sim, crypto):
+    def __init__(self, nid, sim, crypto, authorized: frozenset = frozenset(),
+                 admin: object = None):
         super().__init__(nid, sim, crypto)
+        self.authorized = authorized
+        self.admin = admin
         self.channels: dict = {}  # ChannelId -> endpoint
         self.cp = None
 
@@ -49,27 +59,29 @@ class ProtocolNode(Node):
             endpoint.handle(src, msg, env.first_sig())
         return True
 
-    def _client_auth_ok(self, msg, env, need_sig: bool) -> bool:
-        """For replicas holding an `authorized` set: msg.client is in it and
-        MACed env, and with need_sig also signed it."""
-        client = msg.client
-        if client not in self.authorized:
-            return False
-        if not any(isinstance(a, Mac) and a.src == client for a in env.auth):
-            return False
-        if need_sig:
-            sig = env.first_sig()
-            if sig is None or sig.signer != client:
-                return False
-        return True
+    # -- client admission --------------------------------------------------------
 
-    def _request_signed(self, req) -> bool:
-        """For replicas holding an `authorized` set: the client of req.inner
-        is in it, and req.inner_sig is that client's valid signature."""
-        client = req.inner.client
-        sig = req.inner_sig
+    def admits(self, inner, sig) -> bool:
+        """inner is a Write, or a reconfiguration by the admin, from an
+        authorized client, and sig is that client's valid signature of it."""
+        if isinstance(inner, (AddGroup, RemoveGroup)):
+            if inner.client != self.admin:
+                return False
+        elif not isinstance(inner, Write):
+            return False
+        client = inner.client
         return client in self.authorized and sig is not None \
-            and sig.signer == client and self.crypto.valid_sig(req.inner, sig)
+            and sig.signer == client and self.crypto.valid_sig(inner, sig)
+
+    def validate_request(self, req) -> bool:
+        """A Request the ordering may take: its client request is admitted."""
+        return isinstance(req, Request) and self.admits(req.inner, req.inner_sig)
+
+    def from_client(self, msg, env) -> bool:
+        """msg.client is authorized and MACed env."""
+        client = msg.client
+        return client in self.authorized and \
+            any(isinstance(a, Mac) and a.src == client for a in env.auth)
 
     def route_checkpoint(self, src, env) -> bool:
         msg = env.payload

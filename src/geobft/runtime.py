@@ -80,17 +80,12 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
     initial = {gid: (cfg.groups[gid], cfg.group_members(gid))
                for gid in sorted(cfg.groups)}
 
-    def make_ordering(node):
-        if mode == "oracle":
-            return SequencerOracle(node, ag_members, cfg.fault_params.f_a,
-                                   node.validate_request)
-        return MiniBft(node, ag_members, cfg.fault_params.f_a, node.validate_request)
-
+    ordering_cls = SequencerOracle if mode == "oracle" else MiniBft
     agreement = []
     for i, nid in enumerate(ag_members):
         node = AgreementReplica(
             nid, sim, BoundCrypto(provider, nid), ag_members,
-            cfg.fault_params.f_a, authorized, admin_id, make_ordering, factory, initial,
+            cfg.fault_params.f_a, authorized, admin_id, ordering_cls, factory, initial,
             z=cfg.params["z"])
         sim.register(nid, node, cfg.agreement_region, i % zone_count)
         agreement.append(node)
@@ -104,8 +99,8 @@ def build(cfg: ScenarioConfig, seed: int, mode: Optional[str] = None,
         for i, nid in enumerate(group_members):
             node = ExecutionReplica(
                 nid, sim, BoundCrypto(provider, nid), gid, group_members,
-                authorized, cfg.fault_params.f_e, cfg.fault_params.f_a, ag_members,
-                factory)
+                authorized, admin_id, cfg.fault_params.f_e, cfg.fault_params.f_a,
+                ag_members, factory)
             sim.register(nid, node, region, i % zones)
             executions[gid].append(node)
 

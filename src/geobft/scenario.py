@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import AGREEMENT, EXECUTION, ClientId, FaultParams, ReplicaId
+from .irmc import VARIANTS
 from .simnet import BYZANTINE_STRATEGIES, FAULT_KINDS, FaultPlan, NodeFault, Topology
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
+MODES = ("spider", "flat-bft", "oracle")
 
 # The protocol parameters a scenario may set; the other protocol constants
 # are fixed in the modules that use them (see README).
@@ -49,8 +51,8 @@ class ClientSpec:
 @dataclass
 class ScenarioConfig:
     name: str
-    mode: str              # spider | flat-bft | oracle
-    irmc: str              # rc | sc
+    mode: str              # one of MODES
+    irmc: str              # a key of irmc.VARIANTS
     duration_ms: float
     issue_until_ms: float
     warmup_ms: float
@@ -89,9 +91,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         issues = []
-        if self.mode not in ("spider", "flat-bft", "oracle"):
+        if self.mode not in MODES:
             issues.append(f"mode: unknown mode {self.mode!r}")
-        if self.irmc not in ("rc", "sc"):
+        if self.irmc not in VARIANTS:
             issues.append(f"irmc: unknown variant {self.irmc!r}")
         n_e = len(self.groups)
         if self.mode != "flat-bft" and not (0 <= self.params["z"] < max(n_e, 1)):

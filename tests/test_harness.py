@@ -176,7 +176,8 @@ def test_lossy_links_recover_with_retransmission(variant):
 _SCENARIO_DIGEST = (
     "import sys\n"
     "from geobft.harness import run_scenario\n"
-    "_, report = run_scenario(sys.argv[1], int(sys.argv[2]), irmc=sys.argv[3])\n"
+    "_, report = run_scenario(sys.argv[1], int(sys.argv[2]), mode=sys.argv[3],\n"
+    "                         irmc=sys.argv[4])\n"
     "print(report.trace_digest)\n"
 )
 # one f=2 sc conformance schedule, whose senders pick progress-claim
@@ -194,12 +195,15 @@ _SCHEDULE_DIGEST = (
     "print(digests[0])\n"
 )
 _DIGEST_RUNS = {
-    "rc": (_SCENARIO_DIGEST, "rc-vs-sc", "4", "rc"),
-    "sc": (_SCENARIO_DIGEST, "rc-vs-sc", "4", "sc"),
+    "rc": (_SCENARIO_DIGEST, "rc-vs-sc", "4", "spider", "rc"),
+    "sc": (_SCENARIO_DIGEST, "rc-vs-sc", "4", "spider", "sc"),
     # retransmitted window moves go to the receivers behind them
-    "flow-control-z0-rc": (_SCENARIO_DIGEST, "flow-control-z0", "2", "rc"),
+    "flow-control-z0-rc": (_SCENARIO_DIGEST, "flow-control-z0", "2", "spider", "rc"),
     # checkpoint gossip picks its announce targets from a progress row
-    "lag-catchup-rc": (_SCENARIO_DIGEST, "lag-catchup", "1", "rc"),
+    "lag-catchup-rc": (_SCENARIO_DIGEST, "lag-catchup", "1", "spider", "rc"),
+    # flat replicas and the equivocating client share the contact path
+    "threshold-faults-flat-bft": (_SCENARIO_DIGEST, "threshold-faults", "1",
+                                  "flat-bft", "rc"),
     "sc-schedule-f2": (_SCHEDULE_DIGEST,),
 }
 

@@ -11,8 +11,8 @@ from geobft.simnet import FaultPlan, NodeFault, Simulator, Topology
 
 
 class OrderHost(ProtocolNode):
-    def __init__(self, nid, sim, crypto, make):
-        super().__init__(nid, sim, crypto)
+    def __init__(self, nid, sim, crypto, authorized, make):
+        super().__init__(nid, sim, crypto, authorized=authorized)
         self.ordering = make(self)
         self.delivered = []
         self.ordering.deliver_handler = self._deliver
@@ -42,21 +42,13 @@ def build_group(kind="minibft", n=4, f=1, seed=1, plan=None, jitter=0.0,
     for nid in members:
         provider.register_principal(nid)
 
-    def validate_factory(node):
-        def validate(req):
-            return isinstance(req, Request) and \
-                req.inner_sig.signer == req.inner.client and \
-                node.crypto.valid_sig(req.inner, req.inner_sig)
-        return validate
-
     hosts = []
     for i, nid in enumerate(members):
-        def make(node, i=i):
+        def make(node):
             if kind == "oracle":
-                return SequencerOracle(node, members, f, validate_factory(node))
-            return MiniBft(node, members, f, validate_factory(node),
-                           view_timeout_ms=view_timeout)
-        host = OrderHost(nid, sim, BoundCrypto(provider, nid), make)
+                return SequencerOracle(node, members, f)
+            return MiniBft(node, members, f, view_timeout_ms=view_timeout)
+        host = OrderHost(nid, sim, BoundCrypto(provider, nid), {client}, make)
         sim.register(nid, host, "X", i)
         hosts.append(host)
     return sim, hosts, provider, client

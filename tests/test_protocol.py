@@ -3,7 +3,7 @@ import pytest
 
 from geobft.application import PLACEHOLDER, get_op
 from geobft.core import ClientId, GroupKey, hash_bytes
-from geobft.core.messages import Envelope, ReadWeak, Result, Write
+from geobft.core.messages import AddGroup, Envelope, ReadWeak, Request, Result, Write
 from geobft.runtime import build
 from geobft.scenario import load_scenario
 from tests.conftest import NetSpy
@@ -86,6 +86,102 @@ def test_unauthorized_client_discarded(mini_run):
     t_before = dict(replica.t)
     replica.handle_envelope(ghost, env)
     assert replica.t == t_before
+
+
+# case -> admitted by (agreement, execution, flat) replicas
+ADMISSION = {
+    "write": (True, True, True),
+    # flat replicas order no reconfiguration
+    "add-by-admin": (True, True, False),
+    "add-by-client": (False, False, False),
+    "unauthorized-client": (False, False, False),
+    "foreign-signer": (False, False, False),
+    "sig-over-other-message": (False, False, False),
+    "no-sig": (False, False, False),
+}
+REPLICA_KINDS = ("agreement", "execution", "flat")
+
+
+def admission_case(case, cfg, provider):
+    """The (client request, signature) pair a case hands to the admission rule."""
+    client, other, admin = ClientId(0), ClientId(1), cfg.admin_id
+    ghost = ClientId(99)  # holds keys, but the scenario does not authorize it
+    provider.register_principal(ghost)
+    write = Write(get_op("k0"), client, 1)
+    signed_by_self = {
+        "write": write,
+        "add-by-admin": AddGroup(5, "O", (), admin, 1),
+        "add-by-client": AddGroup(5, "O", (), client, 1),
+        "unauthorized-client": Write(get_op("k0"), ghost, 1),
+    }
+    if case in signed_by_self:
+        inner = signed_by_self[case]
+        return inner, provider.sign(inner.client, inner)
+    return write, {
+        "foreign-signer": provider.sign(other, write),
+        "sig-over-other-message": provider.sign(client, Write(get_op("k1"), client, 1)),
+        "no-sig": None,
+    }[case]
+
+
+@pytest.fixture(scope="module")
+def admission_replicas():
+    cfg = mini_scenario()
+    spider = build(cfg, seed=4)
+    flat = build(cfg, seed=4, mode="flat-bft")
+    return cfg, {"agreement": spider.agreement[0],
+                 "execution": spider.executions[1][0],
+                 "flat": flat.flat[0]}
+
+
+@pytest.mark.parametrize("kind", REPLICA_KINDS)
+@pytest.mark.parametrize("case", sorted(ADMISSION))
+def test_one_admission_rule_at_every_replica(admission_replicas, kind, case):
+    cfg, replicas = admission_replicas
+    replica = replicas[kind]
+    inner, sig = admission_case(case, cfg, replica.crypto.provider)
+    want = ADMISSION[case][REPLICA_KINDS.index(kind)]
+    assert replica.admits(inner, sig) is want
+    assert replica.validate_request(Request(inner, sig, 1)) is want
+    assert replica.validate_request(inner) is False  # not wrapped for ordering
+
+
+@pytest.mark.parametrize("mode", ["spider", "flat-bft"])
+def test_contact_replica_needs_the_client_mac(mode):
+    system = build(mini_scenario(), seed=4, mode=mode)
+    replica = system.flat[0] if system.flat else system.executions[1][0]
+    client = system.clients[0]
+    scope = GroupKey(replica.nid.role, replica.nid.group)
+    w = Write(get_op("k0"), client.nid, 1)
+    r = ReadWeak(get_op("k0"), client.nid, 1)
+    for msg in (w, r):
+        replica.handle_envelope(client.nid, Envelope(msg, (client.crypto.sign(msg),)))
+    assert replica.t == {}
+    assert system.sim.trace.events("weak_serve") == []
+    # the same requests with the client's MAC are taken
+    for msg in (w, r):
+        replica.handle_envelope(client.nid, Envelope(
+            msg, (client.crypto.mac(scope, msg), client.crypto.sign(msg))))
+    assert replica.t == {client.nid.index: 1}
+    assert len(system.sim.trace.events("weak_serve")) == 1
+
+
+def test_contact_replica_forwards_reconfiguration_only_from_admin():
+    cfg = mini_scenario()
+    system = build(cfg, seed=4)
+    replica = system.executions[1][0]
+    provider = replica.crypto.provider
+    scope = GroupKey("ex", 1)
+
+    def send_add_group(client):
+        add = AddGroup(5, "O", (), client, 1)
+        replica.handle_envelope(client, Envelope(
+            add, (provider.mac(client, scope, add), provider.sign(client, add))))
+        return [r for r in system.sim.trace.events("ch_send_call") if r[4] == "req1"]
+
+    assert send_add_group(ClientId(0)) == [] and replica.t == {}
+    assert len(send_add_group(cfg.admin_id)) == 1
+    assert replica.t == {cfg.admin_id.index: 1}
 
 
 def test_weak_read_on_quiet_key_absent_from_all_correct(mini_run, net_spy):
