@@ -24,6 +24,7 @@ from .core.messages import (
     RegistryInfo,
     RegistryQuery,
     RemoveGroup,
+    Request,
     Write,
 )
 from .irmc.base import TooOld
@@ -112,8 +113,9 @@ class AgreementReplica(ProtocolNode):
                 # client already sent a newer request: jump the cursor
                 self.t_plus[c] = max(self.t_plus.get(c, 1), outcome.start)
             else:
+                # the ordering admits the request itself (validate_request)
                 req = outcome.payload
-                if self.validate_request(req) and req.inner.client.index == c \
+                if isinstance(req, Request) and req.inner.client.index == c \
                         and req.inner.t_c == cursor:
                     self.ordering.order(req)
                 self.t_plus[c] = max(self.t_plus.get(c, 1), cursor + 1)

@@ -3,16 +3,21 @@ request authenticity, linearizability (real-time order plus replay on a
 reference application), weak-read interval consistency, channel quorum
 provenance, window monotonicity, and checkpoint-equivalence digests.
 
-All checkers are pure functions of one AuditView, built once per audit:
-the trace's records grouped by event plus the scenario facts (fault plan,
-authorized clients). The linearization candidate is the agreement order,
-replayed once (tests/test_audit.py cross-checks it against a brute-force
-search on tiny histories).
+All checkers are pure functions of one AuditView, built once per audit in
+a single pass over the trace: the records grouped by event, the
+order_deliver and cp_stable records in trace order, and the scenario facts
+(fault plan, authorized clients). No checker reads the trace again, and
+each judges a repeated fact once: a signed request once per distinct
+(wr, sig) pair, a channel quorum once per distinct contributor set. The
+linearization candidate is the agreement order, replayed once
+(tests/test_audit.py cross-checks it against a brute-force search on tiny
+histories).
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .application import ABSENT, KvApplication
 from .core import ClientId, hash_bytes
@@ -36,16 +41,23 @@ def _honest(plan, nid) -> bool:
 
 
 class AuditView:
-    """What every checker reads, computed once per audit: the trace's records
-    grouped by event in one pass, the correct principals, the canonical
-    execution order with its first conflict, and that order's replay."""
+    """What every checker reads, computed once per audit. One pass over the
+    trace groups the records by event and keeps the order_deliver and
+    cp_stable records together in trace order (agreement_log, for the gap
+    rule). Then come the correct principals, the canonical execution order
+    with its first conflict, and that order's replay. The correct senders'
+    channel sends are tabled on first use (correct_sends)."""
 
     def __init__(self, trace, cfg):
         self.trace = trace
         self.cfg = cfg
-        self._by_event = defaultdict(list)
+        by_event = self._by_event = defaultdict(list)
+        agreement_log = self.agreement_log = []
         for record in trace.records:
-            self._by_event[record[1]].append(record)
+            event = record[1]
+            by_event[event].append(record)
+            if event == "order_deliver" or event == "cp_stable":
+                agreement_log.append(record)
         plan = cfg.fault_plan
         self.correct_clients = {f"c{i}" for i in range(len(cfg.clients))
                                 if plan.is_correct(ClientId(i))}
@@ -63,6 +75,28 @@ class AuditView:
     def events(self, name: str):
         """This event's records, in trace order."""
         return self._by_event.get(name, ())
+
+    @cached_property
+    def correct_sends(self):
+        """One scan of ch_send_call: (sent, commit, divergent). sent holds
+        each (kind, sc, p, digest) a correct sender sent; commit maps each
+        commit-channel (kind, p) to the first digest a correct agreement
+        replica sent there; divergent is the first (kind, p), in trace
+        order, where a correct agreement replica sent another."""
+        correct, correct_ag = self.correct_replicas, self.correct_ag
+        sent: set = set()
+        commit: dict = {}
+        divergent = None
+        for t, event, src, dst, kind, digest, data in self.events("ch_send_call"):
+            if src not in correct:
+                continue
+            p = data["p"]
+            sent.add((kind, data["sc"], p, digest))
+            if src in correct_ag and kind.startswith("commit"):
+                held = commit.setdefault((kind, p), digest)
+                if held != digest and divergent is None:
+                    divergent = (kind, p)
+        return sent, commit, divergent
 
 
 def canonical_execution_order(executes, correct_replicas):
@@ -133,12 +167,12 @@ def check_agreement_safety(view) -> Verdict:
 
     A gap is covered only by a cp_stable recorded before the jumping delivery
     in trace order (records can share a timestamp), so this checker walks the
-    trace itself rather than the per-event groups."""
+    view's agreement_log, which keeps both events in trace order."""
     correct_ag = view.correct_ag
     per_s: dict = {}
     per_replica_last: dict = {}
     jumps: dict = {}
-    for t, event, src, dst, kind, digest, data in view.trace.records:
+    for t, event, src, dst, kind, digest, data in view.agreement_log:
         if src not in correct_ag:
             continue
         if event == "cp_stable" and kind == "ag":
@@ -166,21 +200,33 @@ def check_agreement_safety(view) -> Verdict:
 
 
 def check_validity(view) -> Verdict:
-    """E-Validity: every executed request re-verifies against its authenticator."""
+    """E-Validity: every executed request re-verifies against its authenticator.
+
+    Correct replicas execute the same signed request, so each distinct
+    (wr, sig) pair is decoded and checked once; a pair that fails, fails at
+    its first record in trace order."""
     cfg = view.cfg
     authorized = {i for i in range(len(cfg.clients))} | {cfg.admin_id.index}
+    verified: set = set()
     checked = 0
     for t, event, src, dst, kind, digest, data in view.events("execute"):
-        if src not in view.correct_replicas or "wr" not in data:
+        if src not in view.correct_replicas:
             continue
-        write = canonical_decode(bytes.fromhex(data["wr"]))
-        sig = canonical_decode(bytes.fromhex(data["sig"]))
-        if write.client.index not in authorized:
-            return Verdict("validity", False, f"unauthorized client {write.client}")
-        if sig.signer != write.client:
-            return Verdict("validity", False, f"signer mismatch at s={data['s']}")
-        if sig.digest != hash_bytes(bytes.fromhex(data["wr"])):
-            return Verdict("validity", False, f"bad signature at s={data['s']}")
+        pair = (data.get("wr"), data.get("sig"))
+        if pair not in verified:
+            if None in pair:
+                return Verdict("validity", False,
+                               f"execute at s={data['s']} carries no signed request")
+            wr = bytes.fromhex(pair[0])
+            write = canonical_decode(wr)
+            sig = canonical_decode(bytes.fromhex(pair[1]))
+            if write.client.index not in authorized:
+                return Verdict("validity", False, f"unauthorized client {write.client}")
+            if sig.signer != write.client:
+                return Verdict("validity", False, f"signer mismatch at s={data['s']}")
+            if sig.digest != hash_bytes(wr):
+                return Verdict("validity", False, f"bad signature at s={data['s']}")
+            verified.add(pair)
         checked += 1
     return Verdict("validity", True, f"{checked} executions re-verified")
 
@@ -282,27 +328,31 @@ def check_weak_reads(view) -> Verdict:
 
 def check_channel_quorums(view) -> Verdict:
     """IRMC provenance: every delivery carries an f_s+1 quorum including a
-    correct sender that actually sent that content."""
-    f_by_kind = {"req": view.cfg.fault_params.f_e, "commit": view.cfg.fault_params.f_a}
-    correct = view.correct_replicas | view.correct_ag
-    sent: dict = {}
-    for t, event, src, dst, kind, digest, data in view.events("ch_send_call"):
-        if src in correct:
-            sent.setdefault((kind, data["sc"], data["p"]), set()).add(digest)
+    correct sender that actually sent that content. Deliveries share a few
+    contributor sets, so each distinct senders string is judged once."""
+    params = view.cfg.fault_params
+    correct = view.correct_replicas
+    sent, _, _ = view.correct_sends
+    quorums: dict = {}  # senders string -> (size, has a correct contributor)
     deliveries = 0
     for t, event, src, dst, kind, digest, data in view.events("irmc_deliver"):
         if src not in correct:
             continue
-        f_s = f_by_kind["req" if kind.startswith("req") else "commit"]
-        contributors = data["senders"].split(";")
-        if len(contributors) < f_s + 1:
+        senders = data["senders"]
+        quorum = quorums.get(senders)
+        if quorum is None:
+            contributors = senders.split(";")
+            quorum = quorums[senders] = (
+                len(contributors), any(x in correct for x in contributors))
+        size, vouched = quorum
+        f_s = params.f_e if kind.startswith("req") else params.f_a
+        if size < f_s + 1:
             return Verdict("channel_quorums", False,
-                           f"{kind} p={data['p']}: quorum {len(contributors)}")
-        correct_contrib = [x for x in contributors if x in correct]
-        if not correct_contrib:
+                           f"{kind} p={data['p']}: quorum {size}")
+        if not vouched:
             return Verdict("channel_quorums", False,
                            f"{kind} p={data['p']}: no correct contributor")
-        if digest not in sent.get((kind, data["sc"], data["p"]), set()):
+        if (kind, data["sc"], data["p"], digest) not in sent:
             return Verdict("channel_quorums", False,
                            f"{kind} p={data['p']}: content never sent by a correct sender")
         deliveries += 1
@@ -312,17 +362,13 @@ def check_channel_quorums(view) -> Verdict:
 def check_commit_content(view) -> Verdict:
     """Monotone commit-channel content: the payload sent at a position is
     identical across all correct agreement replicas (the projection lemma)."""
-    sent: dict = {}
-    for t, event, src, dst, kind, digest, data in view.events("ch_send_call"):
-        if src not in view.correct_ag or not kind.startswith("commit"):
-            continue
-        key = (kind, data["p"])
-        held = sent.setdefault(key, digest)
-        if held != digest:
-            return Verdict("commit_content", False,
-                           f"{kind} position {data['p']}: divergent payloads "
-                           f"from correct agreement replicas")
-    return Verdict("commit_content", True, f"{len(sent)} positions compared")
+    _, commit, divergent = view.correct_sends
+    if divergent is not None:
+        kind, p = divergent
+        return Verdict("commit_content", False,
+                       f"{kind} position {p}: divergent payloads "
+                       f"from correct agreement replicas")
+    return Verdict("commit_content", True, f"{len(commit)} positions compared")
 
 
 def check_window_monotonicity(view) -> Verdict:

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from geobft.application import KvApplication, get_op, put_op
-from geobft import cli
+from geobft import audit, cli
 from geobft.core import canonical_decode, canonical_encode
 from geobft.core.messages import Write
 from geobft.audit import (
@@ -182,6 +182,65 @@ def test_flat_execute_with_tampered_request_fails_validity(flat_threshold):
     assert verdict.detail.startswith("bad signature")
 
 
+def test_flat_execute_without_request_fails_validity(flat_threshold):
+    """A correct replica's execute record stripped of its signed request
+    fails validity rather than passing unchecked."""
+    cfg, trace, _ = flat_threshold
+    correct = AuditView(trace, cfg).correct_replicas
+    mutated = copy.deepcopy(trace)
+    i = next(i for i, r in enumerate(mutated.records)
+             if r[1] == "execute" and r[2] in correct)
+    record = mutated.records[i]
+    data = dict(record[6])
+    del data["wr"]
+    mutated.records[i] = record[:6] + (data,)
+    verdict = check_validity(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == f"execute at s={data['s']} carries no signed request"
+
+
+def test_bad_later_copy_of_a_verified_request_fails_validity(mini):
+    """Checking each distinct request once must not let a later replica's
+    copy with a wrong signature ride on the earlier copies' check."""
+    cfg, trace, _ = mini
+    view = AuditView(trace, cfg)
+    execs = [i for i, r in enumerate(trace.records) if r[1] == "execute"
+             and r[2] in view.correct_replicas]
+    copies: dict = {}
+    for i in execs:
+        copies.setdefault(trace.records[i][6]["wr"], []).append(i)
+    i = next(ix for ix in copies.values() if len(ix) >= 3)[-1]
+    target = trace.records[i]
+    c = target[6]["c"]
+    # another request of the same client: the signer matches, the digest not
+    other = next(trace.records[j] for j in execs if trace.records[j][6]["c"] == c
+                 and trace.records[j][6]["wr"] != target[6]["wr"])
+    mutated = copy.deepcopy(trace)
+    mutated.records[i] = _with_data(target, sig=other[6]["sig"])
+    verdict = check_validity(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == f"bad signature at s={target[6]['s']}"
+
+
+def test_validity_decodes_each_distinct_request_once(mini, monkeypatch):
+    cfg, trace, _ = mini
+    view = AuditView(trace, cfg)
+    executes = [r for r in view.events("execute") if r[2] in view.correct_replicas]
+    pairs = {(r[6]["wr"], r[6]["sig"]) for r in executes}
+    assert len(pairs) < len(executes)
+    decodes = []
+
+    def counting_decode(data):
+        decodes.append(data)
+        return canonical_decode(data)
+
+    monkeypatch.setattr(audit, "canonical_decode", counting_decode)
+    verdict = check_validity(view)
+    assert verdict.ok
+    assert verdict.detail == f"{len(executes)} executions re-verified"
+    assert len(decodes) == 2 * len(pairs)
+
+
 def test_seeded_issue_after_own_accept_fails_realtime_order(mini):
     cfg, trace, _ = mini
     mutated = copy.deepcopy(trace)
@@ -200,6 +259,21 @@ def test_seeded_unsent_delivery_fails_channel_quorums(mini):
     verdict = check_channel_quorums(AuditView(mutated, cfg))
     assert not verdict.ok
     assert "never sent by a correct sender" in verdict.detail
+
+
+def test_one_delivery_without_a_correct_contributor_fails_channel_quorums(mini):
+    """Judging each distinct senders string once must still catch the one
+    delivery, among many valid ones, that no correct replica vouched for."""
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    delivers = [i for i, r in enumerate(mutated.records) if r[1] == "irmc_deliver"]
+    assert len(delivers) > 100
+    i = delivers[len(delivers) // 2]
+    record = mutated.records[i]
+    mutated.records[i] = _with_data(record, senders="ex9:0;ex9:1;ex9:2")
+    verdict = check_channel_quorums(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == f"{record[4]} p={record[6]['p']}: no correct contributor"
 
 
 def test_seeded_divergent_commit_payload_fails_commit_content(mini):
@@ -378,12 +452,12 @@ class _CountingList(list):
         return super().__iter__()
 
 
-def test_audit_reads_the_trace_at_most_twice(mini):
-    """One pass groups the records by event; check_agreement_safety makes
-    the other, because its gap rule needs cross-event trace order."""
+def test_audit_reads_the_trace_once(mini):
+    """AuditView's one pass groups the records by event and keeps the
+    agreement log that check_agreement_safety's gap rule walks."""
     cfg, trace, _ = mini
     counted = copy.copy(trace)
     counted.records = _CountingList(trace.records)
     verdicts = audit_trace(counted, cfg)
     assert all(ok for ok, _ in verdicts.values()), verdicts
-    assert counted.records.passes <= 2
+    assert counted.records.passes == 1
