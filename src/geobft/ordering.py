@@ -2,8 +2,9 @@
 
 Two implementations behind one contract. SequencerOracle is the test
 oracle (a designated assigner stamps sequence numbers); MiniBFT is a
-minimal three-phase leader-based protocol with timeout-triggered view
-change, running among the 3f_a+1 agreement replicas of one region.
+minimal three-phase leader-based protocol among the 3f_a+1 agreement
+replicas of one region, whose view change runs on one view timer per
+replica, not per request (PBFT: Castro & Liskov, OSDI 1999, section 4.5.2).
 
 Delivery is blocking: the next (s, batch) is handed to the owner only
 after the owner signals completion of the previous one, in order and
@@ -134,6 +135,8 @@ class SequencerOracle(OrderingBase):
         pass
 
     def handle(self, src, msg, sig=None):
+        if src not in self.members:
+            return
         if isinstance(msg, OracleSubmit):
             if self.node.nid == self.assigner and self.node.validate_request(msg.req):
                 self._assign(msg.req)
@@ -148,6 +151,13 @@ class MiniBft(OrderingBase):
     prepared  = accepted pre-prepare + 2f+1 matching Prepare votes
     committed = 2f+1 matching Commit votes in the proposal's view
     Votes are view-tagged; a replica's newest-view vote supersedes older ones.
+    One view timer per replica (PBFT section 4.5.2) times the oldest pending
+    request, else our view change under way (vc_target > view). A vote or a
+    new view restarts it; so does the timed request leaving pending, which
+    also drops our vote and resets the timeout to view_timeout_ms. Each
+    expiry doubles the timeout and votes for max(view, vc_target) + 1. While
+    our vote is under way the timer ticks every view_timeout_ms and re-sends
+    it to the peers whose vote for that view we lack (a healed partition).
     """
 
     def __init__(self, node, members, f, view_timeout_ms=16.0):
@@ -161,9 +171,10 @@ class MiniBft(OrderingBase):
         self.commit_certs: dict[int, tuple] = {}  # s -> (view, batch, sigs)
         self.vcs: dict[int, dict] = {}
         self.vc_target = 0
-        self._timers: set[bytes] = set()
+        self.timeout_ms = view_timeout_ms  # the view timer's current timeout
+        self._timer: Optional[object] = None  # token of the running view timer
+        self._timed = None  # digest of the request it times, None: our vote
         self._gap_probe = False
-        self._vc_rebroadcast = False
 
     def leader_of(self, view) -> object:
         return self.members[view % len(self.members)]
@@ -175,19 +186,16 @@ class MiniBft(OrderingBase):
     # -- contract ------------------------------------------------------------
 
     def order(self, req):
-        if not self.node.validate_request(req):
-            return
         digest = self.node.crypto.digest(req)
-        if digest in self.pending or digest in self.assigned:
+        # a digest in pending or assigned was admitted here already
+        if digest in self.pending or digest in self.assigned \
+                or not self.node.validate_request(req):
             return
-        self.pending[digest] = req
+        self._hold(digest, req)
         if self.is_leader:
             self._propose()
         else:
             self.node.send_signed(self.leader_of(self.view), OracleSubmit(req))
-        # every replica times undelivered requests, the leader included, so a
-        # healed partition can always assemble a view-change quorum
-        self._arm_timer(digest)
 
     def gc(self, s_min):
         super().gc(s_min)
@@ -203,7 +211,7 @@ class MiniBft(OrderingBase):
         """Owner hook: drop pending requests already covered by a checkpoint."""
         for d in [d for d, req in self.pending.items() if not keep(req)]:
             del self.pending[d]
-            self._timers.discard(d)
+        self._check_progress()
 
     # -- normal case ----------------------------------------------------------
 
@@ -234,25 +242,22 @@ class MiniBft(OrderingBase):
         })
 
     def _accept_preprepare(self, src, msg, sig):
-        if msg.view != self.view or src != self.leader_of(msg.view):
-            return
-        if msg.s <= self.low_water or sig is None or sig.signer != src:
+        if msg.view != self.view or src != self.leader_of(msg.view) \
+                or msg.s <= self.low_water or sig is None or sig.signer != src:
             return
         rec = self._rec(msg.s)
-        if rec["committed"]:
+        # at most one proposal accepted per (view, s), none over a commit
+        if rec["committed"] or rec["batch"] is not None and rec["view"] >= msg.view:
             return
-        if rec["view"] == msg.view and rec["batch"] is not None:
-            return  # at most one proposal accepted per (view, s)
-        if rec["view"] is not None and rec["view"] > msg.view:
-            return
-        if not all(self.node.validate_request(r) for r in msg.batch):
+        reqs = [(self.node.crypto.digest(r), r) for r in msg.batch]
+        if not all(d in self.pending or d in self.assigned
+                   or self.node.validate_request(r) for d, r in reqs):
             return
         digest = self.node.crypto.digest(msg.batch)
         rec.update(view=msg.view, batch=msg.batch, digest=digest, pp_sig=sig,
                    prepared=False, prepare_quorum=())
-        for r in msg.batch:
-            d = self.node.crypto.digest(r)
-            self.pending.setdefault(d, r)
+        for d, r in reqs:
+            self._hold(d, r)
             self.assigned[d] = msg.s
         self._vote(ObPrepare(msg.view, msg.s, digest))
 
@@ -289,12 +294,11 @@ class MiniBft(OrderingBase):
             self._probe_gaps()
 
     def _commit(self, s, view, batch, sigs):
-        """Keep s's commit certificate, stop timing its requests, deliver it."""
+        """Keep s's commit certificate, deliver s."""
         self.commit_certs[s] = (view, batch, sigs)
         for r in batch:
-            d = self.node.crypto.digest(r)
-            self.pending.pop(d, None)
-            self._timers.discard(d)
+            self.pending.pop(self.node.crypto.digest(r), None)
+        self._check_progress()
         self._mark_ready(s, batch)
 
     # -- catch-up on missed sequences ------------------------------------------
@@ -318,17 +322,15 @@ class MiniBft(OrderingBase):
 
         self.node.after(self.view_timeout_ms, probe)
 
-    def _on_fetch(self, src, msg):
+    def _on_fetch(self, src, msg, sig=None):
         for s in range(msg.s_from, min(msg.s_to, msg.s_from + 256) + 1):
             cert = self.commit_certs.get(s)
             if cert is not None:
                 view, batch, sigs = cert
                 self.node.send_signed(src, ObSeqInfo(s, batch, ((view,), sigs)))
 
-    def _on_seqinfo(self, src, msg):
-        if msg.s <= self.low_water or msg.s in self.ready:
-            return
-        if msg.s in self.commit_certs:
+    def _on_seqinfo(self, src, msg, sig=None):
+        if msg.s <= self.low_water or msg.s in self.ready or msg.s in self.commit_certs:
             return
         (view,), sigs = msg.commit_sigs
         want = ObCommit(view, msg.s, self.node.crypto.digest(msg.batch))
@@ -337,51 +339,64 @@ class MiniBft(OrderingBase):
 
     # -- view change ----------------------------------------------------------
 
-    def _arm_timer(self, digest, slack=1.0):
-        if digest in self._timers:
-            return
-        self._timers.add(digest)
+    def _hold(self, digest, req):
+        """Keep an admitted request pending; the view timer runs while one is."""
+        self.pending.setdefault(digest, req)
+        if self._timer is None:
+            self._restart_timer()
 
-        def expired():
-            if digest not in self._timers:
-                return
-            self._timers.discard(digest)
-            if digest in self.pending:
-                self._start_view_change(max(self.view, self.vc_target) + 1)
-                self._arm_timer(digest, slack=2.0)  # escalate, backing off
+    def _restart_timer(self):
+        """Time the oldest pending request, else our vote under way, or stop."""
+        self._timer = None
+        self._timed = next(iter(self.pending), None)
+        if self._timed is not None or self.vc_target > self.view:
+            self._tick(self.timeout_ms)
 
-        self.node.after(self.view_timeout_ms * slack, expired)
+    def _tick(self, left):
+        step = min(left, self.view_timeout_ms) if self.vc_target > self.view else left
+        token = self._timer = object()
+        self.node.after(step, lambda: self._expired(token, left - step))
+
+    def _expired(self, token, left):
+        if token is not self._timer:
+            return  # restarted or stopped since
+        if left > 0:  # to the peers whose vote for our target we lack
+            held = self.vcs.get(self.vc_target, {})
+            self.node.multicast_signed([m for m in self.members if m not in held],
+                                       self._vote_msg())
+            self._tick(left)
+        else:
+            self.timeout_ms *= 2
+            self._start_view_change(max(self.view, self.vc_target) + 1)
+
+    def _check_progress(self):
+        """The timed request left pending (or, if only our vote was timed, a
+        batch committed): drop our vote, time the next at the base timeout."""
+        if self._timed not in self.pending:
+            self.vc_target = self.view
+            self.timeout_ms = self.view_timeout_ms
+            self._restart_timer()
 
     def _prepared_proofs(self):
-        proofs = []
-        for s, rec in sorted(self.phase.items()):
-            if rec["prepared"] and s > self.low_water:
-                proofs.append(PreparedProof(rec["view"], s, rec["batch"],
-                                            rec["pp_sig"], rec["prepare_quorum"]))
-        return tuple(proofs)
+        return tuple(PreparedProof(rec["view"], s, rec["batch"], rec["pp_sig"],
+                                   rec["prepare_quorum"])
+                     for s, rec in sorted(self.phase.items())
+                     if rec["prepared"] and s > self.low_water)
 
     def _start_view_change(self, new_view):
         if new_view <= self.vc_target:
             return
         self.vc_target = new_view
-        vc = ObViewChange(new_view, self.low_water, self._prepared_proofs())
+        self._restart_timer()
+        vc = self._vote_msg()
         sig = self.node.crypto.sign(vc)
         self.node.sim.trace.add(self.node.sim.now, "view_change_vote",
                                 self.node.nid, "-", "ordering", view=new_view)
         self.node.multicast_signed(self.members, vc)
         self._on_view_change(self.node.nid, vc, sig)
-        if not self._vc_rebroadcast:
-            self._vc_rebroadcast = True
-            self.node.after(2 * self.view_timeout_ms, self._rebroadcast_vc)
 
-    def _rebroadcast_vc(self):
-        # keeps view agreement live across healed partitions
-        if self.vc_target <= self.view:
-            self._vc_rebroadcast = False
-            return
-        vc = ObViewChange(self.vc_target, self.low_water, self._prepared_proofs())
-        self.node.multicast_signed(self.members, vc)
-        self.node.after(2 * self.view_timeout_ms, self._rebroadcast_vc)
+    def _vote_msg(self):
+        return ObViewChange(self.vc_target, self.low_water, self._prepared_proofs())
 
     def _on_view_change(self, src, msg, sig):
         if msg.view <= self.view or sig is None or sig.signer != src:
@@ -425,13 +440,8 @@ class MiniBft(OrderingBase):
                 cur = best.get(proof.s)
                 if cur is None or proof.view > cur.view:
                     best[proof.s] = proof
-        if not best:
-            return floor, ()
-        top = max(best)
-        proposals = tuple(
-            (s, best[s].batch if s in best else ())
-            for s in range(floor + 1, top + 1))
-        return floor, proposals
+        return floor, tuple((s, best[s].batch if s in best else ())
+                            for s in range(floor + 1, max(best, default=floor) + 1))
 
     def _emit_new_view(self, view):
         if self.view >= view:
@@ -443,32 +453,28 @@ class MiniBft(OrderingBase):
         self.node.multicast_signed(self.members, nv)
         self._adopt_new_view(self.node.nid, nv)
 
-    def _adopt_new_view(self, src, msg):
-        if msg.view <= self.view or src != self.leader_of(msg.view):
-            return
-        if any(rec.vc.view != msg.view for rec in msg.view_changes):
-            return
-        if not self._certified((rec.vc, rec.sig) for rec in msg.view_changes):
+    def _adopt_new_view(self, src, msg, sig=None):
+        if msg.view <= self.view or src != self.leader_of(msg.view) \
+                or any(rec.vc.view != msg.view for rec in msg.view_changes) \
+                or not self._certified((rec.vc, rec.sig) for rec in msg.view_changes):
             return
         floor, expect = self._new_view_proposals(msg.view_changes)
         if expect != msg.proposals:
             return  # leader deviated from the deterministic re-proposal rule
         self.view = msg.view
-        self.vc_target = max(self.vc_target, msg.view)
+        # drop a vote past this view, or this replica goes on voting alone
+        self.vc_target = msg.view
         for stale in [v for v in self.vcs if v <= msg.view]:
             del self.vcs[stale]
         self.node.sim.trace.add(self.node.sim.now, "view_change", self.node.nid,
                                 "-", "ordering", view=msg.view)
-        top = floor
-        for s, _ in msg.proposals:
-            top = max(top, s)
         proposed_seqs = {s for s, _ in msg.proposals}
         for d in [d for d, s in self.assigned.items()
                   if s not in self.commit_certs and s not in proposed_seqs]:
             del self.assigned[d]
         # abandoned proposals above the re-proposal top would leave holes:
         # proposing resumes contiguously (nothing can be committed above top)
-        self.next_s = max(top, max(self.commit_certs, default=0)) + 1
+        self.next_s = max([floor, *proposed_seqs, *self.commit_certs]) + 1
         if self.is_leader:
             # re-proposals are real pre-prepares in the new view
             for s, batch in msg.proposals:
@@ -476,32 +482,26 @@ class MiniBft(OrderingBase):
                     self._broadcast_preprepare(s, batch)
             self._propose()
         else:
-            for d, req in list(self.pending.items()):
+            for req in self.pending.values():
                 self.node.send_signed(self.leader_of(msg.view), OracleSubmit(req))
-                self._timers.discard(d)
-                self._arm_timer(d)
+        self._restart_timer()
 
     # -- dispatch ---------------------------------------------------------------
 
+    def _on_submit(self, src, msg, sig):
+        d = self.node.crypto.digest(msg.req)
+        if d not in self.assigned and (
+                d in self.pending or self.node.validate_request(msg.req)):
+            self._hold(d, msg.req)
+            if self.is_leader:
+                self._propose()
+
+    _handlers = {OracleSubmit: _on_submit, ObPrePrepare: _accept_preprepare,
+                 ObPrepare: _accept_vote, ObCommit: _accept_vote,
+                 ObViewChange: _on_view_change, ObNewView: _adopt_new_view,
+                 ObFetch: _on_fetch, ObSeqInfo: _on_seqinfo}
+
     def handle(self, src, msg, sig=None):
-        if src not in self.members:
-            return
-        if isinstance(msg, OracleSubmit):
-            if self.node.validate_request(msg.req):
-                d = self.node.crypto.digest(msg.req)
-                if d not in self.assigned:
-                    self.pending.setdefault(d, msg.req)
-                    if self.is_leader:
-                        self._propose()
-        elif isinstance(msg, ObPrePrepare):
-            self._accept_preprepare(src, msg, sig)
-        elif isinstance(msg, (ObPrepare, ObCommit)):
-            self._accept_vote(src, msg, sig)
-        elif isinstance(msg, ObViewChange):
-            self._on_view_change(src, msg, sig)
-        elif isinstance(msg, ObNewView):
-            self._adopt_new_view(src, msg)
-        elif isinstance(msg, ObFetch):
-            self._on_fetch(src, msg)
-        elif isinstance(msg, ObSeqInfo):
-            self._on_seqinfo(src, msg)
+        handler = self._handlers.get(type(msg))
+        if handler is not None and src in self.members:
+            handler(self, src, msg, sig)

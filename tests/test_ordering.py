@@ -4,7 +4,7 @@ import random
 import pytest
 
 from geobft.core import BoundCrypto, ClientId, CryptoProvider, ReplicaId
-from geobft.core.messages import Request, Write
+from geobft.core.messages import OracleSubmit, Request, Write
 from geobft.ordering import MiniBft, SequencerOracle
 from geobft.protocol import ProtocolNode
 from geobft.simnet import FaultPlan, NodeFault, Simulator, Topology
@@ -189,3 +189,145 @@ def test_oracle_and_minibft_contract_equivalent_multisets():
             for _, batch in hosts[0].delivered for r in batch)
         delivered[kind] = payloads
     assert delivered["minibft"] == delivered["oracle"]
+
+
+def _votes(sim):
+    """node -> [(time, view)] of its view_change_vote records."""
+    votes = {}
+    for t, kind, node, *_, data in sim.trace.records:
+        if kind == "view_change_vote":
+            votes.setdefault(node, []).append((t, data["view"]))
+    return votes
+
+
+def _crashed_at_start(*indices):
+    plan = FaultPlan()
+    for i in indices:
+        plan.faults[ReplicaId("ag", 0, i)] = NodeFault("crash", at_ms=0.0)
+    return plan
+
+
+def _delivered_all(host, reqs):
+    return sorted(r.inner.t_c for _, batch in host.delivered for r in batch) == \
+        sorted(r.inner.t_c for r in reqs)
+
+
+def test_one_view_change_vote_per_replica_not_per_pending_request():
+    """Six requests pending behind a crashed leader share one view timer:
+    each correct replica votes once, when it expires, and settles in view 1."""
+    sim, hosts, provider, client = build_group(plan=_crashed_at_start(0))
+    reqs = [make_request(provider, client, t, b"op%d" % t) for t in range(1, 7)]
+    for host in hosts[1:]:
+        for req in reqs:
+            host.ordering.order(req)
+    sim.run_until(1000)
+    assert _votes(sim) == {str(h.nid): [(16.0, 1)] for h in hosts[1:]}
+    for host in hosts[1:]:
+        assert host.ordering.view == 1
+        assert _delivered_all(host, reqs)
+
+
+def test_view_timer_doubles_past_a_crashed_next_leader():
+    """n=7, f=2, the leaders of views 0 and 1 crashed: the replicas vote for
+    view 1 one timeout after their requests arrive, for view 2 one doubled
+    timeout later, and deliver in view 2. The vote for view 2 is also what
+    a replica that voted into a dead view re-sends its way out with."""
+    sim, hosts, provider, client = build_group(n=7, f=2, plan=_crashed_at_start(0, 1))
+    reqs = [make_request(provider, client, t, b"op%d" % t) for t in range(1, 4)]
+    for host in hosts[2:]:
+        host.after(10.0, lambda h=host: [h.ordering.order(r) for r in reqs])
+    sim.run_until(1000)
+    assert _votes(sim) == {str(h.nid): [(26.0, 1), (58.0, 2)] for h in hosts[2:]}
+    adopted = [t for t, kind, *_ in sim.trace.records if kind == "view_change"]
+    assert len(adopted) == 5 and all(58.0 < t <= 60.0 for t in adopted)
+    for host in hosts[2:]:
+        assert host.ordering.view == 2
+        assert _delivered_all(host, reqs)
+
+
+@pytest.mark.parametrize("outsider", [ClientId(0), ReplicaId("ex", 1, 0)],
+                         ids=["client", "execution-replica"])
+def test_oracle_assigner_ignores_submits_from_non_members(outsider):
+    """An OracleSubmit that does not come from an agreement member reaches
+    the assigner and orders nothing, so no request bypasses the request
+    channel's quorum."""
+    sim, hosts, provider, client = build_group("oracle")
+    provider.register_principal(outsider)
+    sender = ProtocolNode(outsider, sim, BoundCrypto(provider, outsider))
+    sim.register(outsider, sender, "X", 0)
+    assigner = hosts[0]
+    seen = []
+    handle = assigner.ordering.handle
+    assigner.ordering.handle = lambda src, msg, sig=None: (
+        seen.append((src, type(msg))), handle(src, msg, sig))
+    sender.send_signed(assigner.nid, OracleSubmit(make_request(provider, client, 1)))
+    sim.run_until(500)
+    assert seen == [(outsider, OracleSubmit)]
+    assert all(host.delivered == [] for host in hosts)
+    assert assigner.ordering.assigned == {}
+
+
+def _feed(host, reqs, every_ms=5.0):
+    """Order reqs at host, one every every_ms from t=every_ms on."""
+    for i, req in enumerate(reqs, 1):
+        host.after(i * every_ms, lambda r=req: host.ordering.order(r))
+
+
+def test_leader_that_leaves_out_one_request_is_replaced():
+    """A leader that commits other batches but never proposes one request
+    does not keep its view: the timer times the oldest pending request, not
+    any commit, so the correct replicas change view and deliver it."""
+    sim, hosts, provider, client = build_group()
+    victim = make_request(provider, client, 1, b"victim")
+    others = [make_request(provider, client, t) for t in range(2, 22)]
+    leader = hosts[0].ordering
+    victim_d = leader.node.crypto.digest(victim)
+    leader._hold = lambda d, r: None if d == victim_d else MiniBft._hold(leader, d, r)
+    for host in hosts:
+        host.ordering.order(victim)
+        _feed(host, others)
+    sim.run_until(1000)
+    assert {t for t, view in _votes(sim)[str(hosts[1].nid)] if view == 1} == {16.0}
+    for host in hosts[1:]:
+        assert host.ordering.view >= 1
+        assert _delivered_all(host, [victim] + others)
+
+
+def test_follower_whose_timer_fires_early_votes_once():
+    """A follower whose first timeout is too short votes once; the view's
+    next commit of the request it timed drops that vote, so it does not go
+    on voting alone for higher views while the view stays live."""
+    sim, hosts, provider, client = build_group()
+    hosts[3].ordering.timeout_ms = 2.5  # commits take 3 ms in this rig
+    reqs = [make_request(provider, client, t) for t in range(1, 21)]
+    for host in hosts:
+        host.ordering.order(reqs[0])
+        _feed(host, reqs[1:])
+    sim.run_until(1000)
+    assert _votes(sim) == {str(hosts[3].nid): [(2.5, 1)]}
+    for host in hosts:
+        assert host.ordering.view == 0 and host.ordering.vc_target == 0
+        assert _delivered_all(host, reqs)
+
+
+def test_view_is_adopted_soon_after_a_partition_heals():
+    """Two of four replicas are cut off while the other two hold requests:
+    those two vote for views 1-4 with a doubling timeout. Each tick of their
+    view timer re-sends the vote to the peers whose vote they lack, so the
+    healed replicas join within one view_timeout_ms of the heal, not at the
+    next doubled expiry (496 ms)."""
+    plan = FaultPlan()
+    for i in (1, 2):
+        plan.faults[ReplicaId("ag", 0, i)] = NodeFault("partition", 0.0, 300.0)
+    sim, hosts, provider, client = build_group(plan=plan)
+    reqs = [make_request(provider, client, t) for t in range(1, 4)]
+    for host in (hosts[0], hosts[3]):
+        for req in reqs:
+            host.ordering.order(req)
+    sim.run_until(1000)
+    assert _votes(sim)[str(hosts[0].nid)][:4] == [(16.0, 1), (48.0, 2), (112.0, 3), (240.0, 4)]
+    adopted = [t for t, kind, *_ in sim.trace.records if kind == "view_change"]
+    assert len(adopted) == 4 and all(300.0 < t <= 300.0 + 16.0 + 3.0 for t in adopted)
+    for host in hosts:
+        assert host.ordering.view == 4
+        assert _delivered_all(host, reqs)
