@@ -2,12 +2,26 @@
 
 Senders exchange signed hashes of their Sends inside the sender group;
 a collector assembles f_s+1 matching shares into one Certificate per
-receiver. Periodic Progress claims let receivers police collectors that
-withhold certificates and switch to a different one after a timeout. A
-sender claims progress only to the receivers behind some claim (for a
-claimed (sc, p), behind(recv_moves[sc], p+1), the rule its window
-moves follow): a receiver waiting on q has not moved past q, so every
-claim >= q still reaches it.
+receiver. Progress claims let receivers police collectors that withhold
+certificates and switch to a different one after a timeout.
+
+A sender claims progress only to the receivers behind some claim (for a
+claimed (sc, p), behind(recv_moves[sc], p+1), the rule its window moves
+follow), and only when its claim vector differs from the one it last
+sent; an unchanged vector goes out again once collector_timeout_ms has
+passed since the last claim send. That is news when it appears plus a
+slow refresh to repair losses (Demers et al., PODC 1987). A correct
+receiver waiting on q has not moved past q, so it is behind every claim
+>= q, and:
+- a new claim reaches every receiver behind it at the first tick after
+  it appears;
+- a claim that was dropped, by a partition or a lossy link, is sent
+  again at the first tick one collector timeout after the last claim
+  send;
+- a receiver checks the claims it holds whenever claims arrive and
+  whenever it starts to wait, so its collector timer starts as soon as
+  f_s+1 senders claim a position it waits on.
+Claims are hints: a receiver delivers only what a certificate proves.
 Windows, blocked sends and moves come from the shared endpoints in
 base.py; a receiver's moves also name its collector.
 """
@@ -42,7 +56,8 @@ class ScSender(SenderEndpoint):
         self.collector_of: dict = {
             r: r.index % len(cfg.senders) for r in cfg.receivers
         }
-        self._progress: Optional[ChProgress] = None  # reused while its claims hold
+        self._progress: Optional[ChProgress] = None  # the last claim sent
+        self._refresh_at = 0.0  # when an unchanged claim may go out again
 
     def _transmit(self, sc, p, m):
         self.content.setdefault(sc, {})[p] = m
@@ -79,11 +94,12 @@ class ScSender(SenderEndpoint):
     def _try_assemble(self, sc, p):
         if p in self.certs.get(sc, {}):
             return
-        payload = self.content.get(sc, {}).get(p)
-        if payload is None:
-            return  # cannot vouch without own matching content
-        digest = _share_digest(self.node.crypto, self.cfg.channel, sc, p, payload)
         slot = self.shares.get(sc, {}).get(p, {})
+        own = slot.get(self.node.nid)
+        if own is None:
+            return  # cannot vouch without own matching content
+        digest = own[0]
+        payload = self.content[sc][p]
         q = self.cfg.f_s + 1
         # only f_s signers can be faulty, so no other digest holds q shares
         won = tally(slot, q, key=itemgetter(0))
@@ -131,20 +147,26 @@ class ScSender(SenderEndpoint):
         # a receiver whose move passed every claim waits on none of them
         # ids are interned, so the list tests compare by identity, not hash
         waiting = [r for sc, p in pvec for r in behind(self.recv_moves[sc], p + 1)]
-        if waiting:
-            dsts = [r for r in self.cfg.receivers if r in waiting]
-            pvec = tuple(pvec)
-            msg = self._progress
-            if msg is None or msg.pvec != pvec:
-                msg = self._progress = ChProgress(self.cfg.channel, pvec)
-            self._broadcast(dsts, msg)
+        if not waiting:
+            return
+        pvec = tuple(pvec)
+        now = self.node.sim.now
+        msg = self._progress
+        if msg is None or msg.pvec != pvec:
+            msg = self._progress = ChProgress(self.cfg.channel, pvec)
+        elif now < self._refresh_at:
+            return  # unchanged: the receivers behind it already had it
+        self._refresh_at = now + self.cfg.collector_timeout_ms
+        self._broadcast([r for r in self.cfg.receivers if r in waiting], msg)
 
     def _resend(self):
+        me = self.node.nid
         for sc, held in self.content.items():
             win = self.window(sc)
-            for p, m in sorted(held.items()):
+            shares = self.shares[sc]
+            for p in sorted(held):
                 if win.covers(p):
-                    digest = _share_digest(self.node.crypto, self.cfg.channel, sc, p, m)
+                    digest = shares[p][me][0]
                     self._broadcast(self.peers, ChShare(self.cfg.channel, sc, p, digest))
         for sc, held in self.certs.items():
             win = self.window(sc)
@@ -178,11 +200,16 @@ class ScReceiver(ReceiverEndpoint):
         elif isinstance(msg, ChMove):
             self._on_move(src, msg)
 
+    def receive(self, sc, p, callback):
+        super().receive(sc, p, callback)
+        if (sc, p) in self.pending_recv:
+            self._check_stall()  # it may wait on claims it already holds
+
     def _on_cert(self, src, msg):
-        sc, p = msg.sc, msg.p
-        self._note_subchannel(sc)
         if msg.channel != self.cfg.channel:
             return
+        sc, p = msg.sc, msg.p
+        self._note_subchannel(sc)
         if p < self.window(sc).start:
             return
         if p in self.delivered.get(sc, {}):

@@ -2,7 +2,7 @@
 import pytest
 
 from geobft.core import ReplicaId
-from geobft.core.messages import ChMove, ChSend
+from geobft.core.messages import ChannelId, ChCert, ChMove, ChSend
 from geobft.irmc.base import Delivered, TooOld
 from geobft.simnet import FaultPlan, NodeFault
 from tests.conftest import Channel, NetSpy
@@ -148,6 +148,14 @@ class TestScDelivery:
         recv._on_cert(ch.senders[0], cert)
         assert recv.delivered.get(0, {}).get(1) is None
 
+    def test_certificate_on_a_foreign_channel_names_no_subchannel(self, sc_channel):
+        recv = sc_channel.r_eps[0]
+        named = []
+        recv.on_new_subchannel = named.append
+        recv.handle(sc_channel.senders[0], ChCert(ChannelId("req", 2), 7, 1, b"m", ()))
+        assert recv._known_sc == set()
+        assert named == []
+
     def test_trusted_progress_claim_is_second_largest(self, sc_channel):
         recv = sc_channel.r_eps[0]
         recv.progress_claims[0] = {sc_channel.senders[0]: 5,
@@ -194,7 +202,8 @@ class TestScDelivery:
 
 class TestScProgressClaims:
     """A sender claims progress only to the receivers whose moves have not
-    passed every claimed position."""
+    passed every claimed position, when its claims change and once per
+    collector timeout while they do not."""
 
     @staticmethod
     def _certify(ch, positions=(1, 2)):
@@ -255,6 +264,108 @@ class TestScProgressClaims:
         got = self._claims_to(ch, spy)
         assert got.pop(liar) == 0
         assert all(n > 0 for n in got.values())
+
+    @staticmethod
+    def _claim_log(ch, patch):
+        """(time, sender, receiver, pvec) per ChProgress send from now on."""
+        log = []
+        send = ch.sim.send
+
+        def spy_send(src, dst, env, channel=None):
+            if type(env.payload).__name__ == "ChProgress":
+                log.append((ch.sim.now, src, dst, env.payload.pvec))
+            send(src, dst, env, channel)
+
+        patch(ch.sim, "send", spy_send)
+        return log
+
+    @staticmethod
+    def _withholding_collector_plan():
+        # ex1:0 collects for ag0:0 and withholds its certificates
+        plan = FaultPlan()
+        plan.faults[ReplicaId("ex", 1, 0)] = NodeFault("byzantine",
+                                                       strategy="lying-collector")
+        return plan
+
+    @staticmethod
+    def _switches(ch, nid):
+        return [r[0] for r in ch.sim.trace.records
+                if r[1] == "collector_switch" and r[2] == str(nid)]
+
+    def test_unchanged_claim_goes_out_once_per_collector_timeout(self, monkeypatch):
+        ch = Channel("sc")
+        self._certify(ch)
+        log = self._claim_log(ch, monkeypatch.setattr)
+        ch.run(ch.sim.now + 10 * ch.cfg.collector_timeout_ms)
+        assert {pvec for _, _, _, pvec in log} == {((0, 2),)}  # unchanged
+        for s in ch.senders:
+            for r in ch.receivers:  # no receiver moved: each stays behind
+                times = [t for t, src, dst, _ in log if (src, dst) == (s, r)]
+                assert len(times) >= 9
+                gaps = [b - a for a, b in zip(times, times[1:])]
+                assert min(gaps) >= ch.cfg.collector_timeout_ms
+
+    def test_new_certificate_reaches_every_behind_receiver_at_the_next_tick(
+            self, monkeypatch):
+        ch = Channel("sc")
+        self._certify(ch, positions=(1,))
+        log = self._claim_log(ch, monkeypatch.setattr)
+        for ep in ch.s_eps:
+            ep.send(0, 2, b"m2")
+        certified = {}
+        end = ch.sim.now + 2 * ch.cfg.collector_timeout_ms
+        while ch.sim.now < end:  # 1 ms steps find when each sender certifies 2
+            ch.sim.run_until(ch.sim.now + 1.0)
+            for s, ep in zip(ch.senders, ch.s_eps):
+                if 2 in ep.certs.get(0, {}):
+                    certified.setdefault(s, ch.sim.now)
+        assert set(certified) == set(ch.senders)
+        for s, t_cert in certified.items():
+            for r in ch.receivers:
+                sent = [(t, pvec) for t, src, dst, pvec in log
+                        if (src, dst) == (s, r) and t > t_cert - 1.0]
+                t_new, pvec = sent[0]
+                assert pvec == ((0, 2),)
+                assert t_new <= t_cert + ch.cfg.progress_ms
+                # the news goes out once; the next is the refresh
+                assert [t for t, _ in sent if t < t_new + ch.cfg.collector_timeout_ms] \
+                    == [t_new]
+
+    def test_claim_dropped_by_a_partition_comes_again_after_the_heal(self, monkeypatch):
+        plan = self._withholding_collector_plan()
+        r0 = ReplicaId("ag", 0, 0)
+        heal = 400.0
+        plan.faults[r0] = NodeFault("partition", at_ms=0.0, until_ms=heal)
+        ch = Channel("sc", fault_plan=plan)
+        log = self._claim_log(ch, monkeypatch.setattr)
+        got = []
+        ch.r_eps[0].receive(0, 1, collect(got))
+        for ep in ch.s_eps:
+            ep.send(0, 1, b"m")
+        ch.run(1000)
+        dropped = [r for r in ch.sim.trace.records
+                   if r[1] == "net_drop" and r[3] == str(r0) and r[4] == "ChProgress"]
+        assert dropped and all(r[0] < heal for r in dropped)
+        assert any(t >= heal for t, _, dst, _ in log if dst == r0)
+        switches = self._switches(ch, r0)
+        assert switches
+        assert heal < switches[0] <= (heal + 2 * ch.cfg.collector_timeout_ms
+                                      + ch.cfg.progress_ms)
+        assert [o.payload for o in got] == [b"m"]
+
+    def test_receiver_that_waits_on_claims_it_holds_times_out_at_once(self):
+        ch = Channel("sc", fault_plan=self._withholding_collector_plan())
+        self._certify(ch, positions=(1,))
+        recv = ch.r_eps[0]
+        assert recv._trusted_claim(0) >= 1  # f_s+1 claims held before it waits
+        assert self._switches(ch, recv.node.nid) == []
+        t_wait = ch.sim.now
+        got = []
+        recv.receive(0, 1, collect(got))
+        ch.run(t_wait + ch.cfg.collector_timeout_ms)
+        assert self._switches(ch, recv.node.nid) == [t_wait + ch.cfg.collector_timeout_ms]
+        ch.run(t_wait + 2 * ch.cfg.collector_timeout_ms)
+        assert [o.payload for o in got] == [b"m1"]
 
 
 class TestWideAreaEconomy:
