@@ -6,12 +6,13 @@ certificate rules of core/quorum.py); delivery to the owner is monotone
 and at most once per sequence number. Signatures, not MACs: group size
 2f+1 makes MAC-based certificates unsound.
 
-Gossip is quiet when no one lags: a progress row (core/quorum.py) keeps the
-highest sequence number each other member has shown (by a signed Checkpoint
-vote or by a CpAnnounce), and a gossip tick announces the latest stable
-checkpoint only to the members behind it. An announce is only a hint; a
-transfer is still checked against its f+1 certificate, so a member that
-overstates its progress only withholds hints from itself.
+A member that missed a checkpoint round catches up by certificate (PBFT:
+Castro & Liskov, OSDI 1999, section 4.3): the next round's f+1 matching
+votes certify a sequence it holds no state for, and it fetches the state
+from the signers. A vote below our latest stable checkpoint shows its
+sender a full interval behind; it gets one CpAnnounce of that checkpoint
+in reply, and the sender queries it. An announce is only a hint; a
+transfer is still checked against its f+1 certificate.
 """
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ from typing import Callable, Iterable, Optional
 
 from .core import hash_bytes
 from .core.messages import Checkpoint, CpAnnounce, CpQuery, CpState
-from .core.quorum import behind, certificate_signers, progress_row, show, tally
+from .core.quorum import certificate_signers, tally
 
-GOSSIP_MS = 10.0      # how soon a lagging member hears of a stable checkpoint
 FETCH_POLL_MS = 25.0  # re-query period while fetching a checkpoint
 RETAIN = 2            # own snapshots kept while awaiting certification
 
@@ -44,9 +44,6 @@ class CheckpointComponent:
         self.delivered_s = 0
         self.fetching: Optional[int] = None
         self._fetch_peers: list = []
-        self._announce: Optional[CpAnnounce] = None  # reused while delivered_s holds
-        self.shown = progress_row(m for m in members if m is not node.nid)
-        node.every(GOSSIP_MS, self._gossip)
 
     # -- creating ------------------------------------------------------------
 
@@ -83,7 +80,10 @@ class CheckpointComponent:
             return
         if sig is None or sig.signer != src:
             return
-        show(self.shown, src, msg.s)
+        if msg.s < self.delivered_s:
+            # the sender is a full interval behind: point it at our newest
+            self.node.send_signed(src, CpAnnounce(self.scope, self.group,
+                                                  self.delivered_s))
         self._record_vote(msg.s, src, msg.digest, sig)
 
     def _record_vote(self, s, signer, digest, sig):
@@ -188,20 +188,8 @@ class CheckpointComponent:
     def on_announce(self, src, msg: CpAnnounce) -> None:
         if src not in self.members or msg.group != self.group:
             return
-        show(self.shown, src, msg.s)
         if msg.s > self.delivered_s and self.fetching is None:
             self.node.send_signed(src, CpQuery(self.scope, msg.s))
-
-    def _gossip(self):
-        """Announce the latest stable checkpoint to the members behind it."""
-        s = self.delivered_s
-        dsts = behind(self.shown, s)
-        if not dsts:
-            return
-        msg = self._announce
-        if msg is None or msg.s != s:
-            msg = self._announce = CpAnnounce(self.scope, self.group, s)
-        self.node.multicast_signed(dsts, msg)
 
     def latest_stable(self) -> int:
         return self.delivered_s

@@ -308,9 +308,10 @@ class ObFetch:
 @register_message(58)
 @dataclass(frozen=True)
 class ObSeqInfo:
+    view: int
     s: int
     batch: tuple
-    commit_sigs: tuple  # 2f_a+1 Sig records over the ObCommit content
+    commit_sigs: tuple  # 2f_a+1 Sig records over ObCommit(view, s, digest(batch))
 
 
 @register_message(59)

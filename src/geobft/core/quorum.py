@@ -2,7 +2,7 @@
 
 - progress rows: the highest position each peer has shown, 0 until it
   shows more (progress_row, show), and the peers below a position (behind).
-  Checkpoint gossip, IRMC moves, sc claims and sc Move counters use them.
+  IRMC moves, sc claims and sc Move counters use them.
 - backed_position: the (f+1)-highest position f+1 principals asked for.
   Applied to a progress row, it slides IRMC windows (sender and receiver
   moves) and bounds sc Progress claims.

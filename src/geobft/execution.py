@@ -111,10 +111,10 @@ class ExecutionReplica(ExecutingNode):
         self.group = group
         self._pulling = False
         self.registry = RegistryResolver(self, ag_members, f_a)
-        # same-instant timers fire in arming order: gossip, sender, receiver
         self.cp = CheckpointComponent(
             "ex", group, group_members, f_e, self,
             on_stable=self.on_stable_execution_cp)
+        # same-instant timers fire in arming order: sender, receiver
         req_cfg, com_cfg = endpoint_factory.channel_configs(group, group_members)
         self.req_send = endpoint_factory.sender_cls(req_cfg, self)
         self.commit_recv = endpoint_factory.receiver_cls(com_cfg, self)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Optional
 
+from .core import Sig
 from .core.messages import (
     ObCommit,
     ObFetch,
@@ -327,15 +328,17 @@ class MiniBft(OrderingBase):
             cert = self.commit_certs.get(s)
             if cert is not None:
                 view, batch, sigs = cert
-                self.node.send_signed(src, ObSeqInfo(s, batch, ((view,), sigs)))
+                self.node.send_signed(src, ObSeqInfo(view, s, batch, sigs))
 
     def _on_seqinfo(self, src, msg, sig=None):
         if msg.s <= self.low_water or msg.s in self.ready or msg.s in self.commit_certs:
             return
-        (view,), sigs = msg.commit_sigs
-        want = ObCommit(view, msg.s, self.node.crypto.digest(msg.batch))
-        if self._certified((want, sig) for sig in sigs):
-            self._commit(msg.s, view, msg.batch, sigs)
+        sigs = msg.commit_sigs
+        if type(sigs) is not tuple or not all(type(g) is Sig for g in sigs):
+            return  # malformed: the certificate is a tuple of Sig records
+        want = ObCommit(msg.view, msg.s, self.node.crypto.digest(msg.batch))
+        if self._certified((want, g) for g in sigs):
+            self._commit(msg.s, msg.view, msg.batch, sigs)
 
     # -- view change ----------------------------------------------------------
 

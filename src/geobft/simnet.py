@@ -438,9 +438,8 @@ class ByzantineAdapter:
     """Rewrites a faulty node's outgoing traffic; cannot forge other identities.
     strategy is one of BYZANTINE_STRATEGIES."""
 
-    def __init__(self, strategy: str, rng: random.Random):
+    def __init__(self, strategy: str):
         self.strategy = strategy
-        self.rng = rng
 
     def adapt(self, dst, payload):
         """Return the payload to send (possibly mutated) or None to withhold."""
@@ -495,7 +494,7 @@ class Node:
         fault = sim.faults.for_node(nid)
         self.adapter = None
         if fault is not None and fault.kind == "byzantine":
-            self.adapter = ByzantineAdapter(fault.strategy, sim.rng)
+            self.adapter = ByzantineAdapter(fault.strategy)
 
     # -- sending -----------------------------------------------------------
 

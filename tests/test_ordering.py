@@ -227,6 +227,24 @@ def test_one_view_change_vote_per_replica_not_per_pending_request():
         assert _delivered_all(host, reqs)
 
 
+def test_purge_drops_covered_requests_and_times_the_next():
+    """A checkpoint jump purges the pending requests it covers: the purged
+    request is never ordered, and the view timer restarts on the next one."""
+    sim, hosts, provider, client = build_group(plan=_crashed_at_start(0))
+    covered, fresh = (make_request(provider, client, t, b"op%d" % t) for t in (1, 2))
+    for host in hosts[1:]:
+        host.ordering.order(covered)
+        host.ordering.order(fresh)
+    sim.run_until(5)
+    for host in hosts[1:]:
+        host.ordering.purge_pending(lambda req: req.inner.t_c > 1)
+        assert list(host.ordering.pending.values()) == [fresh]
+    sim.run_until(1000)
+    assert _votes(sim) == {str(h.nid): [(21.0, 1)] for h in hosts[1:]}
+    for host in hosts[1:]:
+        assert [r for _, batch in host.delivered for r in batch] == [fresh]
+
+
 def test_view_timer_doubles_past_a_crashed_next_leader():
     """n=7, f=2, the leaders of views 0 and 1 crashed: the replicas vote for
     view 1 one timeout after their requests arrive, for view 2 one doubled

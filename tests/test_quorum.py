@@ -184,7 +184,7 @@ class TestSeqInfoCertificate:
     def _offer(self, signers):
         host, provider, batch, want = _seqinfo_host()
         sigs = tuple(provider.sign(who, want) for who in signers)
-        host.ordering.handle(B, ObSeqInfo(1, batch, ((0,), sigs)))
+        host.ordering.handle(B, ObSeqInfo(0, 1, batch, sigs))
         return host, batch
 
     def test_valid_certificate_delivers(self):
@@ -202,6 +202,17 @@ class TestSeqInfoCertificate:
     def test_outsider_signer_not_delivered(self):
         host, _ = self._offer((A, B, C, OUTSIDER))
         assert host.delivered == []
+
+    def test_malformed_certificate_ignored(self):
+        """commit_sigs that is not a tuple of Sig records is dropped without
+        raising, and a well-formed copy still delivers afterwards."""
+        host, provider, batch, want = _seqinfo_host()
+        sigs = tuple(provider.sign(who, want) for who in (A, B, C))
+        for bad in (((0,), sigs), sigs[0], sigs + (b"x",), None):
+            host.ordering.handle(B, ObSeqInfo(0, 1, batch, bad))
+        assert host.delivered == []
+        host.ordering.handle(B, ObSeqInfo(0, 1, batch, sigs))
+        assert host.delivered == [(1, batch)]
 
 
 class TestNewViewAdoption:
