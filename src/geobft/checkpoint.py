@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional
 
 from .core import hash_bytes
 from .core.messages import Checkpoint, CpAnnounce, CpQuery, CpState
-from .core.quorum import certificate_signers, tally
+from .core.quorum import certificate_signers, is_certificate, tally
 
 FETCH_POLL_MS = 25.0  # re-query period while fetching a checkpoint
 RETAIN = 2            # own snapshots kept while awaiting certification
@@ -169,7 +169,7 @@ class CheckpointComponent:
 
     def on_state(self, src, msg: CpState, verify_members) -> None:
         """Validate a transferred checkpoint against its f+1-signed certificate."""
-        if msg.scope != self.scope or msg.s <= self.delivered_s:
+        if msg.scope != self.scope or msg.s <= self.delivered_s or not is_certificate(msg.cert):
             return
         members = verify_members(msg.group)
         if not members:

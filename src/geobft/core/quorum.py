@@ -11,11 +11,14 @@
   (f_s+1), and MiniBFT prepare and commit votes (2f+1) use it.
 - certificate_signers: a certificate of q distinct valid member
   signatures. MiniBFT commit, prepare and view-change certificates,
-  transferred checkpoints and sc certificates use it.
+  transferred checkpoints and sc certificates use it. is_certificate is
+  the shape a certificate read out of a message must have first.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
+
+from .crypto import Sig
 
 
 def progress_row(peers) -> dict:
@@ -63,6 +66,11 @@ def tally(votes: dict, q: int, key: Optional[Callable] = None) -> Optional[tuple
         if len(voters) >= q:
             return value, voters
     return None
+
+
+def is_certificate(cert) -> bool:
+    """cert is a tuple of Sig records; the codec decodes any value there."""
+    return type(cert) is tuple and all(type(g) is Sig for g in cert)
 
 
 def certificate_signers(signed: Iterable, members, q: int,

@@ -15,9 +15,9 @@ receiver waiting on q has not moved past q, so it is behind every claim
 >= q, and:
 - a new claim reaches every receiver behind it at the first tick after
   it appears;
-- a claim that was dropped, by a partition or a lossy link, is sent
-  again at the first tick one collector timeout after the last claim
-  send;
+- a claim that was dropped, by a partition at either end or a lossy
+  link, is sent again at the first tick one collector timeout after the
+  last claim send; a partitioned sender's ticks run on meanwhile;
 - a receiver checks the claims it holds whenever claims arrive and
   whenever it starts to wait, so its collector timer starts as soon as
   f_s+1 senders claim a position it waits on.
@@ -33,7 +33,7 @@ from typing import Optional
 
 from ..core.messages import ChCert, ChMove, ChProgress, ChSend, ChShare
 from ..core.quorum import (
-    backed_position, behind, certificate_signers, progress_row, show, tally)
+    backed_position, behind, certificate_signers, is_certificate, progress_row, show, tally)
 from .base import ChannelConfig, ReceiverEndpoint, SenderEndpoint, drop_below
 
 
@@ -206,7 +206,7 @@ class ScReceiver(ReceiverEndpoint):
             self._check_stall()  # it may wait on claims it already holds
 
     def _on_cert(self, src, msg):
-        if msg.channel != self.cfg.channel:
+        if msg.channel != self.cfg.channel or not is_certificate(msg.shares):
             return
         sc, p = msg.sc, msg.p
         self._note_subchannel(sc)

@@ -32,7 +32,7 @@ from .core.messages import (
     PreparedProof,
     VcRecord,
 )
-from .core.quorum import certificate_signers, tally
+from .core.quorum import certificate_signers, is_certificate, tally
 
 BATCH_CAP = 16  # requests per MiniBFT proposal
 PIPELINE = 64   # MiniBFT proposals in flight above the low-water mark
@@ -158,7 +158,9 @@ class MiniBft(OrderingBase):
     also drops our vote and resets the timeout to view_timeout_ms. Each
     expiry doubles the timeout and votes for max(view, vc_target) + 1. While
     our vote is under way the timer ticks every view_timeout_ms and re-sends
-    it to the peers whose vote for that view we lack (a healed partition).
+    it to the peers whose vote for that view we lack: a vote lost to a
+    partition at either end, or to a lossy link, arrives within one tick of
+    the heal, not at the next doubled expiry.
     """
 
     def __init__(self, node, members, f, view_timeout_ms=16.0):
@@ -324,6 +326,8 @@ class MiniBft(OrderingBase):
         self.node.after(self.view_timeout_ms, probe)
 
     def _on_fetch(self, src, msg, sig=None):
+        if type(msg.s_from) is not int or type(msg.s_to) is not int:
+            return
         for s in range(msg.s_from, min(msg.s_to, msg.s_from + 256) + 1):
             cert = self.commit_certs.get(s)
             if cert is not None:
@@ -334,10 +338,8 @@ class MiniBft(OrderingBase):
         if msg.s <= self.low_water or msg.s in self.ready or msg.s in self.commit_certs:
             return
         sigs = msg.commit_sigs
-        if type(sigs) is not tuple or not all(type(g) is Sig for g in sigs):
-            return  # malformed: the certificate is a tuple of Sig records
         want = ObCommit(msg.view, msg.s, self.node.crypto.digest(msg.batch))
-        if self._certified((want, g) for g in sigs):
+        if is_certificate(sigs) and self._certified((want, g) for g in sigs):
             self._commit(msg.s, msg.view, msg.batch, sigs)
 
     # -- view change ----------------------------------------------------------
@@ -416,7 +418,7 @@ class MiniBft(OrderingBase):
             self._emit_new_view(msg.view)
 
     def _valid_proof(self, proof: PreparedProof) -> bool:
-        if proof.preprepare_sig is None:
+        if type(proof.preprepare_sig) is not Sig or not is_certificate(proof.prepare_sigs):
             return False
         pp = ObPrePrepare(proof.view, proof.s, proof.batch)
         if proof.preprepare_sig.signer != self.leader_of(proof.view):

@@ -7,6 +7,12 @@ message loss, Byzantine output rewriting). Event order is a pure
 function of (scenario, seed): ties break on (timestamp, sender order,
 per-sender sequence).
 
+Each fault kind has one rule. A crash stops its node from ``at_ms`` on:
+its links and its timers. A partition cuts only its node's links while
+it lasts (``send`` drops what the node sends, ``_deliver`` what it
+receives); the node's timers keep running, so it retries through the
+partition and its periodic ticks carry on after the heal.
+
 The trace holds what explains a run, not every message: a send that
 arrives and passes authentication leaves no record (``Counters`` keeps
 the per-kind message and byte totals), while a dropped or rejected one
@@ -347,12 +353,11 @@ class Simulator:
     # -- fault state -------------------------------------------------------
 
     @staticmethod
-    def _fault_down(f: NodeFault, at: float) -> bool:
-        if f.kind == "crash":
-            return at >= f.at_ms
-        if f.kind == "partition":
-            return f.at_ms <= at < f.until_ms
-        return False
+    def _crashed(f: NodeFault, at: float) -> bool:
+        return f.kind == "crash" and at >= f.at_ms
+
+    def _cut_off(self, f: NodeFault, at: float) -> bool:
+        return self._crashed(f, at) or f.kind == "partition" and f.at_ms <= at < f.until_ms
 
     def _lossy_drop(self, f: NodeFault, at: float) -> bool:
         if f.kind != "lossy":
@@ -378,7 +383,7 @@ class Simulator:
         now = self.now
         sender = self._entries[src]
         fault = sender.fault
-        if fault is not None and (self._fault_down(fault, now)
+        if fault is not None and (self._cut_off(fault, now)
                                   or self._lossy_drop(fault, now)):
             self.trace.add(now, "net_drop", src, dst, type(env.payload).__name__)
             return
@@ -392,19 +397,19 @@ class Simulator:
 
     def _deliver(self, src, receiver: _Entry, env: Envelope) -> None:
         fault = receiver.fault
-        if fault is not None and self._fault_down(fault, self.now):
+        if fault is not None and self._cut_off(fault, self.now):
             self.trace.add(self.now, "net_drop", src, receiver.nid, type(env.payload).__name__)
             return
         receiver.node.handle_envelope(src, env)
 
     def after(self, owner: NodeId, delay: float, fn: Callable[[], None]) -> None:
-        """Timer owned by a node; silently skipped if the owner is down when it fires."""
+        """Timer owned by a node; skipped only if the owner has crashed when
+        it fires. A partitioned owner's timers run, and its sends drop."""
         entry = self._entry(owner)
         self._push(self.now + delay, entry, self._fire, (entry, fn))
 
     def _fire(self, owner: _Entry, fn: Callable[[], None]) -> None:
-        fault = owner.fault
-        if fault is None or not self._fault_down(fault, self.now):
+        if owner.fault is None or not self._crashed(owner.fault, self.now):
             fn()
 
     def every(self, owner: NodeId, period: float, fn: Callable[[], None]) -> None:

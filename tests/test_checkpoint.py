@@ -133,6 +133,22 @@ def test_fetch_polls_until_available():
     assert hosts[2].stable_calls == [(10, b"ten")]
 
 
+def test_fetch_started_in_a_partition_finishes_after_the_heal():
+    """The fetch poll runs through the fetching replica's partition (its
+    queries drop), so the first poll after the heal gets the state."""
+    c_id = ReplicaId("ex", 1, 2)
+    sim, hosts = build_group(
+        fault_plan=FaultPlan({c_id: NodeFault("partition", 0.0, 60.0)}))
+    for host in hosts[:2]:
+        host.cp.gen_cp(10, b"ten")  # certified while c is cut off
+    hosts[2].cp.fetch_cp(8)
+    sim.run_until(55.0)
+    assert hosts[2].stable_calls == [] and hosts[2].cp.fetching == 8
+    sim.run_until(100.0)
+    assert hosts[2].stable_calls == [(10, b"ten")]
+    assert hosts[2].cp.fetching is None
+
+
 def test_delivery_is_monotone_per_replica():
     sim, hosts = build_group()
     for host in hosts:

@@ -9,8 +9,10 @@ import pytest
 from geobft.audit import audit_trace
 from geobft.harness import run_scenario
 from geobft.irmc import VARIANTS
-from geobft.irmc.base import Delivered
-from geobft.scenario import shipped_scenarios
+from geobft.irmc.base import Delivered, ReceiverEndpoint
+from geobft.irmc.sc import ScSender
+from geobft.runtime import build
+from geobft.scenario import load_scenario, shipped_scenarios
 from geobft.simnet import FaultPlan, NodeFault, TraceLog, read_trace
 from tests.conftest import Channel
 
@@ -42,7 +44,12 @@ PINNED_DIGESTS = {
     # sc claims go out on change and once per collector timeout, so the
     # collector switches after the heal come later (6,290/6,335 ms, not
     # 6,235/6,240 ms), with the same count
-    ("ag-outage", "sc"): "427744b8713da478bfedc9b97308efea",
+    # a partition no longer skips timers: the sc progress ticks of ag0:1 and
+    # ag0:2 run through their partition (its claims drop there) and carry on
+    # after the heal at 6,000 ms, so 558 more ChProgress cross the WAN (5,980
+    # -> 6,538 messages) and 408 more net_drop records are left; the verdicts
+    # and the 210 completed requests are unchanged
+    ("ag-outage", "sc"): "213ea152470bd592ce85628207d66e30",
     ("add-remove-group", "rc"): "867466d9e42ada76e08e6df19c789c34",
 }
 
@@ -89,6 +96,45 @@ def test_pinned_byzantine_send_paths(mode, irmc):
     _, report = run_scenario("threshold-faults", 1, mode=mode, irmc=irmc)
     assert (report.trace_digest, report.wan_bytes) == PINNED_ADAPTED[(mode, irmc)]
     assert report.ok, report.verdicts
+
+
+@pytest.mark.parametrize("scenario,irmc,cls,tick,node,period,kind", [
+    # the sc progress ticks of an agreement replica cut off 2,500-6,000 ms
+    ("ag-outage", "sc", ScSender, "_progress_tick", "ag0:1", 50.0, "ChProgress"),
+    # the retransmit ticks of an execution replica cut off 1,500-5,000 ms
+    ("flow-control-z0", "rc", ReceiverEndpoint, "_retransmit", "ex4:0", 250.0, "ChMove"),
+])
+def test_partitioned_node_ticks_on_through_the_run(scenario, irmc, cls, tick, node, period,
+                                                   kind, monkeypatch):
+    """A partition cuts a node's links, not its clock: a periodic tick of a
+    partitioned node runs at every period to the end of the run, and its
+    sends reach the peers again after the heal."""
+    ticks = []
+    original = getattr(cls, tick)
+
+    def logged(endpoint):
+        if str(endpoint.node.nid) == node:
+            ticks.append(endpoint.node.sim.now)
+        original(endpoint)
+
+    monkeypatch.setattr(cls, tick, logged)
+    cfg = load_scenario(scenario)
+    system = build(cfg, 1, irmc=irmc)
+    sent = []
+    send = system.sim.send
+
+    def spy_send(src, dst, env, channel=None):
+        if str(src) == node and type(env.payload).__name__ == kind:
+            sent.append(system.sim.now)
+        send(src, dst, env, channel)
+
+    monkeypatch.setattr(system.sim, "send", spy_send)
+    system.run()
+    (fault,) = [f for nid, f in cfg.fault_plan.faults.items() if str(nid) == node]
+    assert fault.kind == "partition"
+    steps = int(cfg.duration_ms // period)
+    assert sorted(set(ticks)) == [period * k for k in range(1, steps + 1)]
+    assert any(t >= fault.until_ms for t in sent)
 
 
 @pytest.mark.parametrize("scenario", shipped_scenarios())

@@ -353,6 +353,25 @@ class TestScProgressClaims:
                                       + ch.cfg.progress_ms)
         assert [o.payload for o in got] == [b"m"]
 
+    def test_collector_timer_expiring_in_a_partition_switches_again_after_the_heal(self):
+        """The receiver's collector timer runs through its partition: it
+        switches collectors there (its moves drop) and again after the heal,
+        so a collector that holds the certificate reaches it."""
+        plan = self._withholding_collector_plan()
+        r0 = ReplicaId("ag", 0, 0)
+        heal = 400.0
+        plan.faults[r0] = NodeFault("partition", at_ms=50.0, until_ms=heal)
+        ch = Channel("sc", fault_plan=plan)
+        got = []
+        ch.r_eps[0].receive(0, 1, collect(got))
+        for ep in ch.s_eps:
+            ep.send(0, 1, b"m")
+        ch.run(1000)
+        switches = self._switches(ch, r0)
+        assert any(50.0 < t < heal for t in switches)
+        assert any(t >= heal for t in switches)
+        assert [o.payload for o in got] == [b"m"]
+
     def test_receiver_that_waits_on_claims_it_holds_times_out_at_once(self):
         ch = Channel("sc", fault_plan=self._withholding_collector_plan())
         self._certify(ch, positions=(1,))

@@ -349,3 +349,20 @@ def test_view_is_adopted_soon_after_a_partition_heals():
     for host in hosts:
         assert host.ordering.view == 4
         assert _delivered_all(host, reqs)
+
+
+def test_vote_cast_in_a_partition_reaches_the_peers_after_the_heal():
+    """A replica partitioned through its view timeout votes there (the vote
+    drops) and re-sends it on its own timer's next tick after the heal, so
+    the peers hold it although none of them sends it anything."""
+    lone = ReplicaId("ag", 0, 3)
+    plan = FaultPlan({lone: NodeFault("partition", 0.0, 70.0)})
+    sim, hosts, provider, client = build_group(plan=plan)
+    hosts[3].ordering.order(make_request(provider, client, 1))
+    sim.run_until(70.0)
+    assert _votes(sim) == {str(lone): [(16.0, 1), (48.0, 2)]}
+    assert all(host.ordering.vcs == {} for host in hosts[:3])
+    # the timer ticks every view_timeout_ms while the vote is under way
+    sim.run_until(80.0 + 1.0)
+    assert all(set(host.ordering.vcs) == {2} and lone in host.ordering.vcs[2]
+               for host in hosts[:3])

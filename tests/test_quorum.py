@@ -2,20 +2,35 @@
 
 The six window-rule cases of backed_position are in test_windows.py.
 """
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geobft.core import CryptoProvider, ReplicaId
-from geobft.core.messages import ObCommit, ObNewView, ObSeqInfo, ObViewChange, VcRecord
+from geobft.core.messages import (
+    ChCert,
+    CpState,
+    ObCommit,
+    ObFetch,
+    ObNewView,
+    ObPrePrepare,
+    ObSeqInfo,
+    ObViewChange,
+    PreparedProof,
+    VcRecord,
+)
 from geobft.core.quorum import (
     backed_position,
     behind,
     certificate_signers,
+    is_certificate,
     progress_row,
     show,
     tally,
 )
 
+from tests.conftest import Channel, NetSpy
+from tests.test_checkpoint import build_group as build_cp_group
 from tests.test_ordering import build_group, make_request
 
 A, B, C, D = (ReplicaId("ag", 0, i) for i in range(4))
@@ -236,3 +251,51 @@ class TestNewViewAdoption:
 
     def test_deviating_proposal_set_not_adopted(self):
         assert self._offer((A, B, C), proposals=((1, ()),)).ordering.view == 0
+
+
+class TestCertificateShape:
+    """Each handler that reads a certificate out of a message asks
+    is_certificate first, so a field of another shape, which the codec
+    decodes as readily, is dropped without raising and changes nothing."""
+
+    def test_only_a_tuple_of_sigs_is_a_certificate(self):
+        sig = provider_with_outsider().sign(A, MSG)
+        assert is_certificate(()) and is_certificate((sig, sig))
+        for bad in ([sig], (sig, b"x"), (b"junk",), ((sig,),), 5, None):
+            assert not is_certificate(bad)
+
+    @pytest.mark.parametrize("cert", [(b"junk",), 5])
+    def test_malformed_checkpoint_transfer_dropped(self, cert):
+        _, hosts = build_cp_group()
+        host = hosts[2]
+        host.cp.on_state(hosts[1].nid, CpState("ex", 1, 10, b"ten", cert),
+                         host.group_members_of)
+        assert (host.stable_calls, host.cp.stable, host.cp.delivered_s) == ([], {}, 0)
+
+    @pytest.mark.parametrize("shares", [(b"junk",), 5])
+    def test_malformed_sc_certificate_dropped(self, shares):
+        ch = Channel("sc")
+        recv = ch.r_eps[0]
+        got = []
+        recv.receive(0, 1, got.append)
+        known = set(recv._known_sc)
+        recv.handle(ch.senders[0], ChCert(ch.cfg.channel, 0, 1, b"m", shares))
+        assert (got, recv.delivered, recv._known_sc) == ([], {}, known)
+
+    @pytest.mark.parametrize("fetch", [ObFetch(b"x", 3), ObFetch(1, b"x"), ObFetch(None, 3)])
+    def test_malformed_fetch_dropped(self, fetch, net_spy):
+        host, provider, batch, want = _seqinfo_host()
+        sigs = tuple(provider.sign(who, want) for who in (A, B, C))
+        host.ordering.handle(B, ObSeqInfo(0, 1, batch, sigs))
+        assert host.delivered == [(1, batch)]  # a certificate to serve
+        spy = net_spy(host.sim)
+        host.ordering.handle(B, fetch)
+        assert spy.sent == []
+        host.ordering.handle(B, ObFetch(1, 3))
+        assert NetSpy.payloads(spy.sent, "ObSeqInfo") == [ObSeqInfo(0, 1, batch, sigs)]
+
+    def test_malformed_prepared_proof_is_invalid(self):
+        host, provider, batch, _ = _seqinfo_host()
+        pp_sig = provider.sign(A, ObPrePrepare(0, 1, batch))
+        for pp, prepares in ((b"junk", ()), (None, ()), (pp_sig, 5), (pp_sig, (b"junk",))):
+            assert not host.ordering._valid_proof(PreparedProof(0, 1, batch, pp, prepares))

@@ -103,6 +103,29 @@ def test_partition_drops_within_interval_only():
     assert times  # traffic resumes after the partition heals
 
 
+def test_partition_cuts_links_not_timers_and_crash_stops_both():
+    """A periodic timer runs through a partition of its owner, whose sends
+    drop meanwhile; a crash stops it for good."""
+    fired = {}
+    for kind in ("partition", "crash"):
+        plan = FaultPlan()
+        plan.faults[ReplicaId("ex", 1, 0)] = NodeFault(kind, at_ms=30.0, until_ms=100.0)
+        sim, na, nb = build_pair(plan=plan)
+        fired[kind] = []
+
+        def tick(sim=sim, na=na, nb=nb, log=fired[kind]):
+            log.append(sim.now)
+            na.send_signed(nb.nid, b"tick")
+
+        sim.every(na.nid, 20.0, tick)
+        sim.run_until(400)
+        if kind == "partition":
+            # the sends at 40, 60 and 80 ms drop; the rest arrive 10 ms later
+            assert [t for t, _, _ in nb.got] == [20.0 * k + 10.0 for k in range(1, 20)
+                                                 if not 30.0 <= 20.0 * k < 100.0]
+    assert fired == {"partition": [20.0 * k for k in range(1, 21)], "crash": [20.0]}
+
+
 def test_byzantine_cannot_authenticate_as_another_principal():
     sim, na, nb = build_pair()
     # a node's crypto handle is pinned: payloads it rewrites carry its own
