@@ -14,14 +14,29 @@ in. ``message_store`` gives other layers the same per-instance store
 therefore be frozen dataclasses that stay immutable: no list or dict
 fields, and no ``object.__setattr__`` on a field after construction.
 
-Decoding is total: malformed input of any kind raises ``CodecError``.
+The field annotations of the registered messages are the one shape rule
+for what a field may hold. ``well_formed(msg)`` checks a message against
+them: an ``int`` is an exact int in the u64 range, ``bool``, ``bytes`` and
+``str`` are exactly those types, a registered class is a well-formed
+instance of it, ``Optional``/``Union`` take any of their alternatives,
+``tuple[X, ...]`` is a tuple of X and ``tuple[X, Y]`` a tuple of exactly
+those, and ``object`` is any value the codec encodes, whose nested
+messages are checked in turn. The verdict is kept in the message store,
+beside the bytes and digest. It is asked in the two places where outside
+values come in: ``Node.handle_envelope`` admits only a well-formed
+envelope, and decoding refuses a message that is not well-formed.
+
+Decoding is total: malformed input of any kind raises ``CodecError``,
+and so does a decoded message that is not well-formed.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
+import typing
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Optional, Union
 
 _TAG_NONE = 0
 _TAG_FALSE = 1
@@ -38,6 +53,8 @@ _U64 = struct.Struct(">Q")
 _HDR = struct.Struct(">BH")  # message tag + type code
 
 _BYTES_KEY = "_canonical"  # where a message instance keeps its encoding
+_SHAPE_KEY = "_well_formed"  # where it keeps its well_formed verdict
+_U64_END = 1 << 64
 
 # class -> (message tag and type code, function giving its field values as a tuple)
 _layout: dict[type, tuple] = {}
@@ -58,6 +75,10 @@ def register_message(code: int):
         if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
             raise CodecError(f"{cls.__name__} must be a frozen dataclass")
         names = tuple(f.name for f in dataclasses.fields(cls))
+        # an instance's shape verdict until well_formed keeps one, and the
+        # shape check, compiled at its first call (see _shape)
+        cls._well_formed = None
+        cls._shape_check = _compile_shape_check
         _layout[cls] = (_HDR.pack(_TAG_MSG, code), _field_getter(names))
         _type_fields[cls] = names
         _code_type[code] = cls
@@ -192,9 +213,12 @@ def _decode_from(buf: bytes, pos: int):
             value, pos = _decode_from(buf, pos)
             values.append(value)
         try:
-            return cls(*values), pos
+            msg = cls(*values)
         except TypeError as exc:  # a node id whose fields have the wrong types
             raise CodecError(str(exc)) from None
+        if not well_formed(msg):
+            raise CodecError(f"{cls.__name__} fields do not match their annotations")
+        return msg, pos
     raise CodecError(f"bad tag {tag} at offset {pos - 1}")
 
 
@@ -208,3 +232,128 @@ def canonical_decode(buf: bytes):
     if pos != len(buf):
         raise CodecError(f"{len(buf) - pos} trailing bytes")
     return value
+
+
+# -- the shape rule ------------------------------------------------------------
+
+def well_formed(msg) -> bool:
+    """msg, a registered message, holds in every field what the field's
+    annotation allows (see the module docstring); nested messages are
+    checked in turn. The verdict is kept in msg's message store."""
+    ok = msg._well_formed  # the kept verdict, else the class's None
+    if ok is None:
+        ok = msg.__dict__[_SHAPE_KEY] = msg._shape_check()
+    return ok
+
+
+def _compile_shape_check(msg) -> bool:
+    """A class's first shape check: compile the check, then run it. Only
+    then can the annotations be resolved, forward references included."""
+    return _shape(type(msg))(msg)
+
+
+def _shape(cls) -> Callable:
+    """Compile cls's field annotations into one function of inline tests on
+    local names: the check runs on every message a node receives, so it
+    makes no call per field or per tuple item. A nested message goes
+    through well_formed, which keeps its verdict, unless it is built anew
+    with each message: one that holds other messages but no tuple or object
+    field (a Sig, a Write) is tested inline, field by field."""
+    names = {"well_formed": well_formed, "_is_value": _is_value, "_layout": _layout}
+    lines = ["def check(v):"]
+    _emit_fields("v", cls, names, lines, 1)
+    lines.append("    return True")
+    exec(compile("\n".join(lines), f"<shape of {cls.__name__}>", "exec"), names)
+    check = cls._shape_check = names["check"]  # a method of the class from now on
+    return check
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    """(name, resolved annotation) of each field, in declaration order."""
+    hints = typing.get_type_hints(cls)
+    return tuple((name, hints[name]) for name in _type_fields[cls])
+
+
+def _emit_fields(v: str, cls, names: dict, lines: list, indent: int) -> None:
+    """Append the tests of every field of the cls instance named v."""
+    for field, hint in _fields(cls):
+        x = f"x{len(lines)}"  # a local name no other line binds
+        lines.append(f"{'    ' * indent}{x} = {v}.{field}")
+        _emit(x, hint, names, lines, indent)
+
+
+def _emit(x: str, hint, names: dict, lines: list, indent: int) -> None:
+    """Append statements that return False unless the value bound to the
+    local name x holds what the resolved annotation hint allows."""
+    pad = "    " * indent
+    args = typing.get_args(hint)
+    kinds = args if typing.get_origin(hint) is Union else (hint,)
+    if typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = f"x{len(lines)}"
+        lines += [f"{pad}if type({x}) is not tuple: return False", f"{pad}for {item} in {x}:"]
+        _emit(item, args[0], names, lines, indent + 1)
+    elif typing.get_origin(hint) is tuple and args:
+        lines.append(f"{pad}if type({x}) is not tuple or len({x}) != {len(args)}: return False")
+        for i, arg in enumerate(args):
+            item = f"x{len(lines)}"
+            lines.append(f"{pad}{item} = {x}[{i}]")
+            _emit(item, arg, names, lines, indent)
+    elif hint is object:  # most often one message: its check, called directly
+        lines += [f"{pad}if type({x}) in _layout:",
+                  f"{pad}    if not {x}._shape_check(): return False",
+                  f"{pad}elif not _is_value({x}): return False"]
+    elif all(k in _layout for k in kinds) and all(map(_built_per_message, kinds)):
+        for n, kind in enumerate(kinds):
+            names[f"_{kind.__name__}"] = kind
+            lines.append(f"{pad}{'elif' if n else 'if'} type({x}) is _{kind.__name__}:")
+            _emit_fields(x, kind, names, lines, indent + 1)
+        lines.append(f"{pad}else: return False")
+    else:
+        tests = " or ".join(_test(x, kind, names) for kind in kinds)
+        lines.append(f"{pad}if not ({tests}): return False")
+
+
+def _test(x: str, kind, names: dict) -> str:
+    """An expression, true when the value bound to x is a kind: a scalar
+    type or a message class, whose verdict is kept."""
+    if kind is int:
+        return f"type({x}) is int and 0 <= {x} < {_U64_END}"
+    if kind is type(None):
+        return f"{x} is None"
+    if kind in _SCALARS:
+        return f"type({x}) is {kind.__name__}"
+    if kind in _layout:
+        names[f"_{kind.__name__}"] = kind
+        return f"type({x}) is _{kind.__name__} and ({x}.{_SHAPE_KEY} or well_formed({x}))"
+    raise CodecError(f"no shape rule for the annotation {kind!r}")
+
+
+_SCALARS = (bool, bytes, str)
+
+
+def _built_per_message(cls) -> bool:
+    """cls holds another message but no tuple or object field anywhere."""
+    def flat(hint):
+        if hint in (int, type(None)) or hint in _SCALARS:
+            return True
+        if hint in _layout:
+            return all(flat(h) for _, h in _fields(hint))
+        return typing.get_origin(hint) is Union and all(map(flat, typing.get_args(hint)))
+    hints = [h for _, h in _fields(cls)]
+    return all(map(flat, hints)) and any(
+        k in _layout for h in hints
+        for k in (typing.get_args(h) if typing.get_origin(h) is Union else (h,)))
+
+
+def _is_value(value) -> bool:
+    """value is one the codec encodes (lists aside), with well-formed messages:
+    the rule for an object field."""
+    kind = type(value)
+    if kind in _layout:
+        return well_formed(value)
+    if kind is tuple:
+        return all(map(_is_value, value))
+    if kind is int:
+        return 0 <= value < _U64_END
+    return kind is bytes or kind is str or kind is bool or value is None

@@ -7,6 +7,12 @@ is a frozen dataclass registered with the canonical codec; wire codes
 are part of the on-disk trace format and must not be reused. The codec
 stores each instance's bytes and digest at first use, so a message is
 never changed after construction and holds no list or dict.
+
+The field annotations are the schema: ``codec.well_formed`` checks a
+message against them where an envelope is received or a message decoded,
+so a handler reads fields whose types it can rely on. Every tuple names
+its element type (a bare ``tuple`` has no shape rule); ``object`` takes
+any value the codec encodes.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .codec import canonical_encode, register_message
-from .crypto import Sig
+from .crypto import Mac, Sig
 from .ids import ClientId, ReplicaId
 
 register_message(10)(ReplicaId)
@@ -75,7 +81,7 @@ class Result:
 class AddGroup:
     group: int
     region: str
-    members: tuple
+    members: tuple[ReplicaId, ...]
     client: ClientId
     t_c: int
 
@@ -107,7 +113,7 @@ class Request:
 class FullReq:
     """Batch item carrying the complete request plus its contact group."""
 
-    write: Union[Write, AddGroup, RemoveGroup]
+    write: Write  # ordering annotates only writes as FullReq
     write_sig: Sig
     contact: int
 
@@ -129,7 +135,7 @@ class AdminItem:
     action: str  # "add" or "remove"
     group: int
     region: str
-    members: tuple
+    members: tuple[ReplicaId, ...]
     client: ClientId
     t_c: int
     contact: int
@@ -143,7 +149,7 @@ class Execute:
     """Per-sequence commit-channel payload (one batch of ordered items)."""
 
     s: int
-    items: tuple
+    items: tuple[Union[FullReq, Placeholder, AdminItem], ...]
 
 
 # --------------------------------------------------------------------------
@@ -189,14 +195,14 @@ class ChCert:
     sc: int
     p: int
     payload: object
-    shares: tuple
+    shares: tuple[Sig, ...]
 
 
 @register_message(34)
 @dataclass(frozen=True)
 class ChProgress:
     channel: ChannelId
-    pvec: tuple  # ((sc, highest certified position), ...)
+    pvec: tuple[tuple[int, int], ...]  # ((sc, highest certified position), ...)
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +240,7 @@ class CpState:
     group: int  # origin group whose members certified this state
     s: int
     state: bytes
-    cert: tuple  # f+1 Sig records over Checkpoint(scope, group, s, digest)
+    cert: tuple[Sig, ...]  # f+1 Sig records over Checkpoint(scope, group, s, digest)
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +252,7 @@ class CpState:
 class ObPrePrepare:
     view: int
     s: int
-    batch: tuple
+    batch: tuple[Request, ...]
 
 
 @register_message(51)
@@ -270,9 +276,9 @@ class ObCommit:
 class PreparedProof:
     view: int
     s: int
-    batch: tuple
+    batch: tuple[Request, ...]
     preprepare_sig: Sig
-    prepare_sigs: tuple
+    prepare_sigs: tuple[Sig, ...]
 
 
 @register_message(54)
@@ -280,15 +286,15 @@ class PreparedProof:
 class ObViewChange:
     view: int
     low_water: int
-    prepared: tuple
+    prepared: tuple[PreparedProof, ...]
 
 
 @register_message(55)
 @dataclass(frozen=True)
 class ObNewView:
     view: int
-    view_changes: tuple  # signed ObViewChange (msg, sig) pairs flattened as VcRecord
-    proposals: tuple     # ((s, batch), ...)
+    view_changes: tuple[VcRecord, ...]  # the signed ObViewChange votes
+    proposals: tuple[tuple[int, tuple[Request, ...]], ...]  # ((s, batch), ...)
 
 
 @register_message(56)
@@ -310,8 +316,8 @@ class ObFetch:
 class ObSeqInfo:
     view: int
     s: int
-    batch: tuple
-    commit_sigs: tuple  # 2f_a+1 Sig records over ObCommit(view, s, digest(batch))
+    batch: tuple[Request, ...]
+    commit_sigs: tuple[Sig, ...]  # 2f_a+1 Sig records over ObCommit(view, s, digest(batch))
 
 
 @register_message(59)
@@ -324,7 +330,7 @@ class OracleSubmit:
 @dataclass(frozen=True)
 class OracleAssign:
     s: int
-    batch: tuple
+    batch: tuple[Request, ...]
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +348,7 @@ class RegistryQuery:
 class RegistryInfo:
     nonce: int
     version: int
-    groups: tuple  # ((group id, region, (members...)), ...) sorted by id
+    groups: tuple[tuple[int, str, tuple[ReplicaId, ...]], ...]  # sorted by group id
 
 
 # the Envelope message header (tag, type code) plus the auth tuple's
@@ -358,7 +364,7 @@ class Envelope:
     """What actually travels on the simulated network."""
 
     payload: object
-    auth: tuple = field(default_factory=tuple)
+    auth: tuple[Union[Sig, Mac], ...] = field(default_factory=tuple)
 
     def wire_size(self) -> int:
         """len(canonical_encode(self)), from the bytes the payload, each

@@ -184,8 +184,6 @@ class ExecutionReplica(ExecutingNode):
 
     def _apply_full(self, s, idx, item: FullReq):
         write = item.write
-        if not isinstance(write, Write):
-            return
         reply = self.execute_write(s, idx, write, item.write_sig)
         if reply is not None and item.contact == self.group:
             self.send_mac(write.client, Result(write.client, write.t_c, reply))

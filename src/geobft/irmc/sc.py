@@ -33,7 +33,7 @@ from typing import Optional
 
 from ..core.messages import ChCert, ChMove, ChProgress, ChSend, ChShare
 from ..core.quorum import (
-    backed_position, behind, certificate_signers, is_certificate, progress_row, show, tally)
+    backed_position, behind, certificate_signers, progress_row, show, tally)
 from .base import ChannelConfig, ReceiverEndpoint, SenderEndpoint, drop_below
 
 
@@ -206,7 +206,7 @@ class ScReceiver(ReceiverEndpoint):
             self._check_stall()  # it may wait on claims it already holds
 
     def _on_cert(self, src, msg):
-        if msg.channel != self.cfg.channel or not is_certificate(msg.shares):
+        if msg.channel != self.cfg.channel:
             return
         sc, p = msg.sc, msg.p
         self._note_subchannel(sc)

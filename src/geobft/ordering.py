@@ -18,7 +18,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .core import Sig
 from .core.messages import (
     ObCommit,
     ObFetch,
@@ -32,7 +31,7 @@ from .core.messages import (
     PreparedProof,
     VcRecord,
 )
-from .core.quorum import certificate_signers, is_certificate, tally
+from .core.quorum import certificate_signers, tally
 
 BATCH_CAP = 16  # requests per MiniBFT proposal
 PIPELINE = 64   # MiniBFT proposals in flight above the low-water mark
@@ -326,8 +325,6 @@ class MiniBft(OrderingBase):
         self.node.after(self.view_timeout_ms, probe)
 
     def _on_fetch(self, src, msg, sig=None):
-        if type(msg.s_from) is not int or type(msg.s_to) is not int:
-            return
         for s in range(msg.s_from, min(msg.s_to, msg.s_from + 256) + 1):
             cert = self.commit_certs.get(s)
             if cert is not None:
@@ -339,7 +336,7 @@ class MiniBft(OrderingBase):
             return
         sigs = msg.commit_sigs
         want = ObCommit(msg.view, msg.s, self.node.crypto.digest(msg.batch))
-        if is_certificate(sigs) and self._certified((want, g) for g in sigs):
+        if self._certified((want, g) for g in sigs):
             self._commit(msg.s, msg.view, msg.batch, sigs)
 
     # -- view change ----------------------------------------------------------
@@ -418,8 +415,6 @@ class MiniBft(OrderingBase):
             self._emit_new_view(msg.view)
 
     def _valid_proof(self, proof: PreparedProof) -> bool:
-        if type(proof.preprepare_sig) is not Sig or not is_certificate(proof.prepare_sigs):
-            return False
         pp = ObPrePrepare(proof.view, proof.s, proof.batch)
         if proof.preprepare_sig.signer != self.leader_of(proof.view):
             return False

@@ -15,8 +15,8 @@ partition and its periodic ticks carry on after the heal.
 
 The trace holds what explains a run, not every message: a send that
 arrives and passes authentication leaves no record (``Counters`` keeps
-the per-kind message and byte totals), while a dropped or rejected one
-leaves ``net_drop`` or ``auth_reject``. The trace digest is defined over
+the per-kind message and byte totals), while a dropped one leaves
+``net_drop`` and a malformed or unauthenticated one ``auth_reject``. The trace digest is defined over
 the written lines, so a trace read back from its file reproduces it.
 Every envelope a node sends is built and authenticated in one place,
 ``Node.net_send``: a correct node authenticates a payload once and hands
@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
 
-from .core import BoundCrypto, Mac, NodeId, Sig, hash_bytes
-from .core.codec import message_store
+from .core import BoundCrypto, NodeId, Sig, hash_bytes
+from .core.codec import message_store, well_formed
 from .core.crypto import DIGEST_SIZE
 from .core.messages import ChCert, ChSend, ChShare, ChannelId, Envelope, Write
 
@@ -547,7 +547,9 @@ class Node:
     # -- receiving ---------------------------------------------------------
 
     def handle_envelope(self, src, env: Envelope) -> None:
-        """Verify every attached authenticator structurally before dispatch.
+        """Admit an envelope that is well-formed (codec.well_formed: the
+        payload and every authenticator hold what their annotations say)
+        and whose every authenticator verifies, then dispatch it.
 
         A Sig verifies the same at every receiver that shares a crypto
         provider, so an envelope whose authenticators are all Sigs keeps
@@ -559,23 +561,28 @@ class Node:
         store = message_store(env)
         provider = self.crypto.provider
         if store.get(_SIGS_OK) is not provider:
+            if not well_formed(env):
+                self._reject(src, env)
+                return
             all_sigs = True
             for a in env.auth:
                 if not self._auth_ok(env.payload, a):
-                    self.sim.trace.add(self.sim.now, "auth_reject", src, self.nid,
-                                       type(env.payload).__name__)
+                    self._reject(src, env)
                     return
                 all_sigs = all_sigs and type(a) is Sig
             if all_sigs:
                 store[_SIGS_OK] = provider
         self.on_payload(src, env)
 
+    def _reject(self, src, env: Envelope) -> None:
+        self.sim.trace.add(self.sim.now, "auth_reject", src, self.nid,
+                           type(env.payload).__name__)
+
     def _auth_ok(self, payload, a) -> bool:
-        if isinstance(a, Sig):
+        """a is a Sig or a Mac: the envelope is well-formed."""
+        if type(a) is Sig:
             return self.crypto.valid_sig(payload, a)
-        if isinstance(a, Mac):
-            return self.crypto.valid_mac(payload, a)
-        return False
+        return self.crypto.valid_mac(payload, a)
 
     def on_payload(self, src, env: Envelope) -> None:  # pragma: no cover
         raise NotImplementedError

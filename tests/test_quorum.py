@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geobft.core import CryptoProvider, ReplicaId
+from geobft.core.codec import well_formed
 from geobft.core.messages import (
     ChCert,
+    ChannelId,
     CpState,
+    Envelope,
     ObCommit,
     ObFetch,
     ObNewView,
@@ -23,7 +26,6 @@ from geobft.core.quorum import (
     backed_position,
     behind,
     certificate_signers,
-    is_certificate,
     progress_row,
     show,
     tally,
@@ -184,6 +186,14 @@ def test_row_agrees_with_the_sparse_tables_it_replaced(shows, f, current, p):
     assert backed == _sparse_backed_position(claims, f, current)
 
 
+def _refused(sim, node, src, msg):
+    """node gets msg, signed by src, through handle_envelope and refuses it
+    with one auth_reject record."""
+    n = len(sim.trace.records)
+    node.handle_envelope(src, Envelope(msg, (node.crypto.provider.sign(src, msg),)))
+    assert [r[1] for r in sim.trace.records[n:]] == ["auth_reject"]
+
+
 def _seqinfo_host():
     sim, hosts, provider, client = build_group()
     host = hosts[0]
@@ -219,12 +229,12 @@ class TestSeqInfoCertificate:
         assert host.delivered == []
 
     def test_malformed_certificate_ignored(self):
-        """commit_sigs that is not a tuple of Sig records is dropped without
-        raising, and a well-formed copy still delivers afterwards."""
+        """commit_sigs that is not a tuple of Sig records is refused where the
+        envelope is received, and a well-formed copy still delivers afterwards."""
         host, provider, batch, want = _seqinfo_host()
         sigs = tuple(provider.sign(who, want) for who in (A, B, C))
         for bad in (((0,), sigs), sigs[0], sigs + (b"x",), None):
-            host.ordering.handle(B, ObSeqInfo(0, 1, batch, bad))
+            _refused(host.sim, host, B, ObSeqInfo(0, 1, batch, bad))
         assert host.delivered == []
         host.ordering.handle(B, ObSeqInfo(0, 1, batch, sigs))
         assert host.delivered == [(1, batch)]
@@ -254,22 +264,26 @@ class TestNewViewAdoption:
 
 
 class TestCertificateShape:
-    """Each handler that reads a certificate out of a message asks
-    is_certificate first, so a field of another shape, which the codec
-    decodes as readily, is dropped without raising and changes nothing."""
+    """A certificate field holds a tuple of Sig records: its annotation says
+    so, and handle_envelope refuses an envelope whose certificate has another
+    shape, which the codec encodes as readily, with one auth_reject record
+    and no change."""
 
     def test_only_a_tuple_of_sigs_is_a_certificate(self):
         sig = provider_with_outsider().sign(A, MSG)
-        assert is_certificate(()) and is_certificate((sig, sig))
+
+        def cert(shares):
+            return well_formed(ChCert(ChannelId("req", 1), 0, 1, b"m", shares))
+
+        assert cert(()) and cert((sig, sig))
         for bad in ([sig], (sig, b"x"), (b"junk",), ((sig,),), 5, None):
-            assert not is_certificate(bad)
+            assert not cert(bad)
 
     @pytest.mark.parametrize("cert", [(b"junk",), 5])
     def test_malformed_checkpoint_transfer_dropped(self, cert):
-        _, hosts = build_cp_group()
+        sim, hosts = build_cp_group()
         host = hosts[2]
-        host.cp.on_state(hosts[1].nid, CpState("ex", 1, 10, b"ten", cert),
-                         host.group_members_of)
+        _refused(sim, host, hosts[1].nid, CpState("ex", 1, 10, b"ten", cert))
         assert (host.stable_calls, host.cp.stable, host.cp.delivered_s) == ([], {}, 0)
 
     @pytest.mark.parametrize("shares", [(b"junk",), 5])
@@ -279,7 +293,8 @@ class TestCertificateShape:
         got = []
         recv.receive(0, 1, got.append)
         known = set(recv._known_sc)
-        recv.handle(ch.senders[0], ChCert(ch.cfg.channel, 0, 1, b"m", shares))
+        _refused(ch.sim, recv.node, ch.senders[0],
+                 ChCert(ch.cfg.channel, 0, 1, b"m", shares))
         assert (got, recv.delivered, recv._known_sc) == ([], {}, known)
 
     @pytest.mark.parametrize("fetch", [ObFetch(b"x", 3), ObFetch(1, b"x"), ObFetch(None, 3)])
@@ -289,7 +304,7 @@ class TestCertificateShape:
         host.ordering.handle(B, ObSeqInfo(0, 1, batch, sigs))
         assert host.delivered == [(1, batch)]  # a certificate to serve
         spy = net_spy(host.sim)
-        host.ordering.handle(B, fetch)
+        _refused(host.sim, host, B, fetch)
         assert spy.sent == []
         host.ordering.handle(B, ObFetch(1, 3))
         assert NetSpy.payloads(spy.sent, "ObSeqInfo") == [ObSeqInfo(0, 1, batch, sigs)]
@@ -298,4 +313,6 @@ class TestCertificateShape:
         host, provider, batch, _ = _seqinfo_host()
         pp_sig = provider.sign(A, ObPrePrepare(0, 1, batch))
         for pp, prepares in ((b"junk", ()), (None, ()), (pp_sig, 5), (pp_sig, (b"junk",))):
-            assert not host.ordering._valid_proof(PreparedProof(0, 1, batch, pp, prepares))
+            proof = PreparedProof(0, 1, batch, pp, prepares)
+            _refused(host.sim, host, B, ObViewChange(1, 0, (proof,)))
+        assert host.ordering.vcs == {}
