@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .application import ABSENT, KvApplication
-from .core import ClientId, hash_bytes
+from .core import ClientId, Sig, hash_bytes
 from .core.codec import canonical_decode
+from .core.messages import Write
 
 
 @dataclass
@@ -142,6 +143,15 @@ def replay_reference(order):
     return expected, history
 
 
+def _decoded(text):
+    """The value a hex field of a trace record encodes, or None if the field
+    is not the hex of a canonical encoding. A trace file is outside input."""
+    try:
+        return canonical_decode(bytes.fromhex(text))
+    except (TypeError, ValueError):  # not a str, not hex, or a CodecError
+        return None
+
+
 def _try_decode(op: bytes):
     try:
         return canonical_decode(op)
@@ -217,14 +227,16 @@ def check_validity(view) -> Verdict:
             if None in pair:
                 return Verdict("validity", False,
                                f"execute at s={data['s']} carries no signed request")
-            wr = bytes.fromhex(pair[0])
-            write = canonical_decode(wr)
-            sig = canonical_decode(bytes.fromhex(pair[1]))
+            write, sig = _decoded(pair[0]), _decoded(pair[1])
+            if type(write) is not Write or type(sig) is not Sig:
+                return Verdict("validity", False,
+                               f"execute by {src} at t={t} s={data['s']}: wr or sig "
+                               f"is not the encoding of a Write or a Sig")
             if write.client.index not in authorized:
                 return Verdict("validity", False, f"unauthorized client {write.client}")
             if sig.signer != write.client:
                 return Verdict("validity", False, f"signer mismatch at s={data['s']}")
-            if sig.digest != hash_bytes(wr):
+            if sig.digest != hash_bytes(bytes.fromhex(pair[0])):
                 return Verdict("validity", False, f"bad signature at s={data['s']}")
             verified.add(pair)
         checked += 1
@@ -299,8 +311,12 @@ def check_weak_reads(view) -> Verdict:
     weak_ops: dict = {}  # (client, issue time) -> key read
     for t, event, src, dst, kind, digest, data in view.events("client_issue"):
         if kind == "read_weak":
-            decoded = canonical_decode(bytes.fromhex(data["op"]))
-            weak_ops[(src, round(t, 6))] = decoded[1]
+            op = _decoded(data.get("op"))
+            if type(op) is not tuple or len(op) != 2 or op[0] != "get":
+                return Verdict("weak_reads", False,
+                               f"client_issue by {src} at t={t}: op is not the "
+                               f"encoding of a get")
+            weak_ops[(src, round(t, 6))] = op[1]
     checked = 0
     for t, event, src, dst, kind, digest, data in view.events("client_accept"):
         if kind != "read_weak" or src not in view.correct_clients:

@@ -1,12 +1,13 @@
 """The checkers must accept honest traces and catch seeded defects."""
 import copy
+import json
 from itertools import permutations
 
 import pytest
 
 from geobft.application import KvApplication, get_op, put_op
 from geobft import audit, cli
-from geobft.core import canonical_decode, canonical_encode
+from geobft.core import ClientId, Sig, canonical_decode, canonical_encode
 from geobft.core.messages import Write
 from geobft.audit import (
     AuditView,
@@ -430,6 +431,37 @@ def test_audit_command_reports_a_malformed_trace(tmp_path, capsys):
     path.write_bytes(GOOD_LINE + b"1.0|note|-|-|-|-|k=b:7\n")
     assert cli.main(["audit", str(path)]) == 2
     assert "trace line 2: bad tagged value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("event, key, value, verdict", [
+    ("execute", "wr", "zz", "validity"),  # not hex
+    ("execute", "wr", "07ffff", "validity"),  # an unknown message code
+    ("execute", "wr", canonical_encode(Sig(ClientId(1), b"d" * 16)).hex(), "validity"),
+    ("execute", "sig", canonical_encode(5).hex(), "validity"),
+    ("client_issue", "op", "zz", "weak_reads"),
+    ("client_issue", "op", "07ffff", "weak_reads"),
+    ("client_issue", "op", canonical_encode(5).hex(), "weak_reads"),
+    ("client_issue", "op", canonical_encode(()).hex(), "weak_reads"),
+], ids=["wr-not-hex", "wr-unknown-code", "wr-a-sig", "sig-an-int",
+        "op-not-hex", "op-unknown-code", "op-an-int", "op-empty"])
+def test_audit_command_fails_a_malformed_trace_field(tmp_path, capsys, mini,
+                                                      event, key, value, verdict):
+    """A trace file is outside input: a field that does not decode to what
+    its checker reads fails that verdict, naming the record, and raises nothing."""
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    for i, r in enumerate(mutated.records):
+        if r[1] == event and key in r[6] and (event == "execute" or r[4] == "read_weak"):
+            mutated.records[i] = r[:6] + ({**r[6], key: value},)
+            break
+    else:
+        pytest.fail(f"no {event} record to mutate")
+    path, scenario = tmp_path / "run.trace", tmp_path / "mini.json"
+    mutated.write(path)
+    scenario.write_text(json.dumps(MINI))
+    assert cli.main(["audit", str(path), str(scenario)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {verdict}: {event} by ")
 
 
 def test_every_written_line_parses(tmp_path, mini):
