@@ -187,11 +187,10 @@ class ClientNode(ProtocolNode):
     def _retry_period(self) -> float:
         if not self.group_members:
             return 50.0
-        my_place = self.sim.place(self.nid)
-        worst = max(self.sim.topology.latency(my_place, self.sim.place(m))
-                    for m in self.group_members)
-        ag = max((self.sim.topology.latency(self.sim.place(m), self.sim.place(a))
-                  for m in self.group_members for a in self.ag_members), default=0.0)
+        delay = self.sim.delay
+        worst = max(delay(self.nid, m) for m in self.group_members)
+        ag = max((delay(m, a) for m in self.group_members for a in self.ag_members),
+                 default=0.0)
         return max(10.0, 2.0 * (2.0 * worst + 2.0 * ag) + 10.0)
 
     def _arm_retry(self, t_c):
@@ -302,9 +301,7 @@ class ClientNode(ProtocolNode):
         self.after(self._weak_period(), lambda: self._weak_timeout(nonce))
 
     def _weak_period(self) -> float:
-        my_place = self.sim.place(self.nid)
-        worst = max(self.sim.topology.latency(my_place, self.sim.place(m))
-                    for m in self.group_members)
+        worst = max(self.sim.delay(self.nid, m) for m in self.group_members)
         return 2.0 * worst + 5.0
 
     def _on_weak_reply(self, src, msg: Result):

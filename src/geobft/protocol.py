@@ -26,8 +26,6 @@ from .core.messages import (
 from .core.quorum import tally
 from .simnet import Node
 
-REGISTRY_RETRY_MS = 50.0  # re-ask period of an unanswered registry query
-
 CHANNEL_MSGS = (ChSend, ChMove, ChShare, ChCert, ChProgress)
 CP_MSGS = (Checkpoint, CpAnnounce, CpQuery, CpState)
 
@@ -103,7 +101,15 @@ class ProtocolNode(Node):
 
 
 class RegistryResolver:
-    """Collects f_a+1 matching signed registry answers from agreement replicas."""
+    """Collects f_a+1 matching signed registry answers from agreement replicas.
+
+    An unanswered query is asked again once a round trip to the farthest
+    agreement replica has passed, jitter included: 2 * (its delay + the
+    jitter bound), plus 1 ms, so that answers arriving at exactly the round
+    trip are taken before the timer (events due at one instant run in
+    owner order, not arrival order). Answers to the first ask come in
+    within that time unless a message was lost, so an earlier re-ask would
+    only repeat the query."""
 
     def __init__(self, node, ag_members: tuple, f_a: int):
         self.node = node
@@ -127,7 +133,10 @@ class RegistryResolver:
         query = RegistryQuery(nonce)
         for peer in self.ag_members:
             self.node.send_mac(peer, query)
-        self.node.after(REGISTRY_RETRY_MS, lambda: self._ask(nonce))
+        sim, me = self.node.sim, self.node.nid
+        farthest = max(sim.delay(me, peer) for peer in self.ag_members)
+        self.node.after(2.0 * (farthest + sim.topology.jitter_ms) + 1.0,
+                        lambda: self._ask(nonce))
 
     def on_info(self, src, msg: RegistryInfo) -> None:
         if src not in self.ag_members or msg.nonce not in self.waiting:

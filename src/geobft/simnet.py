@@ -347,6 +347,11 @@ class Simulator:
     def place(self, nid) -> tuple:
         return self._entries[nid].place
 
+    def delay(self, src, dst) -> float:
+        """The base one-way delay from src to dst, before jitter: the entry
+        of the delay table that send reads. Both must be registered."""
+        return self._entries[src].delays[self._entries[dst].index]
+
     def nodes(self):
         return dict(self._nodes)
 

@@ -251,6 +251,29 @@ def test_registry_answers_need_quorum():
     assert calls == [(0, ((1, "V", ()),))]
 
 
+def test_registry_query_is_asked_again_only_after_a_round_trip(net_spy):
+    """threshold-faults/rc seed 1: client c5 in region T is 75 ms from the
+    agreement region. Its first query to the four agreement replicas is
+    answered within the 150 ms round trip, so each resolve sends 4
+    queries; a fixed 50 ms re-ask period sent 16."""
+    system = build(load_scenario("threshold-faults"), 1, irmc="rc")
+    spy = net_spy(system.sim)
+    system.run()
+    per_client = _queries_per_resolve(spy)
+    assert per_client[ClientId(5)] == {1: 4}
+    assert all(n == 4 for per in per_client.values() for n in per.values())
+
+
+def _queries_per_resolve(spy) -> dict:
+    """sender -> nonce -> RegistryQuery sends."""
+    out: dict = {}
+    for src, _, env in spy.sent:
+        if type(env.payload).__name__ == "RegistryQuery":
+            per = out.setdefault(src, {})
+            per[env.payload.nonce] = per.get(env.payload.nonce, 0) + 1
+    return out
+
+
 def test_add_then_remove_leaves_registry_unchanged():
     cfg = mini_scenario(
         duration_ms=5000,
