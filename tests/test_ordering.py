@@ -366,3 +366,30 @@ def test_vote_cast_in_a_partition_reaches_the_peers_after_the_heal():
     sim.run_until(80.0 + 1.0)
     assert all(set(host.ordering.vcs) == {2} and lone in host.ordering.vcs[2]
                for host in hosts[:3])
+
+
+def _conflicting_sequences(seed):
+    """The sequences at which two replicas of the no-fault rig deliver
+    different batches, with 12 ms link jitter and 21 requests."""
+    sim, hosts, provider, client = build_group(seed=seed, jitter=12.0, view_timeout=16.0)
+    first = make_request(provider, client, 1, b"victim")
+    others = [make_request(provider, client, t) for t in range(2, 22)]
+    for host in hosts:
+        host.ordering.order(first)
+        _feed(host, others)
+    sim.run_until(1000)
+    batches = {}
+    for host in hosts:
+        for s, batch in host.delivered:
+            batches.setdefault(s, set()).add(host.crypto.digest(batch))
+    return sorted(s for s, held in batches.items() if len(held) > 1)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 11: a replica goes on preparing and committing in its view "
+    "after it voted to leave it, so its vote carries no proof of a batch that "
+    "committed there and the new leader proposes another batch at that "
+    "sequence. Seeds 1-3, 5, 6, 8, 10, 11 and 14-20 deliver two batches at one "
+    "sequence."))
+def test_reordering_links_never_deliver_two_batches_at_one_sequence():
+    assert [seed for seed in range(1, 21) if _conflicting_sequences(seed)] == []
