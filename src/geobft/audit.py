@@ -136,7 +136,7 @@ def replay_reference(order):
             reply = app.execute_readonly(op)
         else:
             reply = app.execute(op)
-            decoded = _try_decode(op)
+            decoded = _decoded(op_hex)
             if decoded is not None and decoded[0] == "put":
                 history.setdefault(decoded[1], []).append((key_pos[0], decoded[2]))
         expected[(c, t_c)] = reply
@@ -149,13 +149,6 @@ def _decoded(text):
     try:
         return canonical_decode(bytes.fromhex(text))
     except (TypeError, ValueError):  # not a str, not hex, or a CodecError
-        return None
-
-
-def _try_decode(op: bytes):
-    try:
-        return canonical_decode(op)
-    except Exception:
         return None
 
 

@@ -55,6 +55,7 @@ _HDR = struct.Struct(">BH")  # message tag + type code
 _BYTES_KEY = "_canonical"  # where a message instance keeps its encoding
 _SHAPE_KEY = "_well_formed"  # where it keeps its well_formed verdict
 _U64_END = 1 << 64
+_SCALARS = (bool, bytes, str)  # shape-checked by exact type alone
 
 # class -> (message tag and type code, function giving its field values as a tuple)
 _layout: dict[type, tuple] = {}
@@ -299,7 +300,7 @@ def _emit(x: str, hint, names: dict, lines: list, indent: int) -> None:
             item = f"x{len(lines)}"
             lines.append(f"{pad}{item} = {x}[{i}]")
             _emit(item, arg, names, lines, indent)
-    elif hint is object:  # most often one message: its check, called directly
+    elif hint is object:  # most often one message, checked here without keeping its verdict
         lines += [f"{pad}if type({x}) in _layout:",
                   f"{pad}    if not {x}._shape_check(): return False",
                   f"{pad}elif not _is_value({x}): return False"]
@@ -327,9 +328,6 @@ def _test(x: str, kind, names: dict) -> str:
         names[f"_{kind.__name__}"] = kind
         return f"type({x}) is _{kind.__name__} and ({x}.{_SHAPE_KEY} or well_formed({x}))"
     raise CodecError(f"no shape rule for the annotation {kind!r}")
-
-
-_SCALARS = (bool, bytes, str)
 
 
 def _built_per_message(cls) -> bool:
