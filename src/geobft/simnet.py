@@ -560,8 +560,9 @@ class Node:
         provider, so an envelope whose authenticators are all Sigs keeps
         its positive verdict, with the provider that gave it, in its message
         store: a shared multicast envelope is checked once. A Mac names its
-        verifier and is checked by each receiver. A rejected envelope keeps
-        nothing and leaves one auth_reject per receiver.
+        verifier and is checked by each receiver (its shape verdict is kept,
+        so only the first one checks that). A rejected envelope keeps no
+        admission verdict and leaves one auth_reject per receiver.
         """
         store = message_store(env)
         provider = self.crypto.provider

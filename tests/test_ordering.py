@@ -372,7 +372,7 @@ def _conflicting_sequences(seed):
     """The sequences at which two replicas of the no-fault rig deliver
     different batches, with 12 ms link jitter and 21 requests."""
     sim, hosts, provider, client = build_group(seed=seed, jitter=12.0, view_timeout=16.0)
-    first = make_request(provider, client, 1, b"victim")
+    first = make_request(provider, client, 1, b"first")
     others = [make_request(provider, client, t) for t in range(2, 22)]
     for host in hosts:
         host.ordering.order(first)

@@ -259,19 +259,13 @@ def test_registry_query_is_asked_again_only_after_a_round_trip(net_spy):
     system = build(load_scenario("threshold-faults"), 1, irmc="rc")
     spy = net_spy(system.sim)
     system.run()
-    per_client = _queries_per_resolve(spy)
-    assert per_client[ClientId(5)] == {1: 4}
-    assert all(n == 4 for per in per_client.values() for n in per.values())
-
-
-def _queries_per_resolve(spy) -> dict:
-    """sender -> nonce -> RegistryQuery sends."""
-    out: dict = {}
+    per_client: dict = {}  # sender -> nonce -> RegistryQuery sends
     for src, _, env in spy.sent:
         if type(env.payload).__name__ == "RegistryQuery":
-            per = out.setdefault(src, {})
+            per = per_client.setdefault(src, {})
             per[env.payload.nonce] = per.get(env.payload.nonce, 0) + 1
-    return out
+    assert per_client[ClientId(5)] == {1: 4}
+    assert all(n == 4 for per in per_client.values() for n in per.values())
 
 
 def test_add_then_remove_leaves_registry_unchanged():
