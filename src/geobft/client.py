@@ -25,7 +25,7 @@ from .core.messages import (
     Write,
 )
 from .core.quorum import tally
-from .protocol import ProtocolNode, RegistryResolver, group_key
+from .protocol import MIN_RETRY_MS, ProtocolNode, RegistryResolver, group_key
 from .scenario import ClientSpec
 
 RETRY_LIMIT = 4  # strong-request retries before a spider client switches group
@@ -191,7 +191,7 @@ class ClientNode(ProtocolNode):
         worst = max(delay(self.nid, m) for m in self.group_members)
         ag = max((delay(m, a) for m in self.group_members for a in self.ag_members),
                  default=0.0)
-        return max(10.0, 2.0 * (2.0 * worst + 2.0 * ag) + 10.0)
+        return max(MIN_RETRY_MS, 2.0 * (2.0 * worst + 2.0 * ag) + 10.0)
 
     def _arm_retry(self, t_c):
         def fire():

@@ -100,6 +100,9 @@ class ProtocolNode(Node):
         return tuple(self.crypto.provider.group_members(group_key(group)))
 
 
+MIN_RETRY_MS = 10.0  # the shortest period of a re-ask: registry queries, client requests
+
+
 class RegistryResolver:
     """Collects f_a+1 matching signed registry answers from agreement replicas.
 
@@ -109,7 +112,10 @@ class RegistryResolver:
     trip are taken before the timer (events due at one instant run in
     owner order, not arrival order). Answers to the first ask come in
     within that time unless a message was lost, so an earlier re-ask would
-    only repeat the query."""
+    only repeat the query. The period is never below MIN_RETRY_MS:
+    a resolver a few LAN milliseconds from every agreement replica would
+    otherwise re-ask every few milliseconds for as long as it is cut off
+    from them."""
 
     def __init__(self, node, ag_members: tuple, f_a: int):
         self.node = node
@@ -135,8 +141,8 @@ class RegistryResolver:
             self.node.send_mac(peer, query)
         sim, me = self.node.sim, self.node.nid
         farthest = max(sim.delay(me, peer) for peer in self.ag_members)
-        self.node.after(2.0 * (farthest + sim.topology.jitter_ms) + 1.0,
-                        lambda: self._ask(nonce))
+        period = 2.0 * (farthest + sim.topology.jitter_ms) + 1.0
+        self.node.after(max(MIN_RETRY_MS, period), lambda: self._ask(nonce))
 
     def on_info(self, src, msg: RegistryInfo) -> None:
         if src not in self.ag_members or msg.nonce not in self.waiting:

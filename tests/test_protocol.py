@@ -4,6 +4,7 @@ import pytest
 from geobft.application import PLACEHOLDER, get_op
 from geobft.core import ClientId, GroupKey, hash_bytes
 from geobft.core.messages import AddGroup, Envelope, ReadWeak, Request, Result, Write
+from geobft.protocol import MIN_RETRY_MS
 from geobft.runtime import build
 from geobft.scenario import load_scenario
 from tests.conftest import NetSpy
@@ -266,6 +267,32 @@ def test_registry_query_is_asked_again_only_after_a_round_trip(net_spy):
             per[env.payload.nonce] = per.get(env.payload.nonce, 0) + 1
     assert per_client[ClientId(5)] == {1: 4}
     assert all(n == 4 for per in per_client.values() for n in per.values())
+
+
+def test_registry_query_from_a_cut_off_resolver_is_asked_again_every_10_ms(monkeypatch):
+    """Client c0 sits in the agreement region, 1 ms from its farthest
+    agreement replica, and is partitioned for its first 200 ms: its resolve
+    is asked again every 10 ms (MIN_RETRY_MS), not every 3 ms, until the
+    partition heals and the answers come in."""
+    cfg = mini_scenario(duration_ms=600, faults=[
+        {"node": "client:0", "kind": "partition", "at_ms": 0, "until_ms": 200}])
+    system = build(cfg, seed=1)
+    sent_at = []
+    send = system.sim.send
+
+    def timed_send(src, dst, env, channel=None):
+        if src == ClientId(0) and type(env.payload).__name__ == "RegistryQuery":
+            sent_at.append(system.sim.now)
+        send(src, dst, env, channel)
+
+    monkeypatch.setattr(system.sim, "send", timed_send)
+    system.run()
+    asks = sorted(set(sent_at))
+    assert asks[0] < 20.0 and asks[-1] >= 200.0
+    assert all(b - a >= MIN_RETRY_MS for a, b in zip(asks, asks[1:]))
+    assert len(sent_at) == 4 * len(asks)
+    client = next(c for c in system.clients if c.nid == ClientId(0))
+    assert client.group is not None  # resolved once the partition healed
 
 
 def test_add_then_remove_leaves_registry_unchanged():
