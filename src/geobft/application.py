@@ -1,7 +1,7 @@
 """Reference application: a deterministic key-value store."""
 from __future__ import annotations
 
-from .core.codec import canonical_decode, canonical_encode
+from .core.codec import CodecError, canonical_decode, canonical_encode
 
 ABSENT = b"\x00absent"
 PLACEHOLDER = b"\x00placeholder"
@@ -17,6 +17,21 @@ def get_op(key: str) -> bytes:
     return canonical_encode(("get", key))
 
 
+def parse_op(op: bytes):
+    """("put", key, value) or ("get", key) if op is the encoding of one, with
+    a str key and a bytes value; else None. An op is client input, so a
+    malformed one gets BAD_OP and changes nothing."""
+    try:
+        decoded = canonical_decode(op)
+    except CodecError:
+        return None
+    shape = tuple(map(type, decoded)) if type(decoded) is tuple else ()
+    if shape == (str, str, bytes) and decoded[0] == "put" or \
+            shape == (str, str) and decoded[0] == "get":
+        return decoded
+    return None
+
+
 class KvApplication:
     """Deterministic state machine: equal op sequences yield equal snapshots."""
 
@@ -24,21 +39,18 @@ class KvApplication:
         self.store: dict[str, bytes] = {}
 
     def execute(self, op: bytes) -> bytes:
-        try:
-            decoded = canonical_decode(op)
-        except Exception:
+        decoded = parse_op(op)
+        if decoded is None:
             return BAD_OP
         if decoded[0] == "put":
             _, key, value = decoded
             self.store[key] = value
             return b"ok"
-        if decoded[0] == "get":
-            return self.store.get(decoded[1], ABSENT)
-        return BAD_OP
+        return self.store.get(decoded[1], ABSENT)
 
     def execute_readonly(self, op: bytes) -> bytes:
-        decoded = canonical_decode(op)
-        if decoded[0] != "get":
+        decoded = parse_op(op)
+        if decoded is None or decoded[0] != "get":
             return BAD_OP
         return self.store.get(decoded[1], ABSENT)
 

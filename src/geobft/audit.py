@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .application import ABSENT, KvApplication
+from .application import ABSENT, KvApplication, parse_op
 from .core import ClientId, Sig, hash_bytes
 from .core.codec import canonical_decode
 from .core.messages import Write
@@ -71,7 +71,7 @@ class AuditView:
             for r in cfg.group_members(gid) if _honest(plan, r)}
         self.order, self.conflict = canonical_execution_order(
             self.events("execute"), self.correct_replicas)
-        self.expected, self.history = replay_reference(self.order)
+        self.expected, self.history, self.unreadable_op = replay_reference(self.order)
 
     def events(self, name: str):
         """This event's records, in trace order."""
@@ -125,22 +125,30 @@ def canonical_execution_order(executes, correct_replicas):
 
 
 def replay_reference(order):
-    """Replays the canonical order; returns expected replies and key histories."""
+    """Replays the canonical order; returns expected replies, key histories
+    and the first position, if any, whose op is not hex (it is not replayed,
+    and the replay verdict fails on it)."""
     app = KvApplication()
     expected: dict = {}
     history: dict = {}  # key -> list of (s, value)
+    unreadable = None
     for key_pos in sorted(order):
         c, t_c, op_hex, kind = order[key_pos]
-        op = bytes.fromhex(op_hex)
+        try:
+            op = bytes.fromhex(op_hex)
+        except (TypeError, ValueError):
+            if unreadable is None:
+                unreadable = key_pos
+            continue
         if kind == "read":
             reply = app.execute_readonly(op)
         else:
             reply = app.execute(op)
-            decoded = _decoded(op_hex)
+            decoded = parse_op(op)
             if decoded is not None and decoded[0] == "put":
                 history.setdefault(decoded[1], []).append((key_pos[0], decoded[2]))
         expected[(c, t_c)] = reply
-    return expected, history
+    return expected, history, unreadable
 
 
 def _decoded(text):
@@ -266,6 +274,14 @@ def check_realtime_order(view) -> Verdict:
 
 def check_replay(view) -> Verdict:
     """Every accepted strong reply equals the reply the replayed prefix computes."""
+    if view.unreadable_op is not None:
+        s, idx = view.unreadable_op
+        t, _, src, _, _, _, data = next(
+            r for r in view.events("execute") if r[2] in view.correct_replicas
+            and (r[6]["s"], r[6].get("idx", 0)) == (s, idx))
+        return Verdict("replay", False,
+                       f"execute by {src} at t={t} s={s} idx={idx}: op {data['op']!r} "
+                       f"is not hex")
     checked = 0
     for t, event, src, dst, kind, digest, data in view.events("client_accept"):
         if kind not in ("write", "read_strong") or src not in view.correct_clients:

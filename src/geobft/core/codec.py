@@ -6,13 +6,22 @@ it is the byte form that gets hashed, signed and written to trace logs.
 Registered dataclasses encode as a type code plus their fields in
 declaration order.
 
+Each registered class encodes through its own compiled encoder,
+``cls._encode``, built at its first encode from the field annotations: it
+writes tags, lengths and struct packs inline for values of exactly the
+annotated types, and hands any other value to the generic rules of
+``_encode_values``, so both give the same bytes or the same error.
+
 The bytes of a registered message are computed once per instance: the
 first encode stores them on the instance, outside its dataclass fields,
 and encoding an enclosing message or sequence splices the stored bytes
-in. ``message_store`` gives other layers the same per-instance store
-(the crypto provider keeps the digest there). Registered messages must
-therefore be frozen dataclasses that stay immutable: no list or dict
-fields, and no ``object.__setattr__`` on a field after construction.
+in. What an instance keeps is read as an attribute, whose class default
+is None until the instance holds its own: ``_canonical`` (the bytes),
+``_digest`` (kept by the crypto provider) and ``_well_formed``; an
+``Envelope`` also keeps ``_wire_size`` and ``_sigs_ok``. Registered
+messages must therefore be frozen dataclasses that stay immutable: no
+list or dict fields, and no ``object.__setattr__`` on a field after
+construction.
 
 The field annotations of the registered messages are the one shape rule
 for what a field may hold. ``well_formed(msg)`` checks a message against
@@ -21,7 +30,7 @@ them: an ``int`` is an exact int in the u64 range, ``bool``, ``bytes`` and
 instance of it, ``Optional``/``Union`` take any of their alternatives,
 ``tuple[X, ...]`` is a tuple of X and ``tuple[X, Y]`` a tuple of exactly
 those, and ``object`` is any value the codec encodes, whose nested
-messages are checked in turn. The verdict is kept in the message store,
+messages are checked in turn. The verdict is kept on the message,
 beside the bytes and digest. It is asked in the two places where outside
 values come in: ``Node.handle_envelope`` admits only a well-formed
 envelope, and decoding refuses a message that is not well-formed.
@@ -36,7 +45,7 @@ import functools
 import struct
 import typing
 from operator import attrgetter
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 _TAG_NONE = 0
 _TAG_FALSE = 1
@@ -51,9 +60,13 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _HDR = struct.Struct(">BH")  # message tag + type code
+_TAG_U32 = struct.Struct(">BI").pack  # tag + length
+_TAG_U64 = struct.Struct(">BQ").pack  # tag + int
 
-_BYTES_KEY = "_canonical"  # where a message instance keeps its encoding
-_SHAPE_KEY = "_well_formed"  # where it keeps its well_formed verdict
+# where a message instance keeps its encoding and its well_formed verdict;
+# its class holds None under each name until the instance keeps its own
+_BYTES_KEY = "_canonical"
+_SHAPE_KEY = "_well_formed"
 _U64_END = 1 << 64
 _SCALARS = (bool, bytes, str)  # shape-checked by exact type alone
 
@@ -76,9 +89,11 @@ def register_message(code: int):
         if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
             raise CodecError(f"{cls.__name__} must be a frozen dataclass")
         names = tuple(f.name for f in dataclasses.fields(cls))
-        # an instance's shape verdict until well_formed keeps one, and the
-        # class's shape check until its first call compiles it (_shape)
-        cls._well_formed = None
+        # an instance's kept bytes, digest and shape verdict until it keeps
+        # its own, and the class's encoder and shape check until their first
+        # calls compile them (_encoder, _shape)
+        cls._canonical = cls._digest = cls._well_formed = None
+        cls._encode = _compile_encoder
         cls._shape_check = _compile_shape_check
         _layout[cls] = (_HDR.pack(_TAG_MSG, code), _field_getter(names))
         _type_fields[cls] = names
@@ -95,24 +110,20 @@ def _field_getter(names: tuple):
     return lambda msg: tuple(getattr(msg, name) for name in names)
 
 
-def message_store(value) -> Optional[dict]:
-    """The per-instance store of a registered message, or None for other values.
-
-    Values kept there are derived from the message's fields, so equal
-    instances may hold them or not without any visible difference.
-    """
-    return value.__dict__ if type(value) in _layout else None
-
-
 def _message_bytes(msg) -> bytes:
-    store = msg.__dict__
-    raw = store.get(_BYTES_KEY)
-    if raw is None:
-        header, fields = _layout[type(msg)]
-        out = bytearray(header)
-        _encode_values(fields(msg), out)
-        raw = store[_BYTES_KEY] = bytes(out)
+    """Encode msg, whose bytes are not kept yet (every caller reads
+    msg._canonical first), and keep them."""
+    raw = msg.__dict__[_BYTES_KEY] = msg._encode()
     return raw
+
+
+def _encode_generic(msg) -> bytes:
+    """msg's bytes by the value rules of _encode_values, field by field: what
+    a compiled encoder gives back for a value off its fast path."""
+    header, fields = _layout[type(msg)]
+    out = bytearray(header)
+    _encode_values(fields(msg), out)
+    return bytes(out)
 
 
 def _encode_values(values, out: bytearray) -> None:
@@ -123,8 +134,7 @@ def _encode_values(values, out: bytearray) -> None:
     for value in values:
         kind = type(value)
         if kind in _layout:
-            raw = value.__dict__.get(_BYTES_KEY)
-            out += raw if raw is not None else _message_bytes(value)
+            out += value._canonical or _message_bytes(value)
         elif kind is int:
             if not 0 <= value < 1 << 64:
                 raise CodecError(f"integer out of u64 range: {value}")
@@ -151,6 +161,13 @@ def _encode_values(values, out: bytearray) -> None:
             _encode_values((_as_base_type(value),), out)
 
 
+def _encode_value(value) -> bytes:
+    """The encoding of one value, by the rules of _encode_values."""
+    out = bytearray()
+    _encode_values((value,), out)
+    return bytes(out)
+
+
 def _as_base_type(value):
     """A subclass instance as a value of the built-in type the codec knows."""
     for base in (int, bytes, str, tuple):  # bool has no subclasses
@@ -163,10 +180,8 @@ def _as_base_type(value):
 
 def canonical_encode(value) -> bytes:
     if type(value) in _layout:
-        return _message_bytes(value)
-    out = bytearray()
-    _encode_values((value,), out)
-    return bytes(out)
+        return value._canonical or _message_bytes(value)
+    return _encode_value(value)
 
 
 def _decode_from(buf: bytes, pos: int):
@@ -235,6 +250,108 @@ def canonical_decode(buf: bytes):
     return value
 
 
+# -- compiled encoders ---------------------------------------------------------
+#
+# Each registered class's annotations are compiled, at its first encode,
+# into one function (the method cls._encode) that reads every field, tests
+# that its value has exactly the annotated type, and joins the tag, length
+# and struct packs with the bytes that nested messages keep. Any other
+# value (a bool or an IntEnum in an int field, a list, a plain tuple where
+# a node id is annotated) sends the whole message to _encode_generic, and
+# so does any error on the way (an int outside the u64 range fails its
+# struct pack), so every message encodes to the bytes, or raises the error,
+# of the value rules in _encode_values.
+
+def _compile_encoder(msg) -> bytes:
+    """A class's encoder until its first call: compile the encoder, in place
+    of this function, then run it. Compiling at first use, like the shape
+    check, keeps the compile out of import and setup."""
+    return _encoder(type(msg))(msg)
+
+
+def _encoder(cls) -> Callable:
+    """Compile cls's field annotations into its encoder, cls._encode."""
+    names = {"_generic": _encode_generic, "_mb": _message_bytes, "_value": _encode_value,
+             "_layout": _layout, "_u32": _TAG_U32, "_u64": _TAG_U64,
+             "_errors": (ValueError, struct.error)}
+    lines = ["def encode(v):", "    try:"]
+    pieces = [repr(_layout[cls][0])]
+    for field, hint in _fields(cls):
+        x = f"x{len(lines)}"
+        lines.append(f"        {x} = v.{field}")
+        pieces += _emit_encode(x, hint, names, lines, 2)
+    lines += [f"        return b''.join(({', '.join(pieces)},))",
+              "    except _errors:",
+              "        pass",
+              "    return _generic(v)"]
+    exec(compile("\n".join(lines), f"<encoder of {cls.__name__}>", "exec"), names)
+    encode = cls._encode = names["encode"]
+    return encode
+
+
+def _emit_encode(x: str, hint, names: dict, lines: list, indent: int) -> list:
+    """Append statements that hand the message to _generic unless the value
+    bound to the local name x has exactly a type the resolved annotation
+    hint names; return the expressions of the pieces of its encoding."""
+    pad = "    " * indent
+    args, origin = typing.get_args(hint), typing.get_origin(hint)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        out, item = f"x{len(lines)}", f"x{len(lines) + 1}"
+        lines += [f"{pad}if type({x}) is not tuple: return _generic(v)",
+                  f"{pad}{out} = [_u32({_TAG_SEQ}, len({x}))]",
+                  f"{pad}for {item} in {x}:"]
+        pieces = _emit_encode(item, args[0], names, lines, indent + 1)
+        lines += [f"{pad}    {out} += ({', '.join(pieces)},)", f"{pad}{out} = b''.join({out})"]
+        return [out]
+    if origin is tuple and args:
+        lines.append(f"{pad}if type({x}) is not tuple or len({x}) != {len(args)}: "
+                     f"return _generic(v)")
+        pieces = [repr(_TAG_U32(_TAG_SEQ, len(args)))]
+        for i, arg in enumerate(args):
+            item = f"x{len(lines)}"
+            lines.append(f"{pad}{item} = {x}[{i}]")
+            pieces += _emit_encode(item, arg, names, lines, indent)
+        return pieces
+    if hint is object:
+        return [f"({x}._canonical or _mb({x}) if type({x}) in _layout else _value({x}))"]
+    kinds = args if origin is Union else (hint,)
+    branches = [_encode_kind(x, kind) for kind in kinds if kind not in _layout]
+    messages = [kind for kind in kinds if kind in _layout]
+    if messages:
+        for kind in messages:
+            names[f"_{kind.__name__}"] = kind
+        test = " or ".join(f"type({x}) is _{kind.__name__}" for kind in messages)
+        branches.append((test, [], [f"({x}._canonical or _mb({x}))"]))
+    if len(branches) == 1:
+        test, pre, pieces = branches[0]
+        lines.append(f"{pad}if not ({test}): return _generic(v)")
+        lines += [pad + line for line in pre]
+        return pieces
+    piece = f"x{len(lines)}"
+    for n, (test, pre, pieces) in enumerate(branches):
+        lines.append(f"{pad}{'elif' if n else 'if'} {test}:")
+        lines += [f"{pad}    {line}" for line in pre + [f"{piece} = {' + '.join(pieces)}"]]
+    lines.append(f"{pad}else: return _generic(v)")
+    return [piece]
+
+
+def _encode_kind(x: str, kind) -> tuple:
+    """(test, statements, pieces) for a value bound to x of the scalar type kind."""
+    if kind is int:
+        return f"type({x}) is int", [], [f"_u64({_TAG_INT}, {x})"]
+    if kind is bytes:
+        return f"type({x}) is bytes", [], [f"_u32({_TAG_BYTES}, len({x}))", x]
+    if kind is str:
+        raw = f"{x}s"
+        return f"type({x}) is str", [f"{raw} = {x}.encode()"], [f"_u32({_TAG_STR}, len({raw}))", raw]
+    if kind is bool:
+        return (f"type({x}) is bool", [],
+                [f"({bytes([_TAG_TRUE])!r} if {x} else {bytes([_TAG_FALSE])!r})"])
+    if kind is type(None):
+        return f"{x} is None", [], [repr(bytes([_TAG_NONE]))]
+    raise CodecError(f"no encoder for the annotation {kind!r}")
+
+
 # -- the shape rule ------------------------------------------------------------
 #
 # Each registered class's annotations are compiled, at its first check,
@@ -262,7 +379,7 @@ def canonical_decode(buf: bytes):
 def well_formed(msg) -> bool:
     """msg, a registered message, holds in every field what the field's
     annotation allows (see the module docstring); nested messages are
-    checked in turn. The verdict is kept in msg's message store."""
+    checked in turn. The verdict is kept on msg, as _well_formed."""
     ok = msg._well_formed  # the kept verdict, else the class's None
     if ok is None:
         ok = msg.__dict__[_SHAPE_KEY] = msg._shape_check()

@@ -8,8 +8,9 @@ the owning principal. A real cipher suite can replace this provider
 behind the same interface.
 
 The digest of a registered message is computed once per instance and
-kept beside its canonical bytes (see ``codec.message_store``), so the
-sender's sign and every receiver's verify of one instance hash it once.
+kept on it as ``_digest``, beside its canonical bytes (see ``codec``), so
+the sender's sign and every receiver's verify of one instance hash it
+once.
 A rewritten message is a new instance with its own digest, which is why
 messages must stay immutable.
 """
@@ -19,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .codec import canonical_encode, message_store, register_message
+from .codec import canonical_encode, register_message
 from .ids import NodeId
 
 
@@ -79,12 +80,13 @@ class CryptoProvider:
         return self._groups.get(key, frozenset())
 
     def digest(self, msg) -> bytes:
-        store = message_store(msg)
-        if store is None:
-            return hash_bytes(canonical_encode(msg))
-        digest = store.get("_digest")
+        # a registered message's kept digest, None until it keeps one, and
+        # False for any other value
+        digest = getattr(msg, "_digest", False)
         if digest is None:
-            digest = store["_digest"] = hash_bytes(canonical_encode(msg))
+            digest = msg.__dict__["_digest"] = hash_bytes(canonical_encode(msg))
+        elif digest is False:
+            digest = hash_bytes(canonical_encode(msg))
         return digest
 
     def sign(self, signer: NodeId, msg) -> Sig:

@@ -1,7 +1,7 @@
 """Principal identifiers and per-scenario fault parameters."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 AGREEMENT = "ag"
@@ -13,22 +13,25 @@ AGREEMENT_GROUP = 0
 
 # A node id is interned: each constructor path (a direct call,
 # canonical_decode, dataclasses.replace, copy, pickle through __reduce__)
-# gives back the one object of its principal, so equality is identity
-# (eq=False keeps object's C-level __eq__) and dict and set lookups hit
+# gives back the one object of its principal, so dict and set lookups hit
 # on identity. Fields must have their declared types exactly; anything
 # else raises TypeError, so two ids that encode differently are never
-# one object. Each id computes its hash and name once, at interning.
-# The hash must stay equal to the one dataclass would generate,
-# hash(fields tuple): set iteration order, and with it the byte identity
-# of traces, depends on it. Pickling recomputes it in the loading
-# interpreter.
+# one object.
+#
+# An id is a tuple of its fields, so hashing and comparing it run in C:
+# per-peer tables keyed by node id are looked up on every message. Its
+# hash is tuple's, hash(fields), which is also the hash dataclass would
+# generate. That hash varies with PYTHONHASHSEED (the role is a str), and
+# traces do not, so no trace depends on the order of a set of ids.
+# Nothing reads an id as a sequence or compares one with a plain tuple:
+# the codec and the shape rule test exact types, so a plain tuple of the
+# same fields is not an id to them.
 
 
 def _new_id(cls, table: dict, fields: tuple, name: str):
-    nid = object.__new__(cls)
+    nid = tuple.__new__(cls, fields)
     for f, value in zip(cls.__dataclass_fields__, fields):
         object.__setattr__(nid, f, value)
-    object.__setattr__(nid, "_hash", hash(fields))
     object.__setattr__(nid, "_name", name)
     table[fields] = nid
     return nid
@@ -40,10 +43,10 @@ def _not_an_id(cls, fields):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class ReplicaId:
+class ReplicaId(tuple):
     role: str  # AGREEMENT or EXECUTION
     group: int
-    index: int
+    index: int = field()  # else dataclass takes the inherited tuple.index as its default
 
     def __new__(cls, role: str, group: int, index: int):
         key = (role, group, index)
@@ -54,16 +57,13 @@ class ReplicaId:
     def __reduce__(self):
         return ReplicaId, (self.role, self.group, self.index)
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __str__(self) -> str:
         return self._name
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class ClientId:
-    index: int
+class ClientId(tuple):
+    index: int = field()
 
     def __new__(cls, index: int):
         key = (index,)
@@ -73,9 +73,6 @@ class ClientId:
 
     def __reduce__(self):
         return ClientId, (self.index,)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return self._name

@@ -5,8 +5,10 @@ traffic (ChSend, ChMove, ChShare, ChCert, ChProgress), checkpoint
 traffic, ordering-internal traffic and reconfiguration requests. Each
 is a frozen dataclass registered with the canonical codec; wire codes
 are part of the on-disk trace format and must not be reused. The codec
-stores each instance's bytes and digest at first use, so a message is
-never changed after construction and holds no list or dict.
+compiles each class's encoder from its field annotations at first use,
+and each instance keeps its bytes, digest and shape verdict as attributes
+at first use, so a message is never changed after construction and holds
+no list or dict.
 
 The field annotations are the schema: ``codec.well_formed`` checks a
 message against them where an envelope is received or a message decoded,
@@ -366,13 +368,18 @@ class Envelope:
     payload: object
     auth: tuple[Union[Sig, Mac], ...] = field(default_factory=tuple)
 
+    # kept by wire_size, and by Node.handle_envelope (the crypto provider
+    # that accepted an envelope whose authenticators are all Sigs); None
+    # until this envelope holds its own
+    _wire_size = None
+    _sigs_ok = None
+
     def wire_size(self) -> int:
         """len(canonical_encode(self)), from the bytes the payload, each
         signer and each other authenticator already store, without
-        encoding the envelope or a Sig; kept in the message store, so an
+        encoding the envelope or a Sig; kept as _wire_size, so an
         envelope multicast to many is sized once."""
-        store = self.__dict__  # this envelope's message store
-        size = store.get("_wire_size")
+        size = self._wire_size
         if size is None:
             size = _ENVELOPE_FRAMING + len(canonical_encode(self.payload))
             for a in self.auth:
@@ -380,7 +387,7 @@ class Envelope:
                     size += _SIG_FRAMING + len(canonical_encode(a.signer)) + len(a.digest)
                 else:
                     size += len(canonical_encode(a))
-            store["_wire_size"] = size
+            self.__dict__["_wire_size"] = size
         return size
 
     def first_sig(self) -> Optional[Sig]:

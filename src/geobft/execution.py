@@ -178,9 +178,9 @@ class ExecutionReplica(ExecutingNode):
                 self._apply_admin(item)
         self.s_n = s
         if s % K_E == 0:
-            snapshot = self._snapshot()
+            snapshot, projected = self._state()
             self.cp.gen_cp(s, snapshot)
-            self._trace_state(snapshot)
+            self._trace_state(snapshot, projected)
 
     def _apply_full(self, s, idx, item: FullReq):
         write = item.write
@@ -200,17 +200,19 @@ class ExecutionReplica(ExecutingNode):
 
     # -- checkpointing ------------------------------------------------------------
 
-    def _snapshot(self) -> bytes:
-        u_sorted = tuple((c, tc, r) for c, (tc, r) in sorted(self.u.items()))
-        return canonical_encode((self.s_n, u_sorted, self.app.snapshot()))
+    def _state(self) -> tuple[bytes, bytes]:
+        """The checkpoint state and its projection without the cached replies,
+        which embed one encoding of the application state."""
+        app_state = self.app.snapshot()
+        u_sorted = sorted(self.u.items())
+        return (canonical_encode((self.s_n, tuple((c, tc, r) for c, (tc, r) in u_sorted),
+                                  app_state)),
+                canonical_encode((self.s_n, tuple((c, tc) for c, (tc, _) in u_sorted),
+                                  app_state)))
 
-    def _trace_state(self, snapshot: bytes):
-        full = hash_bytes(snapshot)
-        projected = canonical_encode(
-            (self.s_n, tuple((c, tc) for c, (tc, _) in sorted(self.u.items())),
-             self.app.snapshot()))
+    def _trace_state(self, snapshot: bytes, projected: bytes):
         self.sim.trace.add(self.sim.now, "state_digest", self.nid, "-", "ex",
-                           full.hex(), s=self.s_n,
+                           hash_bytes(snapshot).hex(), s=self.s_n,
                            projected=hash_bytes(projected).hex())
 
     def on_stable_execution_cp(self, s: int, state: bytes):
@@ -219,7 +221,7 @@ class ExecutionReplica(ExecutingNode):
             self.s_n, u_sorted, app_bytes = canonical_decode(state)
             self.u = {c: (tc, r) for c, tc, r in u_sorted}
             self.app.restore(app_bytes)
-            self._trace_state(self._snapshot())
+            self._trace_state(*self._state())
         self._pull()
 
     def _seek_checkpoint(self, s_min: int):

@@ -35,7 +35,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from .core import BoundCrypto, NodeId, Sig, hash_bytes
-from .core.codec import message_store, well_formed
+from .core.codec import well_formed
 from .core.crypto import DIGEST_SIZE
 from .core.messages import ChCert, ChSend, ChShare, ChannelId, Envelope, Write
 
@@ -106,9 +106,15 @@ class TraceLog:
 
     def __init__(self):
         self.records: list[tuple] = []
+        # the last time added and its rounding: every record of one event
+        # gets the one float object sim.now, so it is rounded once (no time
+        # passed in is the object first held here)
+        self._time, self._rounded = object(), None
 
     def add(self, time, event, src="-", dst="-", kind="-", digest="-", **data):
-        self.records.append((round(time, 6), event, str(src), str(dst), kind, digest, data))
+        if time is not self._time:
+            self._time, self._rounded = time, round(time, 6)
+        self.records.append((self._rounded, event, str(src), str(dst), kind, digest, data))
 
     def digest(self) -> str:
         """Hash of the bytes write() puts in a file, so read_trace reproduces it."""
@@ -486,10 +492,6 @@ class ByzantineAdapter:
         return payload
 
 
-# message-store key of the provider that accepted an all-Sig envelope
-_SIGS_OK = "_sigs_ok"
-
-
 def dst_index(dst) -> int:
     return getattr(dst, "index", 0)
 
@@ -558,15 +560,14 @@ class Node:
 
         A Sig verifies the same at every receiver that shares a crypto
         provider, so an envelope whose authenticators are all Sigs keeps
-        its positive verdict, with the provider that gave it, in its message
-        store: a shared multicast envelope is checked once. A Mac names its
+        its positive verdict as the provider that gave it (env._sigs_ok):
+        a shared multicast envelope is checked once. A Mac names its
         verifier and is checked by each receiver (its shape verdict is kept,
         so only the first one checks that). A rejected envelope keeps no
         admission verdict and leaves one auth_reject per receiver.
         """
-        store = message_store(env)
         provider = self.crypto.provider
-        if store.get(_SIGS_OK) is not provider:
+        if env._sigs_ok is not provider:
             if not well_formed(env):
                 self._reject(src, env)
                 return
@@ -577,7 +578,7 @@ class Node:
                     return
                 all_sigs = all_sigs and type(a) is Sig
             if all_sigs:
-                store[_SIGS_OK] = provider
+                env.__dict__["_sigs_ok"] = provider
         self.on_payload(src, env)
 
     def _reject(self, src, env: Envelope) -> None:

@@ -66,8 +66,10 @@ def sc_channel():
 
 
 def rebuilt(value):
-    """An equal value built anew, so that no part of it holds stored bytes or digests."""
-    if isinstance(value, tuple):
+    """An equal value built anew, so that no part of it holds stored bytes or
+    digests. Only plain tuples are rebuilt item by item: a node id is a
+    tuple too, and is rebuilt as the dataclass it is."""
+    if type(value) is tuple:
         return tuple(rebuilt(v) for v in value)
     if dataclasses.is_dataclass(value):
         return type(value)(*(rebuilt(getattr(value, f.name))

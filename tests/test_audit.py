@@ -464,6 +464,27 @@ def test_audit_command_fails_a_malformed_trace_field(tmp_path, capsys, mini,
     assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {verdict}: {event} by ")
 
 
+def test_audit_command_fails_replay_on_an_op_that_is_not_hex(tmp_path, capsys, mini):
+    """Every correct replica's execute record of one position carries an op
+    that is not hex, so the order agrees and validity (which reads wr)
+    holds; the replay cannot run that op, and its verdict fails naming the
+    first record."""
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    first = next(r for r in mutated.records if r[1] == "execute")
+    position = (first[6]["s"], first[6]["idx"])
+    for i, r in enumerate(mutated.records):
+        if r[1] == "execute" and (r[6]["s"], r[6]["idx"]) == position:
+            mutated.records[i] = r[:6] + ({**r[6], "op": "zz"},)
+    path, scenario = tmp_path / "run.trace", tmp_path / "mini.json"
+    mutated.write(path)
+    scenario.write_text(json.dumps(MINI))
+    assert cli.main(["audit", str(path), str(scenario)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed == [f"[FAIL] replay: execute by {first[2]} at t={first[0]} "
+                      f"s={position[0]} idx={position[1]}: op 'zz' is not hex"]
+
+
 def test_every_written_line_parses(tmp_path, mini):
     cfg, trace, _ = mini
     path = tmp_path / "run.trace"

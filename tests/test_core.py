@@ -281,9 +281,9 @@ class _PlainReplicaId:
     (ClientId(7), (7,), "c7", "ClientId(index=7)"),
 ])
 def test_node_id_hash_and_name_pinned(nid, fields, name, text):
-    # Set iteration order over node ids, and with it the byte identity of
-    # traces, depends on these hashes: the stored hash must equal the one
-    # dataclass generates, hash(fields tuple).
+    # An id is a tuple of its fields, so its hash is tuple's, hash(fields),
+    # the one dataclass generates too. (It varies with PYTHONHASHSEED, and
+    # traces do not: test_trace_digest_independent_of_hash_seed.)
     assert hash(nid) == hash(fields)
     if isinstance(nid, ReplicaId):
         assert hash(nid) == hash(_PlainReplicaId(*fields))

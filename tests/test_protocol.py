@@ -67,12 +67,12 @@ def test_bad_mac_changes_no_state(mini_run):
     replica = system.executions[1][1]
     client = system.clients[0]
     w = Write(get_op("k1"), client.nid, 999)
-    digest_before = hash_bytes(replica._snapshot())
+    digest_before = hash_bytes(replica._state()[0])
     t_before = dict(replica.t)
     # MAC from the wrong principal
     env = Envelope(w, (client.crypto.mac(GroupKey("ex", 2), w),))
     replica.handle_envelope(client.nid, env)
-    assert hash_bytes(replica._snapshot()) == digest_before
+    assert hash_bytes(replica._state()[0]) == digest_before
     assert replica.t == t_before
 
 
