@@ -6,12 +6,6 @@ it is the byte form that gets hashed, signed and written to trace logs.
 Registered dataclasses encode as a type code plus their fields in
 declaration order.
 
-Each registered class encodes through its own compiled encoder,
-``cls._encode``, built at its first encode from the field annotations: it
-writes tags, lengths and struct packs inline for values of exactly the
-annotated types, and hands any other value to the generic rules of
-``_encode_values``, so both give the same bytes or the same error.
-
 The bytes of a registered message are computed once per instance: the
 first encode stores them on the instance, outside its dataclass fields,
 and encoding an enclosing message or sequence splices the stored bytes
@@ -60,8 +54,6 @@ _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _HDR = struct.Struct(">BH")  # message tag + type code
-_TAG_U32 = struct.Struct(">BI").pack  # tag + length
-_TAG_U64 = struct.Struct(">BQ").pack  # tag + int
 
 # where a message instance keeps its encoding and its well_formed verdict;
 # its class holds None under each name until the instance keeps its own
@@ -90,10 +82,9 @@ def register_message(code: int):
             raise CodecError(f"{cls.__name__} must be a frozen dataclass")
         names = tuple(f.name for f in dataclasses.fields(cls))
         # an instance's kept bytes, digest and shape verdict until it keeps
-        # its own, and the class's encoder and shape check until their first
-        # calls compile them (_encoder, _shape)
+        # its own, and the class's shape check until its first call
+        # compiles it (_shape)
         cls._canonical = cls._digest = cls._well_formed = None
-        cls._encode = _compile_encoder
         cls._shape_check = _compile_shape_check
         _layout[cls] = (_HDR.pack(_TAG_MSG, code), _field_getter(names))
         _type_fields[cls] = names
@@ -113,17 +104,11 @@ def _field_getter(names: tuple):
 def _message_bytes(msg) -> bytes:
     """Encode msg, whose bytes are not kept yet (every caller reads
     msg._canonical first), and keep them."""
-    raw = msg.__dict__[_BYTES_KEY] = msg._encode()
-    return raw
-
-
-def _encode_generic(msg) -> bytes:
-    """msg's bytes by the value rules of _encode_values, field by field: what
-    a compiled encoder gives back for a value off its fast path."""
     header, fields = _layout[type(msg)]
     out = bytearray(header)
     _encode_values(fields(msg), out)
-    return bytes(out)
+    raw = msg.__dict__[_BYTES_KEY] = bytes(out)
+    return raw
 
 
 def _encode_values(values, out: bytearray) -> None:
@@ -161,13 +146,6 @@ def _encode_values(values, out: bytearray) -> None:
             _encode_values((_as_base_type(value),), out)
 
 
-def _encode_value(value) -> bytes:
-    """The encoding of one value, by the rules of _encode_values."""
-    out = bytearray()
-    _encode_values((value,), out)
-    return bytes(out)
-
-
 def _as_base_type(value):
     """A subclass instance as a value of the built-in type the codec knows."""
     for base in (int, bytes, str, tuple):  # bool has no subclasses
@@ -181,7 +159,9 @@ def _as_base_type(value):
 def canonical_encode(value) -> bytes:
     if type(value) in _layout:
         return value._canonical or _message_bytes(value)
-    return _encode_value(value)
+    out = bytearray()
+    _encode_values((value,), out)
+    return bytes(out)
 
 
 def _decode_from(buf: bytes, pos: int):
@@ -248,108 +228,6 @@ def canonical_decode(buf: bytes):
     if pos != len(buf):
         raise CodecError(f"{len(buf) - pos} trailing bytes")
     return value
-
-
-# -- compiled encoders ---------------------------------------------------------
-#
-# Each registered class's annotations are compiled, at its first encode,
-# into one function (the method cls._encode) that reads every field, tests
-# that its value has exactly the annotated type, and joins the tag, length
-# and struct packs with the bytes that nested messages keep. Any other
-# value (a bool or an IntEnum in an int field, a list, a plain tuple where
-# a node id is annotated) sends the whole message to _encode_generic, and
-# so does any error on the way (an int outside the u64 range fails its
-# struct pack), so every message encodes to the bytes, or raises the error,
-# of the value rules in _encode_values.
-
-def _compile_encoder(msg) -> bytes:
-    """A class's encoder until its first call: compile the encoder, in place
-    of this function, then run it. Compiling at first use, like the shape
-    check, keeps the compile out of import and setup."""
-    return _encoder(type(msg))(msg)
-
-
-def _encoder(cls) -> Callable:
-    """Compile cls's field annotations into its encoder, cls._encode."""
-    names = {"_generic": _encode_generic, "_mb": _message_bytes, "_value": _encode_value,
-             "_layout": _layout, "_u32": _TAG_U32, "_u64": _TAG_U64,
-             "_errors": (ValueError, struct.error)}
-    lines = ["def encode(v):", "    try:"]
-    pieces = [repr(_layout[cls][0])]
-    for field, hint in _fields(cls):
-        x = f"x{len(lines)}"
-        lines.append(f"        {x} = v.{field}")
-        pieces += _emit_encode(x, hint, names, lines, 2)
-    lines += [f"        return b''.join(({', '.join(pieces)},))",
-              "    except _errors:",
-              "        pass",
-              "    return _generic(v)"]
-    exec(compile("\n".join(lines), f"<encoder of {cls.__name__}>", "exec"), names)
-    encode = cls._encode = names["encode"]
-    return encode
-
-
-def _emit_encode(x: str, hint, names: dict, lines: list, indent: int) -> list:
-    """Append statements that hand the message to _generic unless the value
-    bound to the local name x has exactly a type the resolved annotation
-    hint names; return the expressions of the pieces of its encoding."""
-    pad = "    " * indent
-    args, origin = typing.get_args(hint), typing.get_origin(hint)
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        out, item = f"x{len(lines)}", f"x{len(lines) + 1}"
-        lines += [f"{pad}if type({x}) is not tuple: return _generic(v)",
-                  f"{pad}{out} = [_u32({_TAG_SEQ}, len({x}))]",
-                  f"{pad}for {item} in {x}:"]
-        pieces = _emit_encode(item, args[0], names, lines, indent + 1)
-        lines += [f"{pad}    {out} += ({', '.join(pieces)},)", f"{pad}{out} = b''.join({out})"]
-        return [out]
-    if origin is tuple and args:
-        lines.append(f"{pad}if type({x}) is not tuple or len({x}) != {len(args)}: "
-                     f"return _generic(v)")
-        pieces = [repr(_TAG_U32(_TAG_SEQ, len(args)))]
-        for i, arg in enumerate(args):
-            item = f"x{len(lines)}"
-            lines.append(f"{pad}{item} = {x}[{i}]")
-            pieces += _emit_encode(item, arg, names, lines, indent)
-        return pieces
-    if hint is object:
-        return [f"({x}._canonical or _mb({x}) if type({x}) in _layout else _value({x}))"]
-    kinds = args if origin is Union else (hint,)
-    branches = [_encode_kind(x, kind) for kind in kinds if kind not in _layout]
-    messages = [kind for kind in kinds if kind in _layout]
-    if messages:
-        for kind in messages:
-            names[f"_{kind.__name__}"] = kind
-        test = " or ".join(f"type({x}) is _{kind.__name__}" for kind in messages)
-        branches.append((test, [], [f"({x}._canonical or _mb({x}))"]))
-    if len(branches) == 1:
-        test, pre, pieces = branches[0]
-        lines.append(f"{pad}if not ({test}): return _generic(v)")
-        lines += [pad + line for line in pre]
-        return pieces
-    piece = f"x{len(lines)}"
-    for n, (test, pre, pieces) in enumerate(branches):
-        lines.append(f"{pad}{'elif' if n else 'if'} {test}:")
-        lines += [f"{pad}    {line}" for line in pre + [f"{piece} = {' + '.join(pieces)}"]]
-    lines.append(f"{pad}else: return _generic(v)")
-    return [piece]
-
-
-def _encode_kind(x: str, kind) -> tuple:
-    """(test, statements, pieces) for a value bound to x of the scalar type kind."""
-    if kind is int:
-        return f"type({x}) is int", [], [f"_u64({_TAG_INT}, {x})"]
-    if kind is bytes:
-        return f"type({x}) is bytes", [], [f"_u32({_TAG_BYTES}, len({x}))", x]
-    if kind is str:
-        raw = f"{x}s"
-        return f"type({x}) is str", [f"{raw} = {x}.encode()"], [f"_u32({_TAG_STR}, len({raw}))", raw]
-    if kind is bool:
-        return (f"type({x}) is bool", [],
-                [f"({bytes([_TAG_TRUE])!r} if {x} else {bytes([_TAG_FALSE])!r})"])
-    if kind is type(None):
-        return f"{x} is None", [], [repr(bytes([_TAG_NONE]))]
-    raise CodecError(f"no encoder for the annotation {kind!r}")
 
 
 # -- the shape rule ------------------------------------------------------------

@@ -106,15 +106,9 @@ class TraceLog:
 
     def __init__(self):
         self.records: list[tuple] = []
-        # the last time added and its rounding: every record of one event
-        # gets the one float object sim.now, so it is rounded once (no time
-        # passed in is the object first held here)
-        self._time, self._rounded = object(), None
 
     def add(self, time, event, src="-", dst="-", kind="-", digest="-", **data):
-        if time is not self._time:
-            self._time, self._rounded = time, round(time, 6)
-        self.records.append((self._rounded, event, str(src), str(dst), kind, digest, data))
+        self.records.append((round(time, 6), event, str(src), str(dst), kind, digest, data))
 
     def digest(self) -> str:
         """Hash of the bytes write() puts in a file, so read_trace reproduces it."""

@@ -1,17 +1,12 @@
 """The canonical encoding, byte for byte: one pinned sample per registered
-message class, the value rules every field goes through, and the compiled
-encoders held to the generic path."""
+message class, and the value rules every field goes through."""
 import os
 import subprocess
 import sys
-import typing
-from contextlib import contextmanager
 from enum import IntEnum
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from geobft.core import (
     ClientId,
@@ -431,105 +426,19 @@ def test_an_unregistered_field_value_raises():
             canonical_encode(payload)
 
 
-# -- compiled encoders ---------------------------------------------------------
-
-_OFF_TYPE = st.one_of(
-    st.booleans(),
-    st.sampled_from(list(_Sub)),
-    st.lists(st.integers(0, 9), max_size=2),
-    st.integers(min_value=1 << 64, max_value=1 << 70),
-    st.integers(max_value=-1),
-    st.just(("ex", 1, 0)),  # a node id's fields as a plain tuple
-    st.floats(allow_nan=False),
-)
-_SCALARS = {int: st.integers(0, (1 << 64) - 1), bytes: st.binary(max_size=6),
-            str: st.text(max_size=4), bool: st.booleans(), type(None): st.none()}
-_IDS = {ReplicaId: st.builds(ReplicaId, st.sampled_from(["ag", "ex"]), st.integers(0, 3),
-                             st.integers(0, 3)),
-        ClientId: st.builds(ClientId, st.integers(0, 9))}
-
-
-def _values(hint) -> st.SearchStrategy:
-    """Values of the resolved annotation hint, and now and then one of
-    another type."""
-    return st.one_of(_annotated(hint), _OFF_TYPE) if hint is not object \
-        else st.one_of(_annotated(hint), st.sampled_from(list(_samples().values())))
-
-
-def _annotated(hint) -> st.SearchStrategy:
-    args, origin = typing.get_args(hint), typing.get_origin(hint)
-    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        return st.lists(_values(args[0]), max_size=2).map(tuple)
-    if origin is tuple:
-        return st.tuples(*map(_values, args))
-    if origin is typing.Union:
-        return st.one_of(*map(_annotated, args))
-    if hint is object:
-        return st.one_of(*_SCALARS.values())
-    if hint in _IDS:
-        return _IDS[hint]
-    if hint in codec._layout:
-        return _messages(hint)
-    return _SCALARS[hint]
-
-
-def _messages(cls) -> st.SearchStrategy:
-    if cls in _IDS:
-        return _IDS[cls]
-    return st.builds(cls, *(_values(hint) for _, hint in codec._fields(cls)))
-
-
-@contextmanager
-def _generic_encoders():
-    """Every registered class encodes by the generic value rules alone."""
-    held = {cls: cls.__dict__["_encode"] for cls in codec._layout}
-    for cls in held:
-        cls._encode = codec._encode_generic
-    try:
-        yield
-    finally:
-        for cls, encode in held.items():
-            cls._encode = encode
-
-
-def _outcome(value):
-    try:
-        return canonical_encode(value)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-@pytest.mark.parametrize("cls", sorted(codec._code_type.values(), key=lambda c: c.__name__),
-                         ids=lambda c: c.__name__)
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_compiled_encoder_gives_the_generic_bytes_or_error(cls, data):
-    """A message of any registered class, with fields of the annotated types
-    or of others (a bool or IntEnum in an int field, a list, an int past
-    u64, a plain tuple for a node id), encodes to the same bytes, or raises
-    the same error, through its compiled encoder as through the generic
-    value rules."""
-    msg = data.draw(_messages(cls))
-    compiled = _outcome(rebuilt(msg))
-    with _generic_encoders():
-        generic = _outcome(rebuilt(msg))
-    assert compiled == generic
-    if isinstance(compiled, tuple):
-        assert compiled[0] is CodecError
-
+# -- node ids and first-use compiles ------------------------------------------
 
 _IMPORT_SCRIPT = (
     "import geobft.runtime, geobft.audit\n"
     "from geobft.core import codec\n"
     "print(sorted(cls.__name__ for cls in codec._layout\n"
-    "             if cls.__dict__['_encode'] is not codec._compile_encoder\n"
-    "             or cls.__dict__['_shape_check'] is not codec._compile_shape_check))\n"
+    "             if cls.__dict__['_shape_check'] is not codec._compile_shape_check))\n"
 )
 
 
-def test_import_compiles_no_encoder_and_no_shape_check():
-    """Each class compiles its encoder and shape check at first use, so
-    importing the program (perfbench's setup_s) compiles none."""
+def test_import_compiles_no_shape_check():
+    """Each class compiles its shape check at first use, so importing the
+    program (perfbench's setup_s) compiles none."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
