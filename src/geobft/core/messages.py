@@ -4,10 +4,9 @@ Client-facing traffic (Write, ReadWeak, Result), channel-internal
 traffic (ChSend, ChMove, ChShare, ChCert, ChProgress), checkpoint
 traffic, ordering-internal traffic and reconfiguration requests. Each
 is a frozen dataclass registered with the canonical codec; wire codes
-are part of the on-disk trace format and must not be reused. The codec
-compiles each class's encoder from its field annotations at first use,
-and each instance keeps its bytes, digest and shape verdict as attributes
-at first use, so a message is never changed after construction and holds
+are part of the on-disk trace format and must not be reused. Each
+instance keeps its bytes, digest and shape verdict as attributes at
+first use, so a message is never changed after construction and holds
 no list or dict.
 
 The field annotations are the schema: ``codec.well_formed`` checks a
