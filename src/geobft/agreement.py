@@ -1,7 +1,9 @@
 """Agreement replica state machine.
 
-Pulls client requests from per-client request subchannels, hands them to
-the ordering black-box, fans the committed order out through the commit
+Pulls client requests from per-client request subchannels, moving a
+subchannel's window to t_plus[c] as it takes each request (so the
+execution replicas see what it consumed and send it no move for the
+next), hands them to the ordering black-box, fans the committed order out through the commit
 channels under global flow control (n_e - z completions), checkpoints
 every K_A sequence numbers, anchors its delivery window at the latest
 stable checkpoint, and maintains the execution-replica registry that
@@ -119,6 +121,9 @@ class AgreementReplica(ProtocolNode):
                         and req.inner.t_c == cursor:
                     self.ordering.order(req)
                 self.t_plus[c] = max(self.t_plus.get(c, 1), cursor + 1)
+            # the intake never asks below t_plus again: free the positions
+            # below and show the senders the request was taken
+            recv.move_window(c, self.t_plus[c])
             self._intake_pull(gid, c)
 
         recv.receive(c, cursor, got)

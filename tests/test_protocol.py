@@ -3,7 +3,9 @@ import pytest
 
 from geobft.application import PLACEHOLDER, get_op
 from geobft.core import ClientId, GroupKey, hash_bytes
-from geobft.core.messages import AddGroup, Envelope, ReadWeak, Request, Result, Write
+from geobft.agreement import AgreementReplica
+from geobft.core.messages import AddGroup, ChMove, Envelope, ReadWeak, Request, Result, Write
+from geobft.execution import ExecutionReplica
 from geobft.protocol import MIN_RETRY_MS
 from geobft.runtime import build
 from geobft.scenario import load_scenario
@@ -337,3 +339,49 @@ def test_spider_and_oracle_modes_reach_same_final_state():
         assert len(snaps) == 1
         snapshots[mode] = snaps.pop()
     assert snapshots["spider"] == snapshots["oracle"]
+
+
+def test_agreement_replicas_move_request_windows_as_they_take_requests(monkeypatch):
+    """An agreement replica moves a client's request window to t_plus[c] as
+    it takes each request, so the move an execution replica sends when it
+    forwards the next request reaches no agreement replica: only each
+    client's first request sends a ChMove."""
+    cfg = load_scenario("four-regions-writes")
+    assert cfg.topology.jitter_ms == 0 and not cfg.fault_plan.faults
+    system = build(cfg, seed=1, irmc="rc")
+    forwarding = []  # the (c, t_c) an execution replica is forwarding now
+    moved = []       # the (c, t_c) of each forward that sent a ChMove
+    forwarded = {}   # c -> the counters forwarded
+    send = system.sim.send
+
+    def spy_send(src, dst, env, channel=None):
+        if forwarding and type(env.payload) is ChMove:
+            moved.append(forwarding[-1])
+        send(src, dst, env, channel)
+
+    def spy_forward(replica, msg, sig):
+        forwarding.append((msg.client.index, msg.t_c))
+        forwarded.setdefault(msg.client.index, set()).add(msg.t_c)
+        forward(replica, msg, sig)
+        forwarding.pop()
+
+    pulled = set()
+    behind = []  # (replica, c, window start, t_plus[c]) where they differ
+
+    def spy_intake(replica, gid, c):
+        if (replica.nid, gid, c) in pulled:  # an intake position resolved
+            start = replica.req_recv[gid].window(c).start
+            if start != replica.t_plus[c]:
+                behind.append((str(replica.nid), c, start, replica.t_plus[c]))
+        pulled.add((replica.nid, gid, c))
+        intake(replica, gid, c)
+
+    forward, intake = ExecutionReplica.forward, AgreementReplica._intake_pull
+    monkeypatch.setattr(system.sim, "send", spy_send)
+    monkeypatch.setattr(ExecutionReplica, "forward", spy_forward)
+    monkeypatch.setattr(AgreementReplica, "_intake_pull", spy_intake)
+    system.run()
+    assert len(forwarded) == len(cfg.clients)
+    assert sum(len(t) for t in forwarded.values()) > 100
+    assert {t_c for c, t_c in moved} == {min(t) for t in forwarded.values()}
+    assert behind == []
