@@ -12,13 +12,20 @@ to the senders.
 A sender sends its window moves (on the window's advance and on every
 retransmit tick) only to the receivers behind them:
 behind(recv_moves[sc], p) lists the receivers whose shown move is below
-p. Skipping the others changes nothing at them. A correct receiver's
-window start is at least every move it has announced (move_window
-advances the window, and the sc collector switch announces
+p. Its data for position p (an rc Send, an sc certificate, sent or
+re-sent) goes only to behind(recv_moves[sc], p + 1), the receivers not
+past p. Skipping the others changes nothing at them. A correct
+receiver's window start is at least every move it has announced
+(move_window advances the window, and the sc collector switch announces
 window.start). backed_position ignores an ask at or below current, so a
 sender move at or below a receiver's shown move cannot change that
-receiver's window, its TooOld outcomes or its pending receives. A
-receiver that inflates its moves silences only its own syncs.
+receiver's window, its TooOld outcomes or its pending receives; and
+both variants drop a Send or certificate below the window start. A
+receiver that inflates its moves silences only itself.
+
+Receivers move as they consume (the agreement replica's intake moves a
+request window as it takes each request), so a sender sees what each
+receiver took and sends it neither that data nor a move for it.
 """
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 """IRMC with receiver-side collection.
 
-Every sender broadcasts its signed Send to every receiver endpoint;
-each receiver individually collects f_s+1 matching copies before a
-position becomes deliverable. Windows, blocked sends and moves come
+Every sender sends its signed Send to every receiver endpoint not past
+the position (base.py); each receiver individually collects f_s+1
+matching copies before a position becomes deliverable. Windows, blocked sends and moves come
 from the shared endpoints in base.py.
 """
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from ..core.messages import ChMove, ChSend
-from ..core.quorum import tally
+from ..core.quorum import behind, tally
 from .base import ChannelConfig, ReceiverEndpoint, SenderEndpoint, drop_below
 
 
@@ -21,7 +21,8 @@ class RcSender(SenderEndpoint):
 
     def _transmit(self, sc, p, m):
         self.outbox.setdefault(sc, {})[p] = m
-        self._broadcast(self.cfg.receivers, ChSend(self.cfg.channel, sc, p, m))
+        self._broadcast(behind(self.recv_moves[sc], p + 1),
+                        ChSend(self.cfg.channel, sc, p, m))
 
     def handle(self, src, msg, sig=None):
         """Signed Move from a receiver endpoint."""
@@ -34,9 +35,11 @@ class RcSender(SenderEndpoint):
     def _resend(self):
         for sc, box in self.outbox.items():
             win = self.window(sc)
+            moves = self.recv_moves[sc]
             for p, m in sorted(box.items()):
                 if win.covers(p):
-                    self._broadcast(self.cfg.receivers, ChSend(self.cfg.channel, sc, p, m))
+                    self._broadcast(behind(moves, p + 1),
+                                    ChSend(self.cfg.channel, sc, p, m))
 
 
 class RcReceiver(ReceiverEndpoint):

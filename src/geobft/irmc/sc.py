@@ -68,8 +68,10 @@ class ScSender(SenderEndpoint):
         self._broadcast(self.peers, share)
         self._try_assemble(sc, p)
 
-    def _collected_by_me(self) -> list:
-        return [r for r in self.cfg.receivers if self.collector_of.get(r) == self.my_index]
+    def _collected_by_me(self, sc, p) -> list:
+        """The receivers this sender collects for that have not moved past p."""
+        return [r for r in behind(self.recv_moves[sc], p + 1)
+                if self.collector_of.get(r) == self.my_index]
 
     def handle(self, src, msg, sig=None):
         if self.closed:
@@ -108,7 +110,7 @@ class ScSender(SenderEndpoint):
         cert = ChCert(self.cfg.channel, sc, p, payload,
                       tuple(slot[s][1] for s in sorted(won[1], key=str)[:q]))
         self.certs.setdefault(sc, {})[p] = cert
-        self._broadcast(self._collected_by_me(), cert)
+        self._broadcast(self._collected_by_me(sc, p), cert)
 
     def _on_move(self, src, msg):
         if msg.counter is not None and not show(self.move_counters, src, msg.counter):
@@ -172,7 +174,7 @@ class ScSender(SenderEndpoint):
             win = self.window(sc)
             for p, cert in sorted(held.items()):
                 if win.covers(p):
-                    self._broadcast(self._collected_by_me(), cert)
+                    self._broadcast(self._collected_by_me(sc, p), cert)
 
 
 class ScReceiver(ReceiverEndpoint):

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from geobft.core.messages import ChMove, ChProgress
+from geobft.core.messages import ChCert, ChMove, ChProgress, ChSend
 from geobft.irmc import RcReceiver, RcSender, ScReceiver, ScSender
 from geobft.irmc import conformance
 from geobft.irmc.conformance import make_factory, run_conformance, run_schedule
@@ -38,20 +38,32 @@ def test_schedule_deterministic(variant):
 # schedules draw: (deliveries, TooOlds, failures, hash of the schedules'
 # trace digests) of one f=2 batch. A change that alters channel behaviour
 # on purpose updates the literals and says why.
+#
+# Data goes only to receivers not past it: an rc Send or an sc certificate
+# for p skips each receiver whose shown move is above p (729 fewer ChSend,
+# 8,717 -> 7,988, and 106 fewer ChCert, 1,070 -> 964). No trace digest of
+# the 28 jitter-free schedules (of both variants) moves. In the jittered ones
+# the skipped sends re-draw the jitter of every later send, which moves 27 of
+# 32 digests, the sc deliveries and TooOlds (681/244 -> 680/246) and the
+# counts below.
 PINNED_BATCH = {
-    "rc": (944, 32, [], "165869c6654cae78d95a34e70cbbbc0f"),
+    "rc": (944, 32, [], "1f0d8b943f4537b4b30daf563864e7e5"),
     # claims sent on change and refreshed once per collector timeout: the
     # skipped sends re-draw the jitter of every later send in each schedule
-    "sc": (681, 244, [], "10d5a34c021e6448820d7b91a83fffce"),
+    "sc": (680, 246, [], "f214609855fa5d36c3061075684e8f7d"),
 }
 # ChProgress sends of the same batch: sc senders claim progress only to the
 # receivers not known to be past every claim, when the claims change and once
 # per collector timeout while they do not; rc has no progress claims.
-PINNED_PROGRESS_SENDS = {"rc": 0, "sc": 3417}
+# sc moved with the re-drawn jitter of its certificates sent only to
+# receivers not past them (3,417 -> 3,420).
+PINNED_PROGRESS_SENDS = {"rc": 0, "sc": 3420}
 # ChMove sends of the same batch, both directions: a sender sends its window
 # move only to the receivers whose shown move is below it. sc moved with the
-# re-drawn jitter of its quieter claims (681 deliveries, not 676).
-PINNED_MOVE_SENDS = {"rc": 11089, "sc": 11100}
+# re-drawn jitter of its quieter claims (681 deliveries, not 676). Both moved
+# with the re-drawn jitter of data sent only to receivers not past it (rc
+# 11,089 -> 11,115, sc 11,100 -> 11,113), in jittered schedules only.
+PINNED_MOVE_SENDS = {"rc": 11115, "sc": 11113}
 
 
 @pytest.mark.parametrize("variant", sorted(PINNED_BATCH))
@@ -83,6 +95,33 @@ def test_pinned_conformance_batch(variant, monkeypatch):
         PINNED_BATCH[variant]
     assert (len(progress), len(moves)) == \
         (PINNED_PROGRESS_SENDS[variant], PINNED_MOVE_SENDS[variant])
+
+
+@pytest.mark.parametrize("variant", ["rc", "sc"])
+@pytest.mark.parametrize("f", [1, 2])
+def test_no_data_to_a_receiver_past_it(variant, f, monkeypatch):
+    """A correct sender sends an rc Send or an sc certificate for p only to
+    the receivers whose shown move at that sender is at most p: a correct
+    receiver's window is at its own moves, and it drops what lies below."""
+    past = []
+    sent = []
+    send = Simulator.send
+
+    def checked_send(sim, src, dst, env, channel=None):
+        msg = env.payload
+        fault = sim.faults.for_node(src)
+        if type(msg) in (ChSend, ChCert) and (fault is None or fault.kind != "byzantine"):
+            sent.append(msg)
+            shown = sim._nodes[src].endpoint.recv_moves[msg.sc].get(dst, 0)
+            if shown > msg.p:
+                past.append((str(src), str(dst), msg.sc, msg.p, shown))
+        send(sim, src, dst, env, channel)
+
+    monkeypatch.setattr(Simulator, "send", checked_send)
+    report = run_conformance(FACTORIES[variant], f, f, seed=1000 + f, schedules=20)
+    assert report.ok, report.failures[:5]
+    assert sent
+    assert past == []
 
 
 @pytest.fixture(scope="module")
