@@ -1,6 +1,7 @@
 """Trace auditors: execution/agreement safety, at-most-once execution,
-request authenticity, linearizability (real-time order plus replay on a
-reference application), weak-read interval consistency, channel quorum
+request authenticity (an execute record holds its signed Write's op),
+linearizability (real-time order plus replay on a reference
+application), weak-read interval consistency, channel quorum
 provenance, window monotonicity, and checkpoint-equivalence digests.
 
 All checkers are pure functions of one AuditView, built once per audit in
@@ -211,20 +212,22 @@ def check_agreement_safety(view) -> Verdict:
 
 
 def check_validity(view) -> Verdict:
-    """E-Validity: every executed request re-verifies against its authenticator.
+    """E-Validity: every executed request re-verifies against its authenticator,
+    and the record's op, c and t_c are those of that signed Write.
 
     Correct replicas execute the same signed request, so each distinct
-    (wr, sig) pair is decoded and checked once; a pair that fails, fails at
-    its first record in trace order."""
+    (wr, sig) pair is decoded and checked once, and its Write's (op, c, t_c)
+    kept; a pair that fails, fails at its first record in trace order."""
     cfg = view.cfg
     authorized = {i for i in range(len(cfg.clients))} | {cfg.admin_id.index}
-    verified: set = set()
+    verified: dict = {}  # (wr, sig) -> its Write's (op hex, c, t_c)
     checked = 0
     for t, event, src, dst, kind, digest, data in view.events("execute"):
         if src not in view.correct_replicas:
             continue
         pair = (data.get("wr"), data.get("sig"))
-        if pair not in verified:
+        signed = verified.get(pair)
+        if signed is None:
             if None in pair:
                 return Verdict("validity", False,
                                f"execute at s={data['s']} carries no signed request")
@@ -239,7 +242,11 @@ def check_validity(view) -> Verdict:
                 return Verdict("validity", False, f"signer mismatch at s={data['s']}")
             if sig.digest != hash_bytes(bytes.fromhex(pair[0])):
                 return Verdict("validity", False, f"bad signature at s={data['s']}")
-            verified.add(pair)
+            signed = verified[pair] = (write.op.hex(), write.client.index, write.t_c)
+        if (data.get("op"), data.get("c"), data.get("t_c")) != signed:
+            return Verdict("validity", False,
+                           f"execute by {src} at t={t} s={data['s']}: op, c or t_c "
+                           f"is not that of its signed Write")
         checked += 1
     return Verdict("validity", True, f"{checked} executions re-verified")
 

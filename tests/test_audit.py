@@ -155,6 +155,24 @@ def test_seeded_forged_signature_fails_validity(mini):
     assert not verdict.ok
 
 
+def test_seeded_execute_of_another_op_fails_validity(mini):
+    """A replica that executes another op than the one its client signed,
+    and records both faithfully, fails validity: the record's op must be
+    that of its signed Write."""
+    cfg, trace, _ = mini
+    view = AuditView(trace, cfg)
+    i = _first(trace.records, "execute")
+    assert trace.records[i][2] in view.correct_replicas
+    mutated = copy.deepcopy(trace)
+    mutated.records[i] = _with_data(trace.records[i],
+                                    op=put_op("other-key", b"x").hex())
+    verdict = check_validity(AuditView(mutated, cfg))
+    assert not verdict.ok
+    t, _, src, _, _, _, data = trace.records[i]
+    assert verdict.detail == (f"execute by {src} at t={t} s={data['s']}: op, c or "
+                              f"t_c is not that of its signed Write")
+
+
 @pytest.fixture(scope="module")
 def flat_threshold():
     cfg = load_scenario("threshold-faults")
@@ -466,9 +484,9 @@ def test_audit_command_fails_a_malformed_trace_field(tmp_path, capsys, mini,
 
 def test_audit_command_fails_replay_on_an_op_that_is_not_hex(tmp_path, capsys, mini):
     """Every correct replica's execute record of one position carries an op
-    that is not hex, so the order agrees and validity (which reads wr)
-    holds; the replay cannot run that op, and its verdict fails naming the
-    first record."""
+    that is not hex, so the order agrees; the replay cannot run that op,
+    and its verdict fails naming the first record. Validity fails there too:
+    the op is not that of the record's signed Write."""
     cfg, trace, _ = mini
     mutated = copy.deepcopy(trace)
     first = next(r for r in mutated.records if r[1] == "execute")
@@ -482,7 +500,9 @@ def test_audit_command_fails_replay_on_an_op_that_is_not_hex(tmp_path, capsys, m
     assert cli.main(["audit", str(path), str(scenario)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert failed == [f"[FAIL] replay: execute by {first[2]} at t={first[0]} "
-                      f"s={position[0]} idx={position[1]}: op 'zz' is not hex"]
+                      f"s={position[0]} idx={position[1]}: op 'zz' is not hex",
+                      f"[FAIL] validity: execute by {first[2]} at t={first[0]} "
+                      f"s={position[0]}: op, c or t_c is not that of its signed Write"]
 
 
 def test_every_written_line_parses(tmp_path, mini):
