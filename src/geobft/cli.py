@@ -109,6 +109,7 @@ def _cmd_sweep(args) -> int:
         digests[seed] = report.trace_digest
         flag = "ok" if report.ok else "FAIL"
         print(f"seed {seed}: {flag}  completed={report.completed}  "
+              f"wan/req={report.wan_per_request:.2f}  "
               f"trace={report.trace_digest[:12]}")
         if not report.ok:
             status = 1

@@ -35,6 +35,14 @@ class MetricsReport:
     def ok(self) -> bool:
         return all(ok for ok, _ in self.verdicts.values())
 
+    @property
+    def wan_per_request(self) -> float:
+        """Wide-area messages per completed request (perfbench's
+        wan_msgs_per_op); NaN when nothing completed."""
+        if not self.completed:
+            return float("nan")
+        return sum(self.wan_messages.values()) / self.completed
+
     def to_text(self) -> str:
         lines = [f"scenario: {self.scenario}  mode: {self.mode}  irmc: {self.irmc}  "
                  f"seed: {self.seed}",
@@ -49,6 +57,8 @@ class MetricsReport:
         for kind, n in sorted(self.wan_messages.items()):
             lines.append(f"  {kind}: {n}")
         lines.append(f"wide-area bytes: {self.wan_bytes}")
+        lines.append(f"wide-area messages per completed request: "
+                     f"{self.wan_per_request:.2f}")
         if self.channel_wan:
             lines.append("wide-area messages by channel:")
             for (channel, kind), n in sorted(self.channel_wan.items()):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from geobft import cli
 from geobft.audit import audit_trace
 from geobft.harness import run_scenario
 from geobft.irmc import VARIANTS
@@ -241,6 +242,17 @@ def test_report_is_pure_function_of_run():
     _, a = run_scenario("rc-vs-sc", 7)
     _, b = run_scenario("rc-vs-sc", 7)
     assert a.to_text() == b.to_text()
+
+
+def test_report_and_sweep_show_wide_area_messages_per_request(capsys):
+    _, report = run_scenario("rc-vs-sc", 2)
+    per_request = sum(report.wan_messages.values()) / report.completed
+    assert report.wan_per_request == per_request
+    assert f"wide-area messages per completed request: {per_request:.2f}\n" \
+        in report.to_text()
+    assert cli.main(["sweep", "rc-vs-sc", "--seeds", "2..2"]) == 0
+    (line, _) = capsys.readouterr().out.splitlines()
+    assert f"  wan/req={per_request:.2f}  " in line
 
 
 @pytest.mark.parametrize("variant", ["rc", "sc"])
