@@ -3,11 +3,12 @@
 Pulls client requests from per-client request subchannels, moving a
 subchannel's window to t_plus[c] as it takes each request (so the
 execution replicas see what it consumed and send it no move for the
-next), hands them to the ordering black-box, fans the committed order out through the commit
-channels under global flow control (n_e - z completions), checkpoints
-every K_A sequence numbers, anchors its delivery window at the latest
-stable checkpoint, and maintains the execution-replica registry that
-drives AddGroup/RemoveGroup reconfiguration.
+next), hands them to the ordering black-box, fans the committed order
+out through the commit channels under global flow control (n_e - z
+completions), checkpoints every K_A sequence numbers, anchors its
+delivery window at the latest stable checkpoint, and maintains the
+execution-replica registry that drives AddGroup/RemoveGroup
+reconfiguration.
 """
 from __future__ import annotations
 

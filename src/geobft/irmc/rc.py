@@ -2,8 +2,8 @@
 
 Every sender sends its signed Send to every receiver endpoint not past
 the position (base.py); each receiver individually collects f_s+1
-matching copies before a position becomes deliverable. Windows, blocked sends and moves come
-from the shared endpoints in base.py.
+matching copies before a position becomes deliverable. Windows,
+blocked sends and moves come from the shared endpoints in base.py.
 """
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
 """IRMC with sender-side collection.
 
 Senders exchange signed hashes of their Sends inside the sender group;
-a collector assembles f_s+1 matching shares into one Certificate per
-receiver. Progress claims let receivers police collectors that withhold
-certificates and switch to a different one after a timeout.
+a collector assembles f_s+1 matching shares into one Certificate and
+sends it to each receiver it collects for that has not moved past the
+position (base.py). Progress claims let receivers police collectors
+that withhold certificates and switch to a different one after a
+timeout.
 
 A sender claims progress only to the receivers behind some claim (for a
 claimed (sc, p), behind(recv_moves[sc], p+1), the rule its window moves
