@@ -61,8 +61,8 @@ PINNED_DIGESTS = {
     # agreement replicas move a request window as they take each request: the
     # execution replicas' sc senders then see them past every claim, so 558
     # fewer ChProgress cross the WAN (3,786 -> 3,228), 30 more ChMove (1,374
-    # -> 1,404) and 6 fewer ChCert re-sends (733 -> 727); the verdicts and
-    # the 210 completed requests are unchanged
+    # -> 1,404) and 6 fewer ChCert (733 -> 727); the verdicts and the 210
+    # completed requests are unchanged
     ("ag-outage", "sc"): "0145e0ed7b027a25594627fd01be4342",
     # the same cause as rc-vs-sc: 456 fewer ChMove cross the WAN (3,176 ->
     # 2,720); the verdicts, the timeline and the 357 completed requests are
@@ -107,10 +107,9 @@ PINNED_ADAPTED = {
     # a2dc9207..., 1608118)
     ("spider", "rc"): ("7cba66220bcd5640aadfedc804c2fe6d", 1559090),
     # same digest; fewer sc progress claims cross the WAN (was 1848622)
-    # the same cause as spider rc: 448 fewer ChMove, and 326 fewer ChProgress
-    # to agreement replicas that showed they took every claimed request and 7
-    # fewer ChCert re-sends (was
-    # 266ade0f..., 1401782)
+    # the same cause as spider rc: 448 fewer ChMove, 326 fewer ChProgress to
+    # agreement replicas that showed they took every claimed request, and 7
+    # fewer ChCert (was 266ade0f..., 1401782)
     ("spider", "sc"): ("072a13bd7966df6353691ca153381901", 1314975),
     # the same causes; 476 fewer ChMove (was 6c79e167..., 1660011)
     ("oracle", "rc"): ("730392032d19194d974dae0eee708f1e", 1610983),
