@@ -1,12 +1,13 @@
 """Trace auditors: execution/agreement safety, at-most-once execution,
 request authenticity (an execute record holds its signed Write's op),
 linearizability (real-time order plus replay on a reference
-application), weak-read interval consistency, channel quorum
-provenance, window monotonicity, and checkpoint-equivalence digests.
+application), weak-read interval consistency, the IRMC contract's C1, C2
+and MON (irmc/contract.py), and checkpoint-equivalence digests.
 
 All checkers are pure functions of one AuditView, built once per audit in
-a single pass over the trace: the records grouped by event, the
-order_deliver and cp_stable records in trace order, and the scenario facts
+a single pass over the trace: the records grouped by event (with the
+order_deliver and cp_stable records in one trace-ordered list, and the
+ch_move_call and ch_recv_tooold records in another), and the scenario facts
 (fault plan, authorized clients). No checker reads the trace again, and
 each judges a repeated fact once: a signed request once per distinct
 (wr, sig) pair, a channel quorum once per distinct contributor set. The
@@ -16,14 +17,17 @@ histories).
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .application import ABSENT, KvApplication, parse_op
 from .core import ClientId, Sig, hash_bytes
 from .core.codec import canonical_decode
 from .core.messages import Write
+from .irmc import contract
+from .runtime import EndpointFactory
 
 
 @dataclass
@@ -31,9 +35,6 @@ class Verdict:
     name: str
     ok: bool
     detail: str = ""
-
-    def as_pair(self):
-        return (self.ok, self.detail)
 
 
 def _honest(plan, nid) -> bool:
@@ -44,22 +45,19 @@ def _honest(plan, nid) -> bool:
 
 class AuditView:
     """What every checker reads, computed once per audit. One pass over the
-    trace groups the records by event and keeps the order_deliver and
-    cp_stable records together in trace order (agreement_log, for the gap
-    rule). Then come the correct principals, the canonical execution order
-    with its first conflict, and that order's replay. The correct senders'
-    channel sends are tabled on first use (correct_sends)."""
+    trace groups the records by event (contract.group_records); the
+    order_deliver and cp_stable records share one trace-ordered list
+    (agreement_log, for the gap rule), as do the ch_move_call and
+    ch_recv_tooold records (for C2). Then come the correct principals, the
+    canonical execution order with its first conflict, and that order's
+    replay, and each channel's thresholds by its trace name. The correct
+    senders' channel sends are tabled on first use (correct_sends)."""
 
     def __init__(self, trace, cfg):
-        self.trace = trace
         self.cfg = cfg
-        by_event = self._by_event = defaultdict(list)
-        agreement_log = self.agreement_log = []
-        for record in trace.records:
-            event = record[1]
-            by_event[event].append(record)
-            if event == "order_deliver" or event == "cp_stable":
-                agreement_log.append(record)
+        self.by_event = contract.group_records(
+            trace.records, (("order_deliver", "cp_stable"), contract.CHANNEL_LOG))
+        self.agreement_log = self.by_event["order_deliver"]
         plan = cfg.fault_plan
         self.correct_clients = {f"c{i}" for i in range(len(cfg.clients))
                                 if plan.is_correct(ClientId(i))}
@@ -73,31 +71,31 @@ class AuditView:
         self.order, self.conflict = canonical_execution_order(
             self.events("execute"), self.correct_replicas)
         self.expected, self.history, self.unreadable_op = replay_reference(self.order)
+        factory = EndpointFactory(cfg.irmc, cfg)  # each channel's (f_s, f_r, capacity)
+        self.channels = {str(c.channel): (c.f_s, c.f_r, c.capacity)
+                         for gid in cfg.all_group_ids()
+                         for c in factory.channel_configs(gid, cfg.group_members(gid))}
 
     def events(self, name: str):
-        """This event's records, in trace order."""
-        return self._by_event.get(name, ())
+        """This event's records, in trace order (with the other events of
+        its list, for an event of agreement_log or contract.CHANNEL_LOG)."""
+        return self.by_event.get(name, ())
 
     @cached_property
     def correct_sends(self):
         """One scan of ch_send_call: (sent, commit, divergent). sent holds
-        each (kind, sc, p, digest) a correct sender sent; commit maps each
-        commit-channel (kind, p) to the first digest a correct agreement
-        replica sent there; divergent is the first (kind, p), in trace
-        order, where a correct agreement replica sent another."""
-        correct, correct_ag = self.correct_replicas, self.correct_ag
-        sent: set = set()
+        each (kind, sc, p, digest) a correct sender sent, in trace order
+        (contract.correct_sends); commit maps each commit-channel (kind, p)
+        to the first digest sent there (by correct agreement replicas, the
+        commit channels' senders); divergent is the first (kind, p), in
+        trace order, where another was sent."""
+        sent = contract.correct_sends(self.by_event, self.correct_replicas)
         commit: dict = {}
         divergent = None
-        for t, event, src, dst, kind, digest, data in self.events("ch_send_call"):
-            if src not in correct:
-                continue
-            p = data["p"]
-            sent.add((kind, data["sc"], p, digest))
-            if src in correct_ag and kind.startswith("commit"):
-                held = commit.setdefault((kind, p), digest)
-                if held != digest and divergent is None:
-                    divergent = (kind, p)
+        for kind, sc, p, digest in sent:
+            if kind.startswith("commit") and commit.setdefault((kind, p), digest) != digest \
+                    and divergent is None:
+                divergent = (kind, p)
         return sent, commit, divergent
 
 
@@ -253,10 +251,8 @@ def check_validity(view) -> Verdict:
 
 def check_realtime_order(view) -> Verdict:
     """Accepted-before-issued implies lower agreement sequence (E-Safety II core)."""
-    order = view.order
     seq_of = {}
-    for key in sorted(order):
-        c, t_c, op, kind = order[key]
+    for key, (c, t_c, op, kind) in sorted(view.order.items()):
         seq_of.setdefault((c, t_c), key)
     strong = ("write", "read_strong", "admin")
     events = []
@@ -311,14 +307,9 @@ def check_weak_reads(view) -> Verdict:
     history = view.history
 
     def value_at_s(key, s):
-        versions = history.get(key, ())
-        value = None
-        for vs, v in versions:
-            if vs <= s:
-                value = v
-            else:
-                break
-        return value
+        versions = history.get(key, ())  # (s, value), in s order
+        i = bisect_right(versions, s, key=itemgetter(0))
+        return versions[i - 1][1] if i else ABSENT
 
     serves: dict = {}  # (client, nonce) -> [(time, s_n)] by correct replicas
     for t, event, src, dst, kind, digest, data in view.events("weak_serve"):
@@ -338,19 +329,17 @@ def check_weak_reads(view) -> Verdict:
         if kind != "read_weak" or src not in view.correct_clients:
             continue
         issued = round(data["issued"], 6)
-        reply = bytes.fromhex(data["reply"])
+        try:
+            reply = bytes.fromhex(data["reply"])
+        except (TypeError, ValueError):
+            return Verdict("weak_reads", False,
+                           f"client_accept by {src} at t={t}: reply "
+                           f"{data['reply']!r} is not hex")
         key = weak_ops.get((src, issued))
         if key is None:
             continue
-        ok = False
-        for ts, s_n in serves.get((src, data["t_c"]), ()):
-            if not (issued <= ts <= t):
-                continue
-            want = value_at_s(key, s_n)
-            if (want is None and reply == ABSENT) or want == reply:
-                ok = True
-                break
-        if not ok:
+        if not any(issued <= ts <= t and value_at_s(key, s_n) == reply
+                   for ts, s_n in serves.get((src, data["t_c"]), ())):
             return Verdict("weak_reads", False,
                            f"{src} weak read of {key} at {t:.1f}: reply matches no "
                            f"serving state in interval")
@@ -358,37 +347,26 @@ def check_weak_reads(view) -> Verdict:
     return Verdict("weak_reads", True, f"{checked} weak reads verified")
 
 
+def _channel_verdict(name, judged, what) -> Verdict:
+    """A verdict from a contract property: its first violation, or a count."""
+    violations, n = judged
+    if violations:
+        return Verdict(name, False, violations[0])
+    return Verdict(name, True, f"{n} {what}")
+
+
 def check_channel_quorums(view) -> Verdict:
-    """IRMC provenance: every delivery carries an f_s+1 quorum including a
-    correct sender that actually sent that content. Deliveries share a few
-    contributor sets, so each distinct senders string is judged once."""
-    params = view.cfg.fault_params
-    correct = view.correct_replicas
+    """IRMC provenance (C1): every delivery carries an f_s+1 quorum including
+    a correct sender that actually sent that content."""
     sent, _, _ = view.correct_sends
-    quorums: dict = {}  # senders string -> (size, has a correct contributor)
-    deliveries = 0
-    for t, event, src, dst, kind, digest, data in view.events("irmc_deliver"):
-        if src not in correct:
-            continue
-        senders = data["senders"]
-        quorum = quorums.get(senders)
-        if quorum is None:
-            contributors = senders.split(";")
-            quorum = quorums[senders] = (
-                len(contributors), any(x in correct for x in contributors))
-        size, vouched = quorum
-        f_s = params.f_e if kind.startswith("req") else params.f_a
-        if size < f_s + 1:
-            return Verdict("channel_quorums", False,
-                           f"{kind} p={data['p']}: quorum {size}")
-        if not vouched:
-            return Verdict("channel_quorums", False,
-                           f"{kind} p={data['p']}: no correct contributor")
-        if (kind, data["sc"], data["p"], digest) not in sent:
-            return Verdict("channel_quorums", False,
-                           f"{kind} p={data['p']}: content never sent by a correct sender")
-        deliveries += 1
-    return Verdict("channel_quorums", True, f"{deliveries} deliveries vouched")
+    return _channel_verdict("channel_quorums", contract.c1(
+        view.by_event, view.correct_replicas, view.channels, sent), "deliveries vouched")
+
+
+def check_tooold_moves(view) -> Verdict:
+    """C2: every TooOld follows a correct move to its new window start."""
+    return _channel_verdict("tooold_moves", contract.c2(
+        view.by_event, view.correct_replicas), "TooOlds backed by an earlier move")
 
 
 def check_commit_content(view) -> Verdict:
@@ -404,14 +382,8 @@ def check_commit_content(view) -> Verdict:
 
 
 def check_window_monotonicity(view) -> Verdict:
-    last: dict = {}
-    for t, event, src, dst, kind, digest, data in view.events("win_move"):
-        key = (src, kind, data["sc"])
-        if data["start"] < last.get(key, 0):
-            return Verdict("window_monotonicity", False,
-                           f"{src} {kind} sc={data['sc']} moved backwards")
-        last[key] = data["start"]
-    return Verdict("window_monotonicity", True, f"{len(last)} windows")
+    """MON: no endpoint's window start ever falls."""
+    return _channel_verdict("window_monotonicity", contract.mon(view.by_event), "windows")
 
 
 def check_cp_equivalence(view) -> Verdict:
@@ -441,39 +413,28 @@ def check_cp_equivalence(view) -> Verdict:
 
 
 def check_liveness(view) -> Verdict:
-    """Every correct-client request resolves within the horizon."""
-    strong_issued: dict = {}
-    strong_done: set = set()
-    weak_issued: dict = {}  # weak reads are keyed by their first issue time
-    weak_done: set = set()
+    """Every correct-client request resolves within the horizon: a strong
+    one, keyed by t_c, is accepted or resubmitted, and a weak read, keyed by
+    its first issue time, is accepted or escalated."""
+    issued = {False: {}, True: {}}  # weak? -> keys, in issue order
+    done: set = set()  # (weak?, key)
     for event in ("client_issue", "client_accept", "client_resubmit", "client_escalate"):
         for t, _, src, dst, kind, digest, data in view.events(event):
-            if src not in view.correct_clients:
-                continue
-            if event == "client_issue":
-                if kind == "read_weak":
-                    weak_issued[(src, round(t, 6))] = kind
+            if src in view.correct_clients:
+                weak = kind == "read_weak"
+                at = data["t_c"] if not weak else round(
+                    t if event == "client_issue" else data["issued"], 6)
+                if event == "client_issue":
+                    issued[weak][(src, at)] = None
                 else:
-                    strong_issued[(src, data["t_c"])] = kind
-            elif event == "client_accept":
-                if kind == "read_weak":
-                    weak_done.add((src, round(data["issued"], 6)))
-                else:
-                    strong_done.add((src, data["t_c"]))
-            elif event == "client_resubmit":
-                strong_done.add((src, data["t_c"]))
-            else:
-                weak_done.add((src, round(data["issued"], 6)))
-    missing = [k for k in strong_issued if k not in strong_done]
-    if missing:
-        return Verdict("liveness", False,
-                       f"{len(missing)} strong requests unresolved, e.g. {missing[0]}")
-    unresolved = [k for k in weak_issued if k not in weak_done]
-    if unresolved:
-        return Verdict("liveness", False,
-                       f"{len(unresolved)} weak reads unresolved, e.g. {unresolved[0]}")
+                    done.add((weak, (src, at)))
+    for weak, what in ((False, "strong requests"), (True, "weak reads")):
+        missing = [k for k in issued[weak] if (weak, k) not in done]
+        if missing:
+            return Verdict("liveness", False,
+                           f"{len(missing)} {what} unresolved, e.g. {missing[0]}")
     return Verdict("liveness", True,
-                   f"{len(strong_issued)} strong + {len(weak_issued)} weak resolved")
+                   f"{len(issued[False])} strong + {len(issued[True])} weak resolved")
 
 
 STANDARD_CHECKS = (
@@ -484,6 +445,7 @@ STANDARD_CHECKS = (
     check_replay,
     check_weak_reads,
     check_channel_quorums,
+    check_tooold_moves,
     check_commit_content,
     check_window_monotonicity,
     check_cp_equivalence,
@@ -497,10 +459,6 @@ def audit_trace(trace, cfg, skip_liveness: bool = False) -> dict:
 
 def audit_view(view: AuditView, skip_liveness: bool = False) -> dict:
     """Every standard check's verdict on a view already built."""
-    verdicts = {}
-    for check in STANDARD_CHECKS:
-        if skip_liveness and check is check_liveness:
-            continue
-        v = check(view)
-        verdicts[v.name] = v.as_pair()
-    return verdicts
+    verdicts = [check(view) for check in STANDARD_CHECKS
+                if not (skip_liveness and check is check_liveness)]
+    return {v.name: (v.ok, v.detail) for v in verdicts}

@@ -2,17 +2,9 @@
 
 Runs randomized schedules of scripted correct senders/receivers plus
 injected faulty endpoints against any endpoint factory, then audits the
-trace for the channel correctness and liveness properties:
-
-  C1  a delivered message was sent by at least one correct sender and
-      carried an f_s+1 quorum
-  C2  every TooOld was preceded by a sufficient move_window call at a
-      correct endpoint
-  L1  a position sent identically by f_s+1 correct senders resolves
-      (message or TooOld) at every correct receiver that asked
-  L2  once f_r+1 correct receivers move to p, correct sends below the
-      quorum position + capacity complete
-  MON window starts never decrease at any endpoint
+trace for the channel contract's correctness and liveness properties,
+C1, C2, L1, L2 and MON (defined in contract.py), and for receivers the
+schedule left waiting.
 """
 from __future__ import annotations
 
@@ -23,6 +15,7 @@ from ..core import CryptoProvider, BoundCrypto, ReplicaId
 from ..core.messages import ChannelId
 from ..protocol import CHANNEL_MSGS
 from ..simnet import FaultPlan, Node, NodeFault, Simulator, Topology
+from . import contract
 from .base import ChannelConfig, TooOld
 
 SENDER_STRATEGIES = ("withhold", "equivocate-send", "garbage-inject", "lying-collector")
@@ -52,19 +45,13 @@ class ChannelNode(Node):
         self.driver = None
 
     def on_payload(self, src, env):
-        msg = env.payload
-        if isinstance(msg, CHANNEL_MSGS):
-            if self.endpoint is not None:
-                self.endpoint.handle(src, msg, env.first_sig())
+        if isinstance(env.payload, CHANNEL_MSGS) and self.endpoint is not None:
+            self.endpoint.handle(src, env.payload, env.first_sig())
 
     def start(self):
         super().start()
         if self.driver is not None:
             self.driver()
-
-
-def _payload(tag: int, p: int) -> bytes:
-    return b"payload-%d-%d" % (tag, p)
 
 
 def run_schedule(make_endpoints, f_s, f_r, seed, report: ConformanceReport = None) -> list:
@@ -84,12 +71,10 @@ def run_schedule(make_endpoints, f_s, f_r, seed, report: ConformanceReport = Non
     faulty_s = set(rng.sample(range(n_s), f_s))
     faulty_r = set(rng.sample(range(n_r), f_r))
     plan = FaultPlan()
-    for i in faulty_s:
-        plan.faults[senders[i]] = NodeFault("byzantine",
-                                            strategy=rng.choice(SENDER_STRATEGIES))
-    for i in faulty_r:
-        plan.faults[receivers[i]] = NodeFault("byzantine",
-                                              strategy=rng.choice(RECEIVER_STRATEGIES))
+    for members, faulty, strategies in ((senders, faulty_s, SENDER_STRATEGIES),
+                                        (receivers, faulty_r, RECEIVER_STRATEGIES)):
+        for i in faulty:
+            plan.faults[members[i]] = NodeFault("byzantine", strategy=rng.choice(strategies))
     sim = Simulator(topo, seed, plan)
     provider = CryptoProvider()
     for nid in senders + receivers:
@@ -102,21 +87,18 @@ def run_schedule(make_endpoints, f_s, f_r, seed, report: ConformanceReport = Non
     skipped = rng.randrange(2, POSITIONS) if rng.random() < 0.35 else None
 
     nodes = {}
-    for i, nid in enumerate(senders):
-        node = ChannelNode(nid, sim, BoundCrypto(provider, nid))
-        sim.register(nid, node, "S", i)
-        nodes[nid] = node
-    for i, nid in enumerate(receivers):
-        node = ChannelNode(nid, sim, BoundCrypto(provider, nid))
-        sim.register(nid, node, "R", i)
-        nodes[nid] = node
+    for region, members in (("S", senders), ("R", receivers)):
+        for i, nid in enumerate(members):
+            nodes[nid] = ChannelNode(nid, sim, BoundCrypto(provider, nid))
+            sim.register(nid, nodes[nid], region, i)
     endpoints = make_endpoints(cfg, [nodes[s] for s in senders],
                                [nodes[r] for r in receivers])
     for nid, ep in endpoints.items():
         nodes[nid].endpoint = ep
 
-    outstanding = {r: POSITIONS for r in receivers if r not in
-                   {receivers[i] for i in faulty_r}}
+    correct_s = {senders[i] for i in range(n_s) if i not in faulty_s}
+    correct_r = {receivers[i] for i in range(n_r) if i not in faulty_r}
+    outstanding = {r: POSITIONS for r in receivers if r in correct_r}
     drain = [False]
 
     def check_done():
@@ -134,7 +116,7 @@ def run_schedule(make_endpoints, f_s, f_r, seed, report: ConformanceReport = Non
                 ep.move_window(0, p + 1)
                 node.after(rng.uniform(0.1, 3.0), lambda: step(p + 1))
                 return
-            ep.send(0, p, _payload(tag, p),
+            ep.send(0, p, b"payload-%d-%d" % (tag, p),
                     on_complete=lambda: node.after(rng.uniform(0.1, 3.0),
                                                    lambda: step(p + 1)))
         return lambda: node.after(rng.uniform(0.0, 2.0), lambda: step(1))
@@ -150,8 +132,7 @@ def run_schedule(make_endpoints, f_s, f_r, seed, report: ConformanceReport = Non
                     nxt = max(p + 1, outcome.start)
                 else:
                     nxt = p + 1
-                if node.nid in outstanding:
-                    outstanding[node.nid] = max(0, POSITIONS - nxt + 1)
+                outstanding[node.nid] = max(0, POSITIONS - nxt + 1)
                 check_done()
 
                 def advance():
@@ -171,102 +152,30 @@ def run_schedule(make_endpoints, f_s, f_r, seed, report: ConformanceReport = Non
             node.after(rng.uniform(1.0, 10.0), misbehave)
         return lambda: node.after(rng.uniform(0.0, 5.0), misbehave)
 
-    for i, nid in enumerate(senders):
+    for nid in senders:
         nodes[nid].driver = sender_script(nodes[nid])
     for i, nid in enumerate(receivers):
-        if i in faulty_r:
-            nodes[nid].driver = faulty_receiver_script(nodes[nid])
-        else:
-            nodes[nid].driver = receiver_script(nodes[nid])
+        script = faulty_receiver_script if i in faulty_r else receiver_script
+        nodes[nid].driver = script(nodes[nid])
 
     sim.run_until(30_000.0)
-
-    correct_s = {senders[i] for i in range(n_s) if i not in faulty_s}
-    correct_r = {receivers[i] for i in range(n_r) if i not in faulty_r}
     return audit_schedule(sim.trace, cfg, correct_s, correct_r, outstanding, report)
 
 
 def audit_schedule(trace, cfg, correct_s, correct_r, outstanding, report):
-    violations = []
-    sent = {}        # (sc, p) -> {digest: set(correct senders)}
-    send_calls = {}  # sender -> set((sc, p))
-    send_done = {}   # sender -> set((sc, p))
-    moved_to = {}    # sc -> highest move so far by a correct endpoint
-    recv_moves_by = {}  # (sc,) -> {receiver: max p}
-    win_last = {}
-    asked = set()     # (receiver, sc, p) a correct receiver asked for
-    resolved = set()  # (receiver, sc, p) answered by a message or TooOld
-    chan = str(cfg.channel)
-    cs = {str(n) for n in correct_s}
-    cr = {str(n) for n in correct_r}
-    correct = cs | cr
-
-    for t, event, src, dst, kind, digest, data in trace.records:
-        if kind != chan:
-            continue
-        nid = src
-        if event == "ch_send_call" and nid in cs:
-            key = (data["sc"], data["p"])
-            sent.setdefault(key, {}).setdefault(digest, set()).add(nid)
-            send_calls.setdefault(nid, set()).add(key)
-        elif event == "ch_send_done" and nid in cs:
-            send_done.setdefault(nid, set()).add((data["sc"], data["p"]))
-        elif event == "ch_move_call" and nid in correct:
-            moved_to[data["sc"]] = max(moved_to.get(data["sc"], 0), data["p"])
-            if data.get("side") == "r" and nid in cr:
-                held = recv_moves_by.setdefault(data["sc"], {})
-                held[nid] = max(held.get(nid, 0), data["p"])
-        elif event == "win_move":
-            key = (nid, data["sc"])
-            if data["start"] < win_last.get(key, 0):
-                violations.append(f"MON window moved backwards at {nid}")
-            win_last[key] = data["start"]
-        elif event == "irmc_deliver" and nid in cr:
-            if report is not None:
-                report.deliveries += 1
-            key = (data["sc"], data["p"])
-            contributors = data["senders"].split(";")
-            if len(contributors) < cfg.f_s + 1:
-                violations.append(f"C1 delivery at {key} with quorum {contributors}")
-            senders_of = sent.get(key, {}).get(digest, set())
-            if not senders_of:
-                violations.append(f"C1 delivery at {key} not sent by any correct sender")
-        elif event == "ch_recv_call" and nid in cr:
-            asked.add((nid, data["sc"], data["p"]))
-        elif event == "ch_recv_msg" and nid in cr:
-            resolved.add((nid, data["sc"], data["p"]))
-        elif event == "ch_recv_tooold" and nid in cr:
-            resolved.add((nid, data["sc"], data["p"]))
-            if report is not None:
-                report.too_olds += 1
-            new_start = data["new_start"]
-            # C2: the moves seen so far are exactly those before this TooOld
-            if data["p"] < new_start and moved_to.get(data["sc"], 0) < new_start:
-                violations.append(
-                    f"C2 TooOld({new_start}) at {nid} without a correct move")
-
-    # L1: quorum-sent positions resolve at every correct receiver that asked
-    for (sc, p), by_digest in sent.items():
-        if max(len(s) for s in by_digest.values()) < cfg.f_s + 1:
-            continue
-        done_enough = [s for s, keys in send_done.items() if (sc, p) in keys]
-        if len(done_enough) < cfg.f_s + 1:
-            continue
-        for r, rsc, rp in asked:
-            if (rsc, rp) == (sc, p) and (r, sc, p) not in resolved:
-                violations.append(f"L1 receiver {r} stuck at ({sc},{p})")
-
-    # L2: sends below the f_r+1 move quorum + capacity must have completed
-    for sc, held in recv_moves_by.items():
-        if len(held) < cfg.f_r + 1:
-            continue
-        tilde = sorted(held.values(), reverse=True)[cfg.f_r]
-        for snd, keys in send_calls.items():
-            for (csc, cp) in keys:
-                if csc == sc and cp < tilde + cfg.capacity:
-                    if (csc, cp) not in send_done.get(snd, set()):
-                        violations.append(f"L2 send by {snd} at ({csc},{cp}) never returned")
-
+    """The schedule's violations of the IRMC contract (contract.py), from one
+    grouping of its records, and the correct receivers it left waiting."""
+    by_event = contract.group_records(trace.records)
+    correct = {str(n) for n in correct_s | correct_r}
+    channels = {str(cfg.channel): (cfg.f_s, cfg.f_r, cfg.capacity)}
+    sent = contract.correct_sends(by_event, correct)
+    delivered, c1_deliveries = contract.c1(by_event, correct, channels, sent)
+    too_old, c2_too_olds = contract.c2(by_event, correct)
+    violations = delivered + too_old + contract.mon(by_event)[0] \
+        + contract.l1_l2(by_event, correct, channels, sent)
+    if report is not None:
+        report.deliveries += c1_deliveries
+        report.too_olds += c2_too_olds
     for r, remaining in outstanding.items():
         if remaining > 0:
             violations.append(f"L1 receiver {r} left {remaining} positions unresolved")
@@ -275,12 +184,8 @@ def audit_schedule(trace, cfg, correct_s, correct_r, outstanding, report):
 
 def make_factory(sender_cls, receiver_cls):
     def factory(cfg, sender_nodes, receiver_nodes):
-        eps = {}
-        for node in sender_nodes:
-            eps[node.nid] = sender_cls(cfg, node)
-        for node in receiver_nodes:
-            eps[node.nid] = receiver_cls(cfg, node)
-        return eps
+        return {**{node.nid: sender_cls(cfg, node) for node in sender_nodes},
+                **{node.nid: receiver_cls(cfg, node) for node in receiver_nodes}}
     return factory
 
 
@@ -291,6 +196,5 @@ def run_conformance(factory, f_s, f_r, seed, schedules) -> ConformanceReport:
         sched_seed = rng.randrange(1 << 30)
         violations = run_schedule(factory, f_s, f_r, sched_seed, report)
         report.schedules += 1
-        for v in violations:
-            report.failures.append(f"seed={sched_seed}: {v}")
+        report.failures += [f"seed={sched_seed}: {v}" for v in violations]
     return report

@@ -7,7 +7,7 @@ import pytest
 
 from geobft.application import KvApplication, get_op, put_op
 from geobft import audit, cli
-from geobft.core import ClientId, Sig, canonical_decode, canonical_encode
+from geobft.core import ClientId, Sig, canonical_decode, canonical_encode, hash_bytes
 from geobft.core.messages import Write
 from geobft.audit import (
     AuditView,
@@ -25,6 +25,7 @@ from geobft.audit import (
     check_window_monotonicity,
 )
 from geobft.harness import run_scenario
+from geobft.irmc import RcReceiver, RcSender, conformance
 from geobft.scenario import load_scenario
 from geobft.simnet import TraceFormatError, read_trace
 
@@ -292,7 +293,8 @@ def test_one_delivery_without_a_correct_contributor_fails_channel_quorums(mini):
     mutated.records[i] = _with_data(record, senders="ex9:0;ex9:1;ex9:2")
     verdict = check_channel_quorums(AuditView(mutated, cfg))
     assert not verdict.ok
-    assert verdict.detail == f"{record[4]} p={record[6]['p']}: no correct contributor"
+    assert verdict.detail == (f"C1 {record[4]} sc={record[6]['sc']} p={record[6]['p']} "
+                              f"at {record[2]}: no correct contributor")
 
 
 def test_seeded_divergent_commit_payload_fails_commit_content(mini):
@@ -330,6 +332,139 @@ def test_seeded_lost_accept_fails_liveness(mini):
     del mutated.records[_first(mutated.records, "client_accept", t_c=1)]
     verdict = check_liveness(AuditView(mutated, cfg))
     assert not verdict.ok
+
+
+# Tampered traces that reach each failing return of the checkers above; the
+# channel quorum that is too small fails C1 through both of its callers
+# (tests/test_conformance.py, test_both_callers_catch).
+
+def test_one_request_executed_at_two_positions_fails_execute_equality(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = _first(mutated.records, "execute")
+    record = mutated.records[i]
+    last = max(r[6]["s"] for r in mutated.records if r[1] == "execute")
+    mutated.records[i] = _with_data(record, s=last + 1)
+    verdict = check_execute_equality(AuditView(mutated, cfg))
+    data = record[6]
+    assert verdict.detail == (f"({data['c']},{data['t_c']}) executed at "
+                              f"{(data['s'], data['idx'])} and {(last + 1, data['idx'])}")
+    assert not verdict.ok
+
+
+def test_conflicting_batches_fail_agreement_safety(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    first = _first(mutated.records, "order_deliver", s=1)
+    other = next(i for i, r in enumerate(mutated.records) if r[1] == "order_deliver"
+                 and r[6]["s"] == 1 and r[2] != mutated.records[first][2])
+    _forge_digest(mutated.records, other)
+    verdict = check_agreement_safety(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == "sequence 1: conflicting batches delivered"
+
+
+def test_delivery_after_a_later_sequence_fails_agreement_safety(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    records = mutated.records
+    again = records[_first(records, "order_deliver", s=1)]
+    later = next(i for i, r in enumerate(records) if r[1] == "order_deliver"
+                 and r[2] == again[2] and r[6]["s"] == 2)
+    records.insert(later + 1, again)
+    verdict = check_agreement_safety(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == f"{again[2]} delivered 1 after 2"
+
+
+def _resigned(record, client, signer):
+    """The execute record with its Write re-issued by client and signed as
+    signer over the new bytes."""
+    write = canonical_decode(bytes.fromhex(record[6]["wr"]))
+    wr = canonical_encode(Write(write.op, client, write.t_c, write.read_only))
+    sig = canonical_encode(Sig(signer, hash_bytes(wr)))
+    return _with_data(record, wr=wr.hex(), sig=sig.hex())
+
+
+def test_unauthorized_client_fails_validity(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = _first(mutated.records, "execute")
+    mutated.records[i] = _resigned(mutated.records[i], ClientId(9), ClientId(9))
+    verdict = check_validity(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == "unauthorized client c9"
+
+
+def test_signer_mismatch_fails_validity(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = _first(mutated.records, "execute", c=0)
+    record = mutated.records[i]
+    mutated.records[i] = _resigned(record, ClientId(0), ClientId(1))
+    verdict = check_validity(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == f"signer mismatch at s={record[6]['s']}"
+
+
+def test_accept_never_executed_fails_replay(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = _first(mutated.records, "client_accept", t_c=1)
+    record = mutated.records[i]
+    assert record[4] == "write"
+    mutated.records[i] = _with_data(record, t_c=999)
+    verdict = check_replay(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == f"{record[2]} accepted t_c=999 never executed"
+
+
+def _second_ex_digest(records, same_group):
+    """Index of the first execution state_digest whose s an earlier one
+    already holds, in the earlier one's group or in another."""
+    seen: dict = {}
+    for i, r in enumerate(records):
+        if r[1] != "state_digest" or r[4] != "ex":
+            continue
+        group = r[2].split(":")[0]
+        if r[6]["s"] in seen and (seen[r[6]["s"]] == group) == same_group:
+            return i
+        seen.setdefault(r[6]["s"], group)
+    raise AssertionError("no second execution digest")
+
+
+def test_execution_state_divergence_fails_cp_equivalence(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = _second_ex_digest(mutated.records, same_group=True)
+    _forge_digest(mutated.records, i)
+    verdict = check_cp_equivalence(AuditView(mutated, cfg))
+    assert not verdict.ok
+    record = mutated.records[i]
+    assert verdict.detail == (f"execution state divergence in "
+                              f"{record[2].split(':')[0]} at s={record[6]['s']}")
+
+
+def test_cross_group_projection_divergence_fails_cp_equivalence(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = _second_ex_digest(mutated.records, same_group=False)
+    mutated.records[i] = _with_data(mutated.records[i], projected="0" * 32)
+    verdict = check_cp_equivalence(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == f"cross-group execution divergence at s={mutated.records[i][6]['s']}"
+
+
+def test_unresolved_weak_read_fails_liveness(mini):
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = next(i for i, r in enumerate(mutated.records)
+             if r[1] == "client_accept" and r[4] == "read_weak")
+    record = mutated.records.pop(i)
+    verdict = check_liveness(AuditView(mutated, cfg))
+    assert not verdict.ok
+    assert verdict.detail == (f"1 weak reads unresolved, e.g. "
+                              f"{(record[2], round(record[6]['issued'], 6))}")
 
 
 def linearizable_bruteforce(ops) -> bool:
@@ -460,12 +595,14 @@ def test_audit_command_reports_a_malformed_trace(tmp_path, capsys):
     ("client_issue", "op", "07ffff", "weak_reads"),
     ("client_issue", "op", canonical_encode(5).hex(), "weak_reads"),
     ("client_issue", "op", canonical_encode(()).hex(), "weak_reads"),
+    ("client_accept", "reply", "zz", "weak_reads"),
 ], ids=["wr-not-hex", "wr-unknown-code", "wr-a-sig", "sig-an-int",
-        "op-not-hex", "op-unknown-code", "op-an-int", "op-empty"])
+        "op-not-hex", "op-unknown-code", "op-an-int", "op-empty", "reply-not-hex"])
 def test_audit_command_fails_a_malformed_trace_field(tmp_path, capsys, mini,
                                                       event, key, value, verdict):
     """A trace file is outside input: a field that does not decode to what
-    its checker reads fails that verdict, naming the record, and raises nothing."""
+    its checker reads fails that verdict, naming the record, and raises
+    nothing (a weak read's reply that is not hex among them)."""
     cfg, trace, _ = mini
     mutated = copy.deepcopy(trace)
     for i, r in enumerate(mutated.records):
@@ -525,12 +662,27 @@ class _CountingList(list):
         return super().__iter__()
 
 
-def test_audit_reads_the_trace_once(mini):
+def test_audit_reads_the_trace_once(mini, monkeypatch):
     """AuditView's one pass groups the records by event and keeps the
-    agreement log that check_agreement_safety's gap rule walks."""
+    agreement log that check_agreement_safety's gap rule walks, and the
+    channel log that C2 walks. A conformance schedule's audit groups its
+    records in one pass too."""
     cfg, trace, _ = mini
     counted = copy.copy(trace)
     counted.records = _CountingList(trace.records)
     verdicts = audit_trace(counted, cfg)
     assert all(ok for ok, _ in verdicts.values()), verdicts
     assert counted.records.passes == 1
+
+    audited = []
+    audit_schedule = conformance.audit_schedule
+
+    def counting_audit(trace, *args):
+        trace.records = _CountingList(trace.records)
+        audited.append(trace.records)
+        return audit_schedule(trace, *args)
+
+    monkeypatch.setattr(conformance, "audit_schedule", counting_audit)
+    factory = conformance.make_factory(RcSender, RcReceiver)
+    assert conformance.run_schedule(factory, 1, 1, seed=1) == []
+    assert [records.passes for records in audited] == [1]

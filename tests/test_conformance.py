@@ -5,7 +5,9 @@ import hashlib
 
 import pytest
 
+from geobft.audit import AuditView, audit_view
 from geobft.core.messages import ChCert, ChMove, ChProgress, ChSend
+from geobft.harness import run_scenario
 from geobft.irmc import RcReceiver, RcSender, ScReceiver, ScSender
 from geobft.irmc import conformance
 from geobft.irmc.conformance import make_factory, run_conformance, run_schedule
@@ -146,49 +148,89 @@ def schedule():
 def _audit(schedule, mutate):
     trace, cfg, correct_s, correct_r, outstanding = schedule
     mutated = copy.deepcopy(trace)
-    mutate(mutated.records, {str(n) for n in correct_r})
+    mutate(mutated.records, {str(n) for n in correct_s | correct_r})
     return conformance.audit_schedule(mutated, cfg, correct_s, correct_r,
                                       dict(outstanding), None)
 
 
-def _at_correct_receiver(records, correct_r, event):
+def _at_correct(records, correct, event):
     return next(i for i, r in enumerate(records) if r[1] == event
-                and r[2] in correct_r)
+                and r[2] in correct)
 
 
-def test_audit_catches_unsent_delivery(schedule):
-    def mutate(records, correct_r):
-        i = _at_correct_receiver(records, correct_r, "irmc_deliver")
-        records[i] = records[i][:5] + ("0" * 32,) + records[i][6:]
-    assert any(v.startswith("C1") and "not sent" in v
-               for v in _audit(schedule, mutate))
+def _unsent_delivery(records, correct):
+    i = _at_correct(records, correct, "irmc_deliver")
+    records[i] = records[i][:5] + ("0" * 32,) + records[i][6:]
 
 
-def test_audit_catches_tooold_backed_only_by_a_later_move(schedule):
-    def mutate(records, correct_r):
-        j = next(i for i, r in enumerate(records) if r[1] == "ch_recv_tooold"
-                 and r[2] in correct_r and r[6]["p"] < r[6]["new_start"])
-        sc, new_start = records[j][6]["sc"], records[j][6]["new_start"]
-        backing = [i for i in range(j) if records[i][1] == "ch_move_call"
-                   and records[i][6]["sc"] == sc and records[i][6]["p"] >= new_start]
-        assert backing
-        moved = [records[i] for i in backing]
-        for i in reversed(backing):
-            del records[i]
-        j -= len(backing)
-        records[j + 1:j + 1] = moved
-    assert any(v.startswith("C2") for v in _audit(schedule, mutate))
+def _quorum_too_small(records, correct):
+    i = _at_correct(records, correct, "irmc_deliver")
+    data = records[i][6]
+    one = next(s for s in data["senders"].split(";") if s in correct)
+    records[i] = records[i][:6] + ({**data, "senders": one},)
 
 
-def test_audit_catches_backward_window(schedule):
-    def mutate(records, correct_r):
-        last = next(r for r in reversed(records) if r[1] == "win_move")
-        records.append(last[:6] + ({**last[6], "start": last[6]["start"] - 1},))
-    assert any(v.startswith("MON") for v in _audit(schedule, mutate))
+def _backward_window(records, correct):
+    last = next(r for r in reversed(records) if r[1] == "win_move")
+    records.append(last[:6] + ({**last[6], "start": last[6]["start"] - 1},))
+
+
+def _tooold_before_its_moves(records, correct):
+    """The first TooOld that skips a position, with every move of its
+    subchannel to its new start or beyond put after it."""
+    j = next(i for i, r in enumerate(records) if r[1] == "ch_recv_tooold"
+             and r[2] in correct and r[6]["p"] < r[6]["new_start"])
+    kind, sc, new_start = records[j][4], records[j][6]["sc"], records[j][6]["new_start"]
+    backing = [i for i in range(j) if records[i][1] == "ch_move_call"
+               and records[i][4] == kind and records[i][6]["sc"] == sc
+               and records[i][6]["p"] >= new_start]
+    assert backing
+    moved = [records[i] for i in backing]
+    for i in reversed(backing):
+        del records[i]
+    j -= len(backing)
+    records[j + 1:j + 1] = moved
+
+
+# (defect, the property it breaks, the full-run verdict of that property,
+# what the violation says)
+CHANNEL_DEFECTS = [
+    (_unsent_delivery, "C1", "channel_quorums", "content never sent by a correct sender"),
+    (_quorum_too_small, "C1", "channel_quorums", ": quorum 1"),
+    (_backward_window, "MON", "window_monotonicity", "moved backwards"),
+    (_tooold_before_its_moves, "C2", "tooold_moves", "without a correct move"),
+]
+
+
+@pytest.fixture(scope="module")
+def ag_outage():
+    """A full run whose agreement replicas get 4 TooOlds that skip a position."""
+    system, report = run_scenario("ag-outage", 1)
+    assert report.ok, report.verdicts
+    return system.cfg, system.sim.trace
+
+
+@pytest.mark.parametrize("defect, prop, verdict, says", CHANNEL_DEFECTS,
+                         ids=["unsent-delivery", "quorum-too-small", "backward-window",
+                              "tooold-before-its-moves"])
+def test_both_callers_catch(schedule, ag_outage, defect, prop, verdict, says):
+    """A seeded channel defect fails the shared contract property both in a
+    conformance schedule's audit and in a full run's verdicts."""
+    violations = _audit(schedule, defect)
+    assert any(v.startswith(prop + " ") and says in v for v in violations), violations
+    cfg, trace = ag_outage
+    view = AuditView(trace, cfg)
+    mutated = copy.copy(trace)
+    mutated.records = list(trace.records)
+    defect(mutated.records, view.correct_replicas)
+    failed = {name: detail for name, (ok, detail)
+              in audit_view(AuditView(mutated, cfg)).items() if not ok}
+    assert list(failed) == [verdict], failed
+    assert failed[verdict].startswith(prop + " ") and says in failed[verdict]
 
 
 def test_audit_catches_unresolved_receive(schedule):
-    def mutate(records, correct_r):
-        del records[_at_correct_receiver(records, correct_r, "ch_recv_msg")]
+    def mutate(records, correct):
+        del records[_at_correct(records, correct, "ch_recv_msg")]
     assert any(v.startswith("L1") and "stuck" in v
                for v in _audit(schedule, mutate))
