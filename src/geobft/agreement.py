@@ -1,14 +1,16 @@
 """Agreement replica state machine.
 
-Pulls client requests from per-client request subchannels, moving a
-subchannel's window to t_plus[c] as it takes each request (so the
-execution replicas see what it consumed and send it no move for the
-next), hands them to the ordering black-box, fans the committed order
-out through the commit channels under global flow control (n_e - z
-completions), checkpoints every K_A sequence numbers, anchors its
-delivery window at the latest stable checkpoint, and maintains the
-execution-replica registry that drives AddGroup/RemoveGroup
-reconfiguration.
+Pulls client requests from per-client request subchannels. It shows a
+move of a subchannel's window to t_plus[c] only when t_plus[c], the
+position its intake waits for next, lies past the window it showed last:
+a client has one strong request outstanding and REQ_CAPACITY is 2, so
+that is every second request, and the execution replicas can send each
+request without a move of their own. It hands the requests to the
+ordering black-box, fans the committed order out through the commit
+channels under global flow control (n_e - z completions), checkpoints
+every K_A sequence numbers, anchors its delivery window at the latest
+stable checkpoint, and maintains the execution-replica registry that
+drives AddGroup/RemoveGroup reconfiguration.
 """
 from __future__ import annotations
 
@@ -122,9 +124,11 @@ class AgreementReplica(ProtocolNode):
                         and req.inner.t_c == cursor:
                     self.ordering.order(req)
                 self.t_plus[c] = max(self.t_plus.get(c, 1), cursor + 1)
-            # the intake never asks below t_plus again: free the positions
-            # below and show the senders the request was taken
-            recv.move_window(c, self.t_plus[c])
+            # the intake never asks below t_plus again; it shows the senders
+            # a move only once t_plus lies past the window it showed last,
+            # so they can send the request it waits for
+            if self.t_plus[c] > recv.window(c).end:
+                recv.move_window(c, self.t_plus[c])
             self._intake_pull(gid, c)
 
         recv.receive(c, cursor, got)

@@ -71,10 +71,13 @@ class ExecutingNode(ProtocolNode):
                 else:
                     self.send_mac(msg.client, Result(msg.client, msg.t_c, held[1]))
             return  # silent on a retry with no result yet
+        last = self.t.get(c)
         self.t[c] = msg.t_c
-        self.forward(msg, sig)
+        self.forward(msg, sig, last)
 
-    def forward(self, msg, sig):  # pragma: no cover
+    def forward(self, msg, sig, last):  # pragma: no cover
+        """Pass on msg, whose client's last forwarded counter here was last
+        (None if msg is its first)."""
         raise NotImplementedError
 
     def execute_write(self, s: int, idx: int, write: Write, sig):
@@ -134,10 +137,15 @@ class ExecutionReplica(ExecutingNode):
         if isinstance(env.payload, RegistryInfo):
             self.registry.on_info(src, env.payload)
 
-    def forward(self, msg, sig):
-        """Into the client's request subchannel, its window moved up to msg."""
+    def forward(self, msg, sig, last):
+        """Into the client's request subchannel. The window moves up to msg
+        only with the client's first counter here, which names the
+        subchannel to the receivers, or with a counter that skips one; the
+        agreement replicas show the moves the others need as they take
+        requests."""
         c = msg.client.index
-        self.req_send.move_window(c, msg.t_c)
+        if last is None or msg.t_c > last + 1:
+            self.req_send.move_window(c, msg.t_c)
         self.req_send.send(c, msg.t_c, Request(msg, sig, self.group))
 
     # -- the committed order -----------------------------------------------------

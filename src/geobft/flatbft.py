@@ -22,7 +22,7 @@ class FlatBftReplica(ExecutingNode):
         if not self.route_client(src, env):
             self.ordering.handle(src, env.payload, env.first_sig())
 
-    def forward(self, msg, sig):
+    def forward(self, msg, sig, last):
         self.ordering.order(Request(msg, sig, 0))
 
     def _deliver(self, s, batch, done):

@@ -23,9 +23,15 @@ receiver's window, its TooOld outcomes or its pending receives; and
 both variants drop a Send or certificate below the window start. A
 receiver that inflates its moves silences only itself.
 
-Receivers move as they consume (the agreement replica's intake moves a
-request window as it takes each request), so a sender sees what each
-receiver took and sends it neither that data nor a move for it.
+Receivers move as they consume, and show a move only when a sender needs
+it. On the request channel an agreement replica's intake shows one only
+once the position it waits for next lies past the window it showed last
+(every second request: one strong request per client is outstanding and
+the window holds two), and an execution replica's forward moves a sender
+window only with a client's first counter there or a counter that skips
+one. So a sender sends a receiver no data and no move below what it
+showed, and each move a sender window needs comes before the request
+that needs it.
 """
 from __future__ import annotations
 

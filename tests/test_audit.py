@@ -619,6 +619,34 @@ def test_audit_command_fails_a_malformed_trace_field(tmp_path, capsys, mini,
     assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {verdict}: {event} by ")
 
 
+@pytest.mark.parametrize("event, key, verdicts", [
+    ("client_accept", "issued", ["liveness", "weak_reads"]),
+    ("irmc_deliver", "senders", ["channel_quorums"]),
+    ("win_move", "sc", ["window_monotonicity"]),
+], ids=["accept-without-issued", "deliver-without-senders", "move-without-sc"])
+def test_audit_command_fails_a_record_without_a_field(tmp_path, capsys, mini,
+                                                      event, key, verdicts):
+    """A record that lacks a data field its checkers read fails each of
+    those checks, naming the field, and raises nothing: geobft audit
+    exits 1 (a weak read's accept without issued, a delivery without its
+    senders, a window move without its subchannel)."""
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    for i, r in enumerate(mutated.records):
+        if r[1] == event and (event != "client_accept" or r[4] == "read_weak"):
+            mutated.records[i] = r[:6] + ({k: v for k, v in r[6].items() if k != key},)
+            break
+    else:
+        pytest.fail(f"no {event} record to mutate")
+    path, scenario = tmp_path / "run.trace", tmp_path / "mini.json"
+    mutated.write(path)
+    scenario.write_text(json.dumps(MINI))
+    assert cli.main(["audit", str(path), str(scenario)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed == [f"[FAIL] {name}: a record lacks the data field '{key}'"
+                      for name in verdicts]
+
+
 def test_audit_command_fails_replay_on_an_op_that_is_not_hex(tmp_path, capsys, mini):
     """Every correct replica's execute record of one position carries an op
     that is not hex, so the order agrees; the replay cannot run that op,

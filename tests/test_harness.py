@@ -43,7 +43,12 @@ PINNED_DIGESTS = {
     # showed the move: 108 fewer ChMove cross the WAN (560 -> 452), and the
     # ch_move_call and win_move records of the agreement replicas come at
     # intake; the verdicts and the 22 completed requests are unchanged
-    ("rc-vs-sc", "rc"): "802f2968237e27edbc444eb48e37d8ec",
+    # an agreement replica shows a request move only once its intake waits
+    # past the window it showed, and a forward moves only with a client's
+    # first or a skipped counter: 198 fewer ChMove cross the WAN (452 ->
+    # 254) and 184 fewer records (ch_move_call, win_move); the verdicts and
+    # the 22 completed requests are unchanged (was 802f2968...)
+    ("rc-vs-sc", "rc"): "e58eb6bb8d451ebe6f1f2c2143a2181f",
     # one view timer per MiniBFT replica: the two reachable replicas vote for
     # views 1-7 with a doubling timeout during the outage, not up to view 424,
     # and the healed pair joins view 7 at the next tick of their timers
@@ -63,11 +68,20 @@ PINNED_DIGESTS = {
     # fewer ChProgress cross the WAN (3,786 -> 3,228), 30 more ChMove (1,374
     # -> 1,404) and 6 fewer ChCert (733 -> 727); the verdicts and the 210
     # completed requests are unchanged
-    ("ag-outage", "sc"): "0145e0ed7b027a25594627fd01be4342",
+    # request moves shown only when the intake waits past the shown window
+    # (as rc-vs-sc): 522 fewer ChMove (1,404 -> 882), while the execution
+    # replicas' claims now reach agreement replicas that took a request but
+    # showed no move past it, so 330 more ChProgress (3,228 -> 3,558) and 4
+    # more ChCert (727 -> 731); the verdicts and the 210 completed requests
+    # are unchanged (was 0145e0ed...)
+    ("ag-outage", "sc"): "ac2a22d436f3de537dfe1b62e3f69cf1",
     # the same cause as rc-vs-sc: 456 fewer ChMove cross the WAN (3,176 ->
     # 2,720); the verdicts, the timeline and the 357 completed requests are
     # unchanged
-    ("add-remove-group", "rc"): "802ba43a9e50bf329a2ba20bcf486ce3",
+    # the same cause as rc-vs-sc: 810 fewer ChMove (2,720 -> 1,910); the
+    # verdicts, the timeline and the 357 completed requests are unchanged
+    # (was 802ba43a...)
+    ("add-remove-group", "rc"): "f33af8062d946ab50e0d924883fedf96",
 }
 
 PINNED_TIMELINES = {
@@ -105,14 +119,23 @@ PINNED_ADAPTED = {
     # the execution replicas' forward-time ChMove goes to none of them that
     # showed the move: 476 fewer ChMove cross the WAN (2,677 -> 2,201; was
     # a2dc9207..., 1608118)
-    ("spider", "rc"): ("7cba66220bcd5640aadfedc804c2fe6d", 1559090),
+    # request moves shown only when an intake waits past the shown window,
+    # and forward moves only for first or skipped counters: 737 fewer ChMove
+    # (2,201 -> 1,464; was 7cba6622..., 1559090)
+    ("spider", "rc"): ("2087108dc21ade6fc9cb9af7f6d61601", 1483179),
     # same digest; fewer sc progress claims cross the WAN (was 1848622)
     # the same cause as spider rc: 448 fewer ChMove, 326 fewer ChProgress to
     # agreement replicas that showed they took every claimed request, and 7
     # fewer ChCert (was 266ade0f..., 1401782)
-    ("spider", "sc"): ("072a13bd7966df6353691ca153381901", 1314975),
+    # the same cause as spider rc: 722 fewer ChMove and 3 fewer ChCert, and
+    # 208 more ChProgress to agreement replicas that took a request but
+    # showed no move past it; the withholding ag0:2 switches collector 25
+    # times, not 4 (was 072a13bd..., 1314975)
+    ("spider", "sc"): ("22898014d2dbfd87550a94987eca6119", 1257338),
     # the same causes; 476 fewer ChMove (was 6c79e167..., 1660011)
-    ("oracle", "rc"): ("730392032d19194d974dae0eee708f1e", 1610983),
+    # the same cause as spider rc: 737 fewer ChMove (2,242 -> 1,505; was
+    # 73039203..., 1610983)
+    ("oracle", "rc"): ("5f4ba04c2906b468dd0e4a32b450f8b2", 1535072),
     # the equivocating client's rewritten requests take the flat client path
     ("flat-bft", "rc"): ("866aa714f3e1d1d221e790938679253d", 296447),
 }

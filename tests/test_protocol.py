@@ -1,14 +1,18 @@
 """End-to-end protocol behavior at small scale."""
+import json
+
 import pytest
 
 from geobft.agreement import AgreementReplica
-from geobft.application import PLACEHOLDER, get_op
+from geobft.application import PLACEHOLDER, get_op, put_op
 from geobft.core import ClientId, GroupKey, hash_bytes
 from geobft.core.messages import AddGroup, ChMove, Envelope, ReadWeak, Request, Result, Write
 from geobft.execution import ExecutionReplica
+from geobft.harness import run_scenario
+from geobft.irmc.base import SenderEndpoint
 from geobft.protocol import MIN_RETRY_MS
-from geobft.runtime import build
-from geobft.scenario import load_scenario
+from geobft.runtime import REQ_CAPACITY, build
+from geobft.scenario import SCENARIO_DIR, load_scenario
 from tests.conftest import NetSpy
 
 
@@ -342,16 +346,18 @@ def test_spider_and_oracle_modes_reach_same_final_state():
 
 
 def test_agreement_replicas_move_request_windows_as_they_take_requests(monkeypatch):
-    """An agreement replica moves a client's request window to t_plus[c] as
-    it takes each request, so the move an execution replica sends when it
-    forwards the next request reaches no agreement replica: only each
-    client's first request sends a ChMove."""
+    """An agreement replica shows a request move only when the position its
+    intake waits for next lies past the window it showed last: after every
+    intake its shown move is at least t_plus[c] - REQ_CAPACITY + 1, so the
+    execution replicas can send that request, and it moves at every second
+    request. A forward sends a ChMove only with a client's first counter at
+    that replica or with a counter that skips one."""
     cfg = load_scenario("four-regions-writes")
     assert cfg.topology.jitter_ms == 0 and not cfg.fault_plan.faults
     system = build(cfg, seed=1, irmc="rc")
-    forwarding = []  # the (c, t_c) an execution replica is forwarding now
-    moved = []       # the (c, t_c) of each forward that sent a ChMove
-    forwarded = {}   # c -> the counters forwarded
+    forwarding = []  # (replica, c, t_c, last) of the forward under way
+    moved = []       # the same, for each forward that sent a ChMove
+    forwarded = 0
     send = system.sim.send
 
     def spy_send(src, dst, env, channel=None):
@@ -359,29 +365,121 @@ def test_agreement_replicas_move_request_windows_as_they_take_requests(monkeypat
             moved.append(forwarding[-1])
         send(src, dst, env, channel)
 
-    def spy_forward(replica, msg, sig):
-        forwarding.append((msg.client.index, msg.t_c))
-        forwarded.setdefault(msg.client.index, set()).add(msg.t_c)
-        forward(replica, msg, sig)
+    def spy_move(endpoint, sc, p):
+        if forwarding:
+            moved.append(forwarding[-1])
+        move(endpoint, sc, p)
+
+    def spy_forward(replica, msg, sig, last):
+        nonlocal forwarded
+        forwarded += 1
+        forwarding.append((replica.nid, msg.client.index, msg.t_c, last))
+        forward(replica, msg, sig, last)
         forwarding.pop()
 
     pulled = set()
-    behind = []  # (replica, c, window start, t_plus[c]) where they differ
+    takes = 0
+    short = []  # (replica, c, shown move, t_plus[c]) where the move falls short
 
     def spy_intake(replica, gid, c):
+        nonlocal takes
         if (replica.nid, gid, c) in pulled:  # an intake position resolved
-            start = replica.req_recv[gid].window(c).start
-            if start != replica.t_plus[c]:
-                behind.append((str(replica.nid), c, start, replica.t_plus[c]))
+            takes += 1
+            shown = replica.req_recv[gid].moves_sent.get(c, 1)
+            if shown < replica.t_plus[c] - REQ_CAPACITY + 1:
+                short.append((str(replica.nid), c, shown, replica.t_plus[c]))
         pulled.add((replica.nid, gid, c))
         intake(replica, gid, c)
 
     forward, intake = ExecutionReplica.forward, AgreementReplica._intake_pull
+    move = SenderEndpoint.move_window
     monkeypatch.setattr(system.sim, "send", spy_send)
+    monkeypatch.setattr(SenderEndpoint, "move_window", spy_move)
     monkeypatch.setattr(ExecutionReplica, "forward", spy_forward)
     monkeypatch.setattr(AgreementReplica, "_intake_pull", spy_intake)
     system.run()
-    assert len(forwarded) == len(cfg.clients)
-    assert sum(len(t) for t in forwarded.values()) > 100
-    assert moved and all(t_c == min(forwarded[c]) for c, t_c in moved)
-    assert behind == []
+    assert forwarded > 100 and takes > 100
+    assert short == []
+    # every client's first counter at each of its contact replicas moved,
+    # and no counter that follows the last one forwarded there did
+    firsts = {(nid, c) for nid, c, t_c, last in moved if last is None}
+    assert len(firsts) == len(cfg.clients) * cfg.fault_params.execution_size
+    assert all(last is None or t_c > last + 1 for nid, c, t_c, last in moved)
+    # the agreement replicas show about one move per two requests taken
+    shown = [r for r in system.sim.trace.events("ch_move_call")
+             if r[2].startswith("ag") and r[4].startswith("req")]
+    assert takes / 2 - len(pulled) <= len(shown) <= takes / 2 + len(pulled)
+
+
+@pytest.mark.parametrize("jitter_ms", [0.0, 1.0])
+def test_no_request_send_blocks_in_a_fault_free_run(jitter_ms):
+    """The agreement replicas show each move before the request that needs
+    it is forwarded: every request-channel send returns at the instant it
+    is called, with and without link jitter."""
+    raw = json.loads((SCENARIO_DIR / "four-regions-writes.json").read_text())
+    raw["topology"]["jitter_ms"] = jitter_ms
+    system = build(load_scenario(raw), seed=1, irmc="rc")
+    trace = system.run()
+    called, done = {}, {}
+    for event, table in (("ch_send_call", called), ("ch_send_done", done)):
+        for t, _, src, _, kind, _, data in trace.events(event):
+            if kind.startswith("req"):
+                table[(src, kind, data["sc"], data["p"])] = t
+    assert len(called) > 600
+    assert done == called
+
+
+def test_a_skipped_counter_moves_the_window_and_the_intake_takes_it():
+    """Client c0 sends counter 1 to group 1, counter 2 to group 2 and
+    counter 3 to group 1 again. Group 1's agreement-side window for c0
+    still ends at 2, where its intake waits; the forward of 3 skips one, so
+    it moves the sender window to 3. Every agreement replica's intake then
+    resolves 2 as TooOld(3) and takes 3, and every replica executes it."""
+    cfg = mini_scenario(issue_until_ms=0)
+    system = build(cfg, seed=4)
+    client = system.clients[0]
+    c = client.nid.index
+
+    def submit(t_c, gid):
+        w = Write(put_op("k", b"v%d" % t_c), client.nid, t_c)
+        for replica in system.executions[gid]:
+            replica.handle_envelope(client.nid, Envelope(
+                w, (client.crypto.mac(GroupKey("ex", gid), w), client.crypto.sign(w))))
+
+    for at_ms, t_c, gid in ((100, 1, 1), (600, 2, 2), (1100, 3, 1)):
+        system.sim.after(client.nid, at_ms, lambda t_c=t_c, gid=gid: submit(t_c, gid))
+    trace = system.run()
+    moves = {(r[2], r[4], r[6]["p"]) for r in trace.events("ch_move_call")
+             if r[6]["side"] == "s" and r[4].startswith("req") and r[6]["sc"] == c}
+    group1 = {str(r.nid) for r in system.executions[1]}
+    assert moves == {(n, "req1", p) for n in group1 for p in (1, 3)} | {
+        (str(r.nid), "req2", 2) for r in system.executions[2]}
+    for replica in system.agreement:
+        resolved = [(r[1], r[6]["p"]) for r in trace.records
+                    if r[1] in ("ch_recv_tooold", "ch_recv_msg")
+                    and r[2] == str(replica.nid) and r[4] == "req1" and r[6]["sc"] == c]
+        assert resolved == [("ch_recv_msg", 1), ("ch_recv_tooold", 2), ("ch_recv_msg", 3)]
+    executed = {(r[2], r[6]["t_c"]) for r in trace.events("execute") if r[6]["c"] == c}
+    everyone = {str(r.nid) for reps in system.executions.values() for r in reps}
+    assert executed == {(n, t_c) for n in everyone for t_c in (1, 2, 3)}
+
+
+def test_first_request_move_names_the_subchannel_to_every_intake():
+    """threshold-faults/sc seed 1: ex3:0, a collector of group 3's request
+    channel, withholds everything. A receiver whose collector withholds
+    learns of a new subchannel only from a certificate or a move, so the
+    forward of a client's first counter at a replica still moves the
+    window: without it ag0:0 and ag0:3 post no intake on client c4's
+    subchannel of req3. Every correct agreement replica posts one on every
+    subchannel, and c4's worst latency stays at 290.01 ms, its first
+    request (issued before warm-up)."""
+    system, report = run_scenario("threshold-faults", 1, mode="spider", irmc="sc")
+    trace = system.sim.trace
+    subchannels = {r[6]["sc"] for r in trace.events("ch_send_call") if r[4] == "req3"}
+    assert subchannels == {4}
+    correct = [str(r.nid) for r in system.agreement if str(r.nid) != "ag0:2"]
+    asked = {(r[2], r[6]["sc"]) for r in trace.events("ch_recv_call") if r[4] == "req3"}
+    assert {(n, sc) for n in correct for sc in subchannels} <= asked
+    worst = max(r[6]["latency"] for r in trace.events("client_accept") if r[2] == "c4")
+    assert worst == pytest.approx(290.01, abs=0.005)
+    assert report.ok, report.verdicts
