@@ -101,15 +101,22 @@ class AuditView:
 
 def canonical_execution_order(executes, correct_replicas):
     """(s, idx) -> (c, t_c, op hex, kind) union over correct replicas,
-    flagging any disagreement (the E-Safety core)."""
+    flagging any disagreement (the E-Safety core). A record that lacks a
+    field the order reads is left out of it and flagged too: a trace file
+    is outside input."""
     order: dict = {}
     conflict = None
     per_replica_seen: dict = {}
     for t, event, src, dst, kind, digest, data in executes:
         if src not in correct_replicas:
             continue
-        key = (data["s"], data.get("idx", 0))
-        value = (data["c"], data["t_c"], data["op"], kind)
+        try:
+            key = (data["s"], data.get("idx", 0))
+            value = (data["c"], data["t_c"], data["op"], kind)
+        except KeyError as missing:
+            if conflict is None:
+                conflict = f"execute by {src} at t={t} lacks the data field '{missing.args[0]}'"
+            continue
         held = order.get(key)
         if held is None:
             order[key] = value

@@ -9,19 +9,23 @@ differ only in how the f_s+1 quorum is collected (rc: at each receiver;
 sc: at a sender-side collector) and in how a receiver move is announced
 to the senders.
 
-A sender sends its window moves (on the window's advance and on every
-retransmit tick) only to the receivers behind them:
+A sender sends its window moves only to the receivers behind them:
 behind(recv_moves[sc], p) lists the receivers whose shown move is below
-p. Its data for position p (an rc Send, an sc certificate, sent or
-re-sent) goes only to behind(recv_moves[sc], p + 1), the receivers not
-past p. Skipping the others changes nothing at them. A correct
-receiver's window start is at least every move it has announced
-(move_window advances the window, and the sc collector switch announces
-window.start). backed_position ignores an ask at or below current, so a
-sender move at or below a receiver's shown move cannot change that
-receiver's window, its TooOld outcomes or its pending receives; and
-both variants drop a Send or certificate below the window start. A
-receiver that inflates its moves silences only itself.
+p. Its own move_window goes out at once. When receiver moves advance its
+window, the sync to the receivers still behind goes out one progress
+period later, once, to the window start then: receivers move on their
+own, and those that move within the period need no sync. Every
+retransmit tick re-sends the highest move sent. Its data for position p
+(an rc Send, an sc certificate, sent or re-sent) goes only to
+behind(recv_moves[sc], p + 1), the receivers not past p. Skipping the
+others changes nothing at them. A correct receiver's window start is at
+least every move it has announced (move_window advances the window, and
+the sc collector switch announces window.start). backed_position ignores
+an ask at or below current, so a sender move at or below a receiver's
+shown move cannot change that receiver's window, its TooOld outcomes or
+its pending receives; and both variants drop a Send or certificate below
+the window start. A receiver that inflates its moves silences only
+itself.
 
 Receivers move as they consume, and show a move only when a sender needs
 it. On the request channel an agreement replica's intake shows one only
@@ -111,6 +115,8 @@ class ChannelConfig:
     f_r: int
     capacity: int
     retransmit_ms: float = 0.0
+    # sc senders' progress claim period; in both variants also the delay
+    # of the sync a window advance sends to the receivers still behind
     progress_ms: float = 50.0
     collector_timeout_ms: float = 200.0
 
@@ -171,6 +177,7 @@ class SenderEndpoint(EndpointBase):
         super().__init__(cfg, node)
         self.recv_moves = defaultdict(lambda: progress_row(cfg.receivers))  # sc -> row
         self.pending: dict[int, list] = {}     # sc -> blocked (p, m, on_complete)
+        self._sync_armed: set[int] = set()     # sc with a deferred sync pending
 
     def send(self, sc, p, m, on_complete=None):
         if self.closed:
@@ -196,8 +203,6 @@ class SenderEndpoint(EndpointBase):
         self._sync_receivers(sc, p)
 
     def _sync_receivers(self, sc, start):
-        # also tells lagging receivers the window passed them; quorum-backed
-        # by the receiver moves that advanced this window in the first place
         if start <= self.moves_sent.get(sc, 0):
             return
         self.moves_sent[sc] = start
@@ -219,8 +224,20 @@ class SenderEndpoint(EndpointBase):
             win.start = new_start
             self._trace("win_move", sc=sc, start=new_start)
             self._gc(sc, new_start)
-            self._sync_receivers(sc, new_start)
+            if sc not in self._sync_armed:
+                self._sync_armed.add(sc)
+                self.node.after(self.cfg.progress_ms, lambda: self._deferred_sync(sc))
             self._flush_pending(sc)
+
+    def _deferred_sync(self, sc):
+        """Tell the receivers still behind the window that it passed them.
+
+        Quorum-backed by the receiver moves that advanced the window. It
+        goes out one progress period after the first advance, to the
+        latest start: the receivers that moved meanwhile need no sync."""
+        self._sync_armed.discard(sc)
+        if not self.closed:
+            self._sync_receivers(sc, self.window(sc).start)
 
     def _flush_pending(self, sc):
         waiting = self.pending.get(sc)

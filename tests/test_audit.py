@@ -647,6 +647,31 @@ def test_audit_command_fails_a_record_without_a_field(tmp_path, capsys, mini,
                       for name in verdicts]
 
 
+@pytest.mark.parametrize("key", ["s", "c", "t_c", "op"])
+def test_audit_command_fails_an_execute_record_without_a_field(tmp_path, capsys, mini,
+                                                               key):
+    """The execution order is built before any check runs. An execute
+    record that lacks a field the order reads is left out of it, and
+    execute_equality fails naming the record and the field; nothing
+    raises, and geobft audit exits 1. Validity fails there too unless the
+    field is s, which it does not compare with the signed Write."""
+    cfg, trace, _ = mini
+    mutated = copy.deepcopy(trace)
+    i = _first(mutated.records, "execute")
+    t, _, src = mutated.records[i][:3]
+    mutated.records[i] = mutated.records[i][:6] + (
+        {k: v for k, v in mutated.records[i][6].items() if k != key},)
+    path, scenario = tmp_path / "run.trace", tmp_path / "mini.json"
+    mutated.write(path)
+    scenario.write_text(json.dumps(MINI))
+    assert cli.main(["audit", str(path), str(scenario)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed[0] == (f"[FAIL] execute_equality: execute by {src} at t={t} "
+                         f"lacks the data field '{key}'")
+    assert [line.split(":")[0] for line in failed[1:]] == \
+        ([] if key == "s" else ["[FAIL] validity"])
+
+
 def test_audit_command_fails_replay_on_an_op_that_is_not_hex(tmp_path, capsys, mini):
     """Every correct replica's execute record of one position carries an op
     that is not hex, so the order agrees; the replay cannot run that op,

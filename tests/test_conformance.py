@@ -48,24 +48,44 @@ def test_schedule_deterministic(variant):
 # the skipped sends re-draw the jitter of every later send, which moves 27 of
 # 32 digests, the sc deliveries and TooOlds (681/244 -> 680/246) and the
 # counts below.
+#
+# A window advance syncs the receivers still behind one progress period (20 ms
+# here) later, to the latest start. rc: no jitter-free digest moved; the fewer
+# moves re-draw the jitter of later sends in 15 of 16 jittered schedules (was
+# 1f0d8b94...). sc: 26 of 30 digests moved, and 154 fewer asks resolve: 153
+# fewer TooOlds and one delivery fewer. No schedule gains a delivery (in
+# 103289687 the re-drawn jitter only swaps which of ag0:1 and ag0:3 takes 6
+# and which gets TooOld(8)). A correct receiver whose collector withholds
+# delivers nothing until it switches, and used to walk the window one TooOld
+# per advance (TooOld(2), (3), (4), (5), each a new ask); the one deferred
+# sync takes it to the latest start at once (TooOld(5), then (9)). The one
+# delivery fewer is jittered schedule 1001219867: ag0:1's certificate for 5
+# now lands after the senders' skip move to 7 (was 680, 246, f2146098...).
 PINNED_BATCH = {
-    "rc": (944, 32, [], "1f0d8b943f4537b4b30daf563864e7e5"),
+    "rc": (944, 32, [], "e6619acba1e1660dcd57c2cb6e379be3"),
     # claims sent on change and refreshed once per collector timeout: the
     # skipped sends re-draw the jitter of every later send in each schedule
-    "sc": (680, 246, [], "f214609855fa5d36c3061075684e8f7d"),
+    "sc": (679, 93, [], "21005a819d3e68c68c48e278f08eca02"),
 }
 # ChProgress sends of the same batch: sc senders claim progress only to the
 # receivers not known to be past every claim, when the claims change and once
 # per collector timeout while they do not; rc has no progress claims.
 # sc moved with the re-drawn jitter of its certificates sent only to
 # receivers not past them (3,417 -> 3,420).
-PINNED_PROGRESS_SENDS = {"rc": 0, "sc": 3420}
+# sc moved with the deferred sync: a synced receiver shows its new window only
+# after the sync reaches it, one progress period later, and the progress ticks
+# of that period still claim to it (3,420 -> 3,474).
+PINNED_PROGRESS_SENDS = {"rc": 0, "sc": 3474}
 # ChMove sends of the same batch, both directions: a sender sends its window
 # move only to the receivers whose shown move is below it. sc moved with the
 # re-drawn jitter of its quieter claims (681 deliveries, not 676). Both moved
 # with the re-drawn jitter of data sent only to receivers not past it (rc
 # 11,089 -> 11,115, sc 11,100 -> 11,113), in jittered schedules only.
-PINNED_MOVE_SENDS = {"rc": 11115, "sc": 11113}
+# Both fell with the deferred sync: it goes only to the receivers that have
+# not moved within one progress period, once per period however often the
+# window advanced, and a receiver it no longer moves announces no move back
+# (rc 11,115 -> 7,604, sc 11,113 -> 6,897).
+PINNED_MOVE_SENDS = {"rc": 7604, "sc": 6897}
 
 
 @pytest.mark.parametrize("variant", sorted(PINNED_BATCH))

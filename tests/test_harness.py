@@ -74,7 +74,13 @@ PINNED_DIGESTS = {
     # showed no move past it, so 330 more ChProgress (3,228 -> 3,558) and 4
     # more ChCert (727 -> 731); the verdicts and the 210 completed requests
     # are unchanged (was 0145e0ed...)
-    ("ag-outage", "sc"): "ac2a22d436f3de537dfe1b62e3f69cf1",
+    # a window advance syncs the receivers still behind one progress period
+    # (50 ms) later: the 42 syncs to the partitioned ag0:1 and ag0:2 leave
+    # their net_drop records 50 ms later (first at 2,682.6 ms, not 2,632.6),
+    # and 168 fewer ChMove cross the WAN (request syncs 192 -> 84, commit
+    # syncs 96 -> 36); the record counts, the collector switches, the verdicts
+    # and the 210 completed requests are unchanged (was ac2a22d4...)
+    ("ag-outage", "sc"): "ee1789899fdd72b688e6b45ded939603",
     # the same cause as rc-vs-sc: 456 fewer ChMove cross the WAN (3,176 ->
     # 2,720); the verdicts, the timeline and the 357 completed requests are
     # unchanged
@@ -122,7 +128,10 @@ PINNED_ADAPTED = {
     # request moves shown only when an intake waits past the shown window,
     # and forward moves only for first or skipped counters: 737 fewer ChMove
     # (2,201 -> 1,464; was 7cba6622..., 1559090)
-    ("spider", "rc"): ("2087108dc21ade6fc9cb9af7f6d61601", 1483179),
+    # syncs one progress period after a window advance, only to receivers
+    # still behind: 235 fewer ChMove (request 322 -> 183, commit 171 -> 75);
+    # same digest (was 1483179)
+    ("spider", "rc"): ("2087108dc21ade6fc9cb9af7f6d61601", 1458686),
     # same digest; fewer sc progress claims cross the WAN (was 1848622)
     # the same cause as spider rc: 448 fewer ChMove, 326 fewer ChProgress to
     # agreement replicas that showed they took every claimed request, and 7
@@ -131,11 +140,16 @@ PINNED_ADAPTED = {
     # 208 more ChProgress to agreement replicas that took a request but
     # showed no move past it; the withholding ag0:2 switches collector 25
     # times, not 4 (was 072a13bd..., 1314975)
-    ("spider", "sc"): ("22898014d2dbfd87550a94987eca6119", 1257338),
+    # the same cause as spider rc: 221 fewer ChMove (request 300 -> 175,
+    # commit 162 -> 66); the withholding ag0:2 switches collector 24 times,
+    # not 25, with the same 24 TooOlds (was 22898014..., 1257338)
+    ("spider", "sc"): ("7b46f5f8d40093ab3c8416a3fbeba8b4", 1234287),
     # the same causes; 476 fewer ChMove (was 6c79e167..., 1660011)
     # the same cause as spider rc: 737 fewer ChMove (2,242 -> 1,505; was
     # 73039203..., 1610983)
-    ("oracle", "rc"): ("5f4ba04c2906b468dd0e4a32b450f8b2", 1535072),
+    # the same cause as spider rc: 241 fewer ChMove (request 322 -> 183,
+    # commit 180 -> 78); same digest (was 1535072)
+    ("oracle", "rc"): ("5f4ba04c2906b468dd0e4a32b450f8b2", 1509943),
     # the equivocating client's rewritten requests take the flat client path
     ("flat-bft", "rc"): ("866aa714f3e1d1d221e790938679253d", 296447),
 }

@@ -410,7 +410,8 @@ class TestWideAreaEconomy:
 @pytest.mark.parametrize("variant", ["rc", "sc"])
 class TestSenderMoves:
     """A sender sends a window move only to the receivers whose shown move
-    is below it, on the window's advance and on each retransmit tick."""
+    is below it: one progress period after receiver moves advance its
+    window, on its own move_window at once, and on each retransmit tick."""
 
     @staticmethod
     def _moves_to(ch, spy):
@@ -435,6 +436,66 @@ class TestSenderMoves:
         for ep in ch.s_eps:
             ep._retransmit()
         assert NetSpy.payloads(spy.sent, "ChMove") == []
+
+    @staticmethod
+    def _sender_moves(ch, spy):
+        """(receiver, p) of each ChMove the senders sent so far."""
+        return [(dst, env.payload.p) for src, dst, env in spy.sent
+                if src in ch.senders and type(env.payload) is ChMove]
+
+    @staticmethod
+    def _advances(ch, sender):
+        """Times and starts of a sender endpoint's window moves."""
+        return [(r[0], r[6]["start"]) for r in ch.sim.trace.records
+                if r[1] == "win_move" and r[2] == str(sender)]
+
+    def test_no_sync_to_receivers_that_move_within_one_period(self, variant, net_spy):
+        ch = Channel(variant)
+        spy = net_spy(ch.sim)
+        for ep in ch.r_eps[:2]:  # f_r+1 moves advance every sender window
+            ep.move_window(0, 11)
+        ch.run(5)
+        for ep in ch.r_eps[2:]:  # these moves land inside the advance's sync delay
+            ep.move_window(0, 11)
+        ch.run(500)
+        assert all(ep.window(0).start == 11 for ep in ch.s_eps + ch.r_eps)
+        assert self._moves_to(ch, spy) == {r: 0 for r in ch.receivers}
+
+    def test_receiver_that_never_moves_gets_the_move_one_period_after(self, variant,
+                                                                       net_spy):
+        ch = Channel(variant)
+        spy = net_spy(ch.sim)
+        got = []
+        ch.r_eps[3].receive(0, 5, collect(got))
+        for ep in ch.r_eps[:3]:
+            ep.move_window(0, 8)
+        ch.run(ch.cfg.progress_ms)
+        advanced = [self._advances(ch, s) for s in ch.senders]
+        assert all(a[0][1] == 8 for a in advanced)
+        first, last = min(a[0][0] for a in advanced), max(a[0][0] for a in advanced)
+        ch.run(first + ch.cfg.progress_ms - 0.01)
+        assert self._sender_moves(ch, spy) == []
+        ch.run(last + ch.cfg.progress_ms)
+        assert self._sender_moves(ch, spy) == [(ch.receivers[3], 8)] * len(ch.senders)
+        ch.run(500)
+        assert got == [TooOld(8)]
+
+    def test_advances_within_one_period_send_one_sync_to_the_last_start(self, variant,
+                                                                         net_spy):
+        ch = Channel(variant)
+        spy = net_spy(ch.sim)
+        for t, p in ((0, 5), (2, 7), (4, 9)):
+            ch.run(t)
+            for ep in ch.r_eps[:2]:
+                ep.move_window(0, p)
+        ch.run(500)
+        for s in ch.senders:
+            advanced = self._advances(ch, s)
+            assert [start for _, start in advanced] == [5, 7, 9]
+            assert advanced[-1][0] - advanced[0][0] < ch.cfg.progress_ms
+        assert sorted(self._sender_moves(ch, spy)) == \
+            sorted((r, 9) for r in ch.receivers[2:] for _ in ch.senders)
+        assert all(ep.window(0).start == 9 for ep in ch.r_eps)
 
     def test_partitioned_receiver_gets_the_move_and_resolves_too_old(self, variant,
                                                                     net_spy):
