@@ -13,7 +13,9 @@ each judges a repeated fact once: a signed request once per distinct
 (wr, sig) pair, a channel quorum once per distinct contributor set. The
 linearization candidate is the agreement order, replayed once
 (tests/test_audit.py cross-checks it against a brute-force search on tiny
-histories).
+histories). The checkers index a record's fields directly: a run's records
+are the program's own, and read_trace checks a trace file's against
+simnet.EVENTS.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ class AuditView:
             for r in cfg.group_members(gid) if _honest(plan, r)}
         self.order, self.conflict = canonical_execution_order(
             self.events("execute"), self.correct_replicas)
-        self.expected, self.history, self.unreadable_op = replay_reference(self.order)
+        self.expected, self.history = replay_reference(self.order)
         factory = EndpointFactory(cfg.irmc, cfg)  # each channel's (f_s, f_r, capacity)
         self.channels = {str(c.channel): (c.f_s, c.f_r, c.capacity)
                          for gid in cfg.all_group_ids()
@@ -101,22 +103,15 @@ class AuditView:
 
 def canonical_execution_order(executes, correct_replicas):
     """(s, idx) -> (c, t_c, op hex, kind) union over correct replicas,
-    flagging any disagreement (the E-Safety core). A record that lacks a
-    field the order reads is left out of it and flagged too: a trace file
-    is outside input."""
+    flagging any disagreement (the E-Safety core)."""
     order: dict = {}
     conflict = None
     per_replica_seen: dict = {}
     for t, event, src, dst, kind, digest, data in executes:
         if src not in correct_replicas:
             continue
-        try:
-            key = (data["s"], data.get("idx", 0))
-            value = (data["c"], data["t_c"], data["op"], kind)
-        except KeyError as missing:
-            if conflict is None:
-                conflict = f"execute by {src} at t={t} lacks the data field '{missing.args[0]}'"
-            continue
+        key = (data["s"], data["idx"])
+        value = (data["c"], data["t_c"], data["op"], kind)
         held = order.get(key)
         if held is None:
             order[key] = value
@@ -131,21 +126,13 @@ def canonical_execution_order(executes, correct_replicas):
 
 
 def replay_reference(order):
-    """Replays the canonical order; returns expected replies, key histories
-    and the first position, if any, whose op is not hex (it is not replayed,
-    and the replay verdict fails on it)."""
+    """Replays the canonical order; returns expected replies and key histories."""
     app = KvApplication()
     expected: dict = {}
     history: dict = {}  # key -> list of (s, value)
-    unreadable = None
     for key_pos in sorted(order):
         c, t_c, op_hex, kind = order[key_pos]
-        try:
-            op = bytes.fromhex(op_hex)
-        except (TypeError, ValueError):
-            if unreadable is None:
-                unreadable = key_pos
-            continue
+        op = bytes.fromhex(op_hex)
         if kind == "read":
             reply = app.execute_readonly(op)
         else:
@@ -154,15 +141,16 @@ def replay_reference(order):
             if decoded is not None and decoded[0] == "put":
                 history.setdefault(decoded[1], []).append((key_pos[0], decoded[2]))
         expected[(c, t_c)] = reply
-    return expected, history, unreadable
+    return expected, history
 
 
 def _decoded(text):
     """The value a hex field of a trace record encodes, or None if the field
-    is not the hex of a canonical encoding. A trace file is outside input."""
+    is not the hex of a canonical encoding (a client_issue op is a str that
+    may not be hex)."""
     try:
         return canonical_decode(bytes.fromhex(text))
-    except (TypeError, ValueError):  # not a str, not hex, or a CodecError
+    except ValueError:  # not hex, or a CodecError
         return None
 
 
@@ -230,12 +218,9 @@ def check_validity(view) -> Verdict:
     for t, event, src, dst, kind, digest, data in view.events("execute"):
         if src not in view.correct_replicas:
             continue
-        pair = (data.get("wr"), data.get("sig"))
+        pair = (data["wr"], data["sig"])
         signed = verified.get(pair)
         if signed is None:
-            if None in pair:
-                return Verdict("validity", False,
-                               f"execute at s={data['s']} carries no signed request")
             write, sig = _decoded(pair[0]), _decoded(pair[1])
             if type(write) is not Write or type(sig) is not Sig:
                 return Verdict("validity", False,
@@ -248,7 +233,7 @@ def check_validity(view) -> Verdict:
             if sig.digest != hash_bytes(bytes.fromhex(pair[0])):
                 return Verdict("validity", False, f"bad signature at s={data['s']}")
             signed = verified[pair] = (write.op.hex(), write.client.index, write.t_c)
-        if (data.get("op"), data.get("c"), data.get("t_c")) != signed:
+        if (data["op"], data["c"], data["t_c"]) != signed:
             return Verdict("validity", False,
                            f"execute by {src} at t={t} s={data['s']}: op, c or t_c "
                            f"is not that of its signed Write")
@@ -284,14 +269,6 @@ def check_realtime_order(view) -> Verdict:
 
 def check_replay(view) -> Verdict:
     """Every accepted strong reply equals the reply the replayed prefix computes."""
-    if view.unreadable_op is not None:
-        s, idx = view.unreadable_op
-        t, _, src, _, _, _, data = next(
-            r for r in view.events("execute") if r[2] in view.correct_replicas
-            and (r[6]["s"], r[6].get("idx", 0)) == (s, idx))
-        return Verdict("replay", False,
-                       f"execute by {src} at t={t} s={s} idx={idx}: op {data['op']!r} "
-                       f"is not hex")
     checked = 0
     for t, event, src, dst, kind, digest, data in view.events("client_accept"):
         if kind not in ("write", "read_strong") or src not in view.correct_clients:
@@ -325,7 +302,7 @@ def check_weak_reads(view) -> Verdict:
     weak_ops: dict = {}  # (client, issue time) -> key read
     for t, event, src, dst, kind, digest, data in view.events("client_issue"):
         if kind == "read_weak":
-            op = _decoded(data.get("op"))
+            op = _decoded(data["op"])
             if type(op) is not tuple or len(op) != 2 or op[0] != "get":
                 return Verdict("weak_reads", False,
                                f"client_issue by {src} at t={t}: op is not the "
@@ -336,12 +313,7 @@ def check_weak_reads(view) -> Verdict:
         if kind != "read_weak" or src not in view.correct_clients:
             continue
         issued = round(data["issued"], 6)
-        try:
-            reply = bytes.fromhex(data["reply"])
-        except (TypeError, ValueError):
-            return Verdict("weak_reads", False,
-                           f"client_accept by {src} at t={t}: reply "
-                           f"{data['reply']!r} is not hex")
+        reply = bytes.fromhex(data["reply"])
         key = weak_ops.get((src, issued))
         if key is None:
             continue
@@ -464,18 +436,8 @@ def audit_trace(trace, cfg, skip_liveness: bool = False) -> dict:
     return audit_view(AuditView(trace, cfg), skip_liveness)
 
 
-def _judge(check, view) -> Verdict:
-    """check's verdict; a trace file is outside input, so a record that
-    lacks a data field the check reads fails the check, naming the field."""
-    try:
-        return check(view)
-    except KeyError as missing:
-        return Verdict(check.__name__.removeprefix("check_"), False,
-                       f"a record lacks the data field {missing}")
-
-
 def audit_view(view: AuditView, skip_liveness: bool = False) -> dict:
     """Every standard check's verdict on a view already built."""
-    verdicts = [_judge(check, view) for check in STANDARD_CHECKS
+    verdicts = [check(view) for check in STANDARD_CHECKS
                 if not (skip_liveness and check is check_liveness)]
     return {v.name: (v.ok, v.detail) for v in verdicts}

@@ -176,10 +176,10 @@ def write_wan_stages(view, client_name: str, t_c: int) -> Optional[int]:
     c = int(client_name[1:])
     issue = s_assigned = None
     for t, event, src, dst, kind, digest, data in view.events("client_issue"):
-        if src == client_name and kind == "write" and data.get("t_c") == t_c:
+        if src == client_name and kind == "write" and data["t_c"] == t_c:
             issue = data
     for t, event, src, dst, kind, digest, data in view.events("execute"):
-        if data.get("c") == c and data.get("t_c") == t_c:
+        if data["c"] == c and data["t_c"] == t_c:
             s_assigned = data["s"]
             break
     if issue is None or s_assigned is None:
@@ -188,9 +188,9 @@ def write_wan_stages(view, client_name: str, t_c: int) -> Optional[int]:
     req_kind, commit_kind, group_prefix = f"req{gid}", f"commit{gid}", f"ex{gid}:"
     req_delivered = commit_delivered = False
     for t, event, src, dst, kind, digest, data in view.events("irmc_deliver"):
-        if kind == req_kind and data.get("sc") == c and data.get("p") == t_c:
+        if kind == req_kind and data["sc"] == c and data["p"] == t_c:
             req_delivered = True
-        elif kind == commit_kind and data.get("p") == s_assigned \
+        elif kind == commit_kind and data["p"] == s_assigned \
                 and src.startswith(group_prefix):
             commit_delivered = True
     if not (req_delivered and commit_delivered):

@@ -18,6 +18,8 @@ arrives and passes authentication leaves no record (``Counters`` keeps
 the per-kind message and byte totals), while a dropped one leaves
 ``net_drop`` and a malformed or unauthenticated one ``auth_reject``. The trace digest is defined over
 the written lines, so a trace read back from its file reproduces it.
+``EVENTS`` is the trace format, each event's data keys and their types,
+and ``read_trace`` rejects a record off it.
 Every envelope a node sends is built and authenticated in one place,
 ``Node.net_send``: a correct node authenticates a payload once and hands
 every destination the same ``Envelope`` (whose signatures the first
@@ -31,6 +33,7 @@ import heapq
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -138,6 +141,94 @@ class TraceLog:
         return [r for r in self.records if r[1] == name]
 
 
+# The trace format: each event's data keys and their value types. A record
+# holds exactly its event's keys; a key given as Only(kind, type) is held by
+# that kind's records alone. float admits an int; HEX is a str of lowercase
+# hex digit pairs (bytes.hex()). read_trace checks each record of a file
+# against this table, so the auditors index a record's fields directly.
+HEX = "hex"
+
+
+@dataclass(frozen=True)
+class Only:
+    kind: str
+    type: object
+
+
+EVENTS = {
+    "meta": {"scenario": str, "mode": str, "irmc": str, "seed": int},
+    "net_drop": {},
+    "auth_reject": {},
+    # channel endpoints (irmc/base.py, irmc/sc.py)
+    "ch_send_call": {"sc": int, "p": int},
+    "ch_send_done": {"sc": int, "p": int},
+    "ch_move_call": {"sc": int, "p": int, "side": str},
+    "ch_recv_call": {"sc": int, "p": int},
+    "ch_recv_msg": {"sc": int, "p": int},
+    "ch_recv_tooold": {"sc": int, "p": int, "new_start": int},
+    "irmc_deliver": {"sc": int, "p": int, "senders": str},
+    "win_move": {"sc": int, "start": int},
+    "collector_switch": {"collector": int},
+    # ordering and agreement
+    "order_deliver": {"s": int},
+    "view_change_vote": {"view": int},
+    "view_change": {"view": int},
+    "deliver_parked": {"s": int},
+    "registry_update": {"group": int, "version": int, "s": Only("add", int)},
+    # checkpoints, and the state digests they are checked against
+    "cp_gen": {"s": int},
+    "cp_stable": {"s": int, "signers": str},
+    "cp_fetch": {"s_min": int},
+    "cp_transfer": {"s": int, "cross_group": bool},
+    "state_digest": {"s": int, "projected": Only("ex", HEX)},
+    # execution
+    "execute": {"s": int, "idx": int, "c": int, "t_c": int,
+                "op": HEX, "wr": HEX, "sig": HEX},
+    "weak_serve": {"s_n": int, "nonce": int},
+    # clients; an admin request's op is the repr of its action, not hex
+    "client_issue": {"t_c": int, "group": int, "op": str},
+    "client_switch": {"old": int},
+    "client_resubmit": {"t_c": int},
+    "client_accept": {"t_c": int, "latency": float, "reply": HEX,
+                      "issued": Only("read_weak", float)},
+    "client_escalate": {"nonce": int, "issued": float},
+}
+
+_HEX = re.compile("(?:[0-9a-f]{2})*")
+
+
+@lru_cache(maxsize=1024)
+def _shape(event: str, kind: str) -> dict:
+    """The data keys, with their types, of a record of event and kind."""
+    return {k: t.type if isinstance(t, Only) else t for k, t in EVENTS[event].items()
+            if not isinstance(t, Only) or t.kind == kind}
+
+
+def _typed(value, want) -> bool:
+    if want is HEX:
+        return type(value) is str and _HEX.fullmatch(value) is not None
+    if want is float:
+        return type(value) in (int, float)
+    return type(value) is want
+
+
+def _check_record(record) -> None:
+    """Raises ValueError unless record holds what EVENTS gives its event and kind."""
+    _, event, _, _, kind, _, data = record
+    if event not in EVENTS:
+        raise ValueError(f"unknown event {event!r}")
+    shape = _shape(event, kind)
+    if data.keys() != shape.keys():
+        missing, extra = sorted(shape.keys() - data.keys()), sorted(data.keys() - shape.keys())
+        raise ValueError(f"{event} record of kind {kind!r}"
+                         + (f" lacks {', '.join(missing)}" if missing else "")
+                         + (f" has no key {', '.join(extra)}" if extra else ""))
+    for k, v in data.items():
+        want = shape[k]
+        if not _typed(v, want):
+            raise ValueError(f"{event} {k}={v!r} is not {getattr(want, '__name__', want)}")
+
+
 class TraceFormatError(ValueError):
     """A trace file line that TraceLog.write cannot have produced."""
 
@@ -151,15 +242,19 @@ def read_trace(path) -> TraceLog:
 
     Raises TraceFormatError, naming the line, on anything write() does not
     produce: a wrong field count, a data pair without "=", an unknown type
-    tag, a value not in its written form, or bytes that are not UTF-8.
+    tag, a value not in its written form, bytes that are not UTF-8, or a
+    record off its EVENTS shape (an unknown event, a missing or extra key,
+    a value of another type, or text that is not hex in a HEX field).
     """
     trace = TraceLog()
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
-                trace.records.append(_parse_line(raw.decode("utf-8").rstrip("\n")))
+                record = _parse_line(raw.decode("utf-8").rstrip("\n"))
+                _check_record(record)
             except ValueError as exc:  # UnicodeDecodeError is one too
                 raise TraceFormatError(lineno, exc) from None
+            trace.records.append(record)
     return trace
 
 

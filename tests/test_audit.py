@@ -27,7 +27,7 @@ from geobft.audit import (
 from geobft.harness import run_scenario
 from geobft.irmc import RcReceiver, RcSender, conformance
 from geobft.scenario import load_scenario
-from geobft.simnet import TraceFormatError, read_trace
+from geobft.simnet import TraceFormatError, TraceLog, read_trace
 
 MINI = {
     "name": "audit-mini", "mode": "spider", "irmc": "rc", "duration_ms": 3000,
@@ -200,23 +200,6 @@ def test_flat_execute_with_tampered_request_fails_validity(flat_threshold):
     verdict = check_validity(AuditView(mutated, cfg))
     assert not verdict.ok
     assert verdict.detail.startswith("bad signature")
-
-
-def test_flat_execute_without_request_fails_validity(flat_threshold):
-    """A correct replica's execute record stripped of its signed request
-    fails validity rather than passing unchecked."""
-    cfg, trace, _ = flat_threshold
-    correct = AuditView(trace, cfg).correct_replicas
-    mutated = copy.deepcopy(trace)
-    i = next(i for i, r in enumerate(mutated.records)
-             if r[1] == "execute" and r[2] in correct)
-    record = mutated.records[i]
-    data = dict(record[6])
-    del data["wr"]
-    mutated.records[i] = record[:6] + (data,)
-    verdict = check_validity(AuditView(mutated, cfg))
-    assert not verdict.ok
-    assert verdict.detail == f"execute at s={data['s']} carries no signed request"
 
 
 def test_bad_later_copy_of_a_verified_request_fails_validity(mini):
@@ -540,8 +523,10 @@ def test_trace_file_roundtrip(tmp_path, mini):
     system, admin_report = run_scenario("add-remove-group", 1)
     admin = system.sim.trace
     assert any("," in str(r[6].get("op")) for r in admin.records)
-    admin.add(0.0, "note", "a|b", kind="k,%0A", text="%25 |,\n\r%")
-    admin.add(10000, "note")  # an int time, as sim.now after run_until(10000)
+    admin.add(0.0, "cp_stable", "a|b", kind="k,%0A", s=1, signers="%25 |,\n\r%")
+    admin.add(10000, "auth_reject")  # an int time, as sim.now after run_until(10000)
+    # an int where EVENTS gives float, as a latency of whole milliseconds
+    admin.add(10000, "client_escalate", "c9", kind="read_weak", nonce=1, issued=9000)
     admin.write(path)
     loaded = read_trace(path)
     assert loaded.records == admin.records
@@ -549,7 +534,7 @@ def test_trace_file_roundtrip(tmp_path, mini):
     assert audit_trace(loaded, system.cfg) == admin_report.verdicts
 
 
-GOOD_LINE = b"0.0|meta|-|-|scenario|-|irmc=s:rc,seed=i:1\n"
+GOOD_LINE = b"0.0|meta|-|-|scenario|-|irmc=s:rc,mode=s:spider,scenario=s:audit-mini,seed=i:1\n"
 
 
 @pytest.mark.parametrize("line,reason", [
@@ -587,7 +572,6 @@ def test_audit_command_reports_a_malformed_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("event, key, value, verdict", [
-    ("execute", "wr", "zz", "validity"),  # not hex
     ("execute", "wr", "07ffff", "validity"),  # an unknown message code
     ("execute", "wr", canonical_encode(Sig(ClientId(1), b"d" * 16)).hex(), "validity"),
     ("execute", "sig", canonical_encode(5).hex(), "validity"),
@@ -595,14 +579,13 @@ def test_audit_command_reports_a_malformed_trace(tmp_path, capsys):
     ("client_issue", "op", "07ffff", "weak_reads"),
     ("client_issue", "op", canonical_encode(5).hex(), "weak_reads"),
     ("client_issue", "op", canonical_encode(()).hex(), "weak_reads"),
-    ("client_accept", "reply", "zz", "weak_reads"),
-], ids=["wr-not-hex", "wr-unknown-code", "wr-a-sig", "sig-an-int",
-        "op-not-hex", "op-unknown-code", "op-an-int", "op-empty", "reply-not-hex"])
+], ids=["wr-unknown-code", "wr-a-sig", "sig-an-int",
+        "op-not-hex", "op-unknown-code", "op-an-int", "op-empty"])
 def test_audit_command_fails_a_malformed_trace_field(tmp_path, capsys, mini,
                                                       event, key, value, verdict):
-    """A trace file is outside input: a field that does not decode to what
-    its checker reads fails that verdict, naming the record, and raises
-    nothing (a weak read's reply that is not hex among them)."""
+    """A field that read_trace admits (hex, or any str for a client_issue
+    op) but that does not decode to what its checker reads fails that
+    verdict, naming the record: geobft audit exits 1."""
     cfg, trace, _ = mini
     mutated = copy.deepcopy(trace)
     for i, r in enumerate(mutated.records):
@@ -619,80 +602,85 @@ def test_audit_command_fails_a_malformed_trace_field(tmp_path, capsys, mini,
     assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {verdict}: {event} by ")
 
 
-@pytest.mark.parametrize("event, key, verdicts", [
-    ("client_accept", "issued", ["liveness", "weak_reads"]),
-    ("irmc_deliver", "senders", ["channel_quorums"]),
-    ("win_move", "sc", ["window_monotonicity"]),
-], ids=["accept-without-issued", "deliver-without-senders", "move-without-sc"])
-def test_audit_command_fails_a_record_without_a_field(tmp_path, capsys, mini,
-                                                      event, key, verdicts):
-    """A record that lacks a data field its checkers read fails each of
-    those checks, naming the field, and raises nothing: geobft audit
-    exits 1 (a weak read's accept without issued, a delivery without its
-    senders, a window move without its subchannel)."""
-    cfg, trace, _ = mini
-    mutated = copy.deepcopy(trace)
-    for i, r in enumerate(mutated.records):
-        if r[1] == event and (event != "client_accept" or r[4] == "read_weak"):
-            mutated.records[i] = r[:6] + ({k: v for k, v in r[6].items() if k != key},)
-            break
-    else:
-        pytest.fail(f"no {event} record to mutate")
-    path, scenario = tmp_path / "run.trace", tmp_path / "mini.json"
-    mutated.write(path)
-    scenario.write_text(json.dumps(MINI))
-    assert cli.main(["audit", str(path), str(scenario)]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
-    assert failed == [f"[FAIL] {name}: a record lacks the data field '{key}'"
-                      for name in verdicts]
+def _first_of(trace, event, kind=None):
+    return next(r for r in trace.records if r[1] == event and kind in (None, r[4]))
 
 
-@pytest.mark.parametrize("key", ["s", "c", "t_c", "op"])
-def test_audit_command_fails_an_execute_record_without_a_field(tmp_path, capsys, mini,
-                                                               key):
-    """The execution order is built before any check runs. An execute
-    record that lacks a field the order reads is left out of it, and
-    execute_equality fails naming the record and the field; nothing
-    raises, and geobft audit exits 1. Validity fails there too unless the
-    field is s, which it does not compare with the signed Write."""
-    cfg, trace, _ = mini
-    mutated = copy.deepcopy(trace)
-    i = _first(mutated.records, "execute")
-    t, _, src = mutated.records[i][:3]
-    mutated.records[i] = mutated.records[i][:6] + (
-        {k: v for k, v in mutated.records[i][6].items() if k != key},)
-    path, scenario = tmp_path / "run.trace", tmp_path / "mini.json"
-    mutated.write(path)
-    scenario.write_text(json.dumps(MINI))
-    assert cli.main(["audit", str(path), str(scenario)]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
-    assert failed[0] == (f"[FAIL] execute_equality: execute by {src} at t={t} "
-                         f"lacks the data field '{key}'")
-    assert [line.split(":")[0] for line in failed[1:]] == \
-        ([] if key == "s" else ["[FAIL] validity"])
+def _without(record, key):
+    return record[:6] + ({k: v for k, v in record[6].items() if k != key},)
 
 
-def test_audit_command_fails_replay_on_an_op_that_is_not_hex(tmp_path, capsys, mini):
-    """Every correct replica's execute record of one position carries an op
-    that is not hex, so the order agrees; the replay cannot run that op,
-    and its verdict fails naming the first record. Validity fails there too:
-    the op is not that of the record's signed Write."""
-    cfg, trace, _ = mini
-    mutated = copy.deepcopy(trace)
-    first = next(r for r in mutated.records if r[1] == "execute")
-    position = (first[6]["s"], first[6]["idx"])
-    for i, r in enumerate(mutated.records):
-        if r[1] == "execute" and (r[6]["s"], r[6]["idx"]) == position:
-            mutated.records[i] = r[:6] + ({**r[6], "op": "zz"},)
-    path, scenario = tmp_path / "run.trace", tmp_path / "mini.json"
-    mutated.write(path)
-    scenario.write_text(json.dumps(MINI))
-    assert cli.main(["audit", str(path), str(scenario)]) == 1
-    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
-    assert failed == [f"[FAIL] replay: execute by {first[2]} at t={first[0]} "
-                      f"s={position[0]} idx={position[1]}: op 'zz' is not hex",
-                      f"[FAIL] validity: execute by {first[2]} at t={first[0]} "
-                      f"s={position[0]}: op, c or t_c is not that of its signed Write"]
+def _line(record) -> bytes:
+    one = TraceLog()
+    one.records.append(record)
+    return f"{next(one.lines())}\n".encode()
+
+
+# (the record, changed) -> the reason read_trace gives
+OFF_SHAPE = {
+    "accept-without-issued": (lambda t: _without(_first_of(t, "client_accept", "read_weak"),
+                                                 "issued"), "lacks issued"),
+    "deliver-without-senders": (lambda t: _without(_first_of(t, "irmc_deliver"), "senders"),
+                                "lacks senders"),
+    "move-without-sc": (lambda t: _without(_first_of(t, "win_move"), "sc"), "lacks sc"),
+    **{f"execute-without-{key}": (lambda t, key=key: _without(_first_of(t, "execute"), key),
+                                  f"lacks {key}")
+       for key in ("s", "c", "t_c", "op", "wr")},
+    "write-accept-with-issued": (lambda t: _with_data(_first_of(t, "client_accept", "write"),
+                                                      issued=1.0), "has no key issued"),
+    "execute-with-an-extra-key": (lambda t: _with_data(_first_of(t, "execute"), note="x"),
+                                  "has no key note"),
+    "execute-s-a-string": (lambda t: _with_data(_first_of(t, "execute"), s="5"),
+                           "execute s='5' is not int"),
+    "deliver-p-a-bool": (lambda t: _with_data(_first_of(t, "irmc_deliver"), p=True),
+                         "irmc_deliver p=True is not int"),
+    "accept-latency-a-string": (lambda t: _with_data(_first_of(t, "client_accept"),
+                                                     latency="5"), "is not float"),
+    "execute-op-not-hex": (lambda t: _with_data(_first_of(t, "execute"), op="zz"),
+                           "execute op='zz' is not hex"),
+    "execute-wr-not-hex": (lambda t: _with_data(_first_of(t, "execute"), wr="ABCD"),
+                           "execute wr='ABCD' is not hex"),
+    "accept-reply-not-hex": (lambda t: _with_data(_first_of(t, "client_accept", "write"),
+                                                  reply="zz"), "reply='zz' is not hex"),
+    "digest-projected-odd-length": (lambda t: _with_data(_first_of(t, "state_digest", "ex"),
+                                                         projected="abc"), "is not hex"),
+    "unknown-event": (lambda t: (1.0, "note", "-", "-", "-", "-", {}), "unknown event 'note'"),
+}
+
+
+@pytest.mark.parametrize("case", list(OFF_SHAPE))
+def test_read_trace_rejects_a_record_off_its_shape(tmp_path, mini, case):
+    """A record that is not what simnet.EVENTS gives its event and kind (a
+    key missing or extra, a value of another type, text that is not hex in
+    a hex field, an unknown event) is rejected where the file is read,
+    naming its line, before any checker reads it."""
+    _, trace, _ = mini
+    tamper, reason = OFF_SHAPE[case]
+    path = tmp_path / "bad.trace"
+    path.write_bytes(GOOD_LINE + _line(tamper(trace)) + GOOD_LINE)
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    assert err.value.lineno == 2
+    assert reason in str(err.value), str(err.value)
+
+
+_EXECUTE = "1.0|execute|ex1:{}|-|write|ab|c=i:0,idx=i:0,op=s:,s={},sig=s:,t_c=i:1,wr=s:\n"
+
+
+@pytest.mark.parametrize("lines, lineno", [
+    ([b"0.0|meta|-|-|scenario|-|irmc=s:rc,mode=s:spider,seed=i:1\n"], 1),
+    ([b"0.0|meta|-|-|scenario|-|irmc=s:rc,mode=s:spider,scenario=s:rc-vs-sc,seed=i:1\n",
+      _EXECUTE.format(0, "s:5").encode(), _EXECUTE.format(1, "i:5").encode()], 2),
+], ids=["meta-without-scenario", "execute-s-a-string"])
+def test_audit_command_reports_a_record_off_its_shape(tmp_path, capsys, lines, lineno):
+    """A meta record without its scenario once raised KeyError where audit
+    looks the scenario up, and an execute record whose s is a string
+    raised TypeError in the replay's sort; now audit exits 2 naming the
+    line."""
+    path = tmp_path / "bad.trace"
+    path.write_bytes(b"".join(lines))
+    assert cli.main(["audit", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"trace line {lineno}: ")
 
 
 def test_every_written_line_parses(tmp_path, mini):

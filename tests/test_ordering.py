@@ -4,7 +4,16 @@ import random
 import pytest
 
 from geobft.core import BoundCrypto, ClientId, CryptoProvider, ReplicaId
-from geobft.core.messages import OracleSubmit, Request, Write
+from geobft.core.messages import (
+    ObPrePrepare,
+    ObPrepare,
+    ObViewChange,
+    OracleSubmit,
+    PreparedProof,
+    Request,
+    VcRecord,
+    Write,
+)
 from geobft.ordering import MiniBft, SequencerOracle
 from geobft.protocol import ProtocolNode
 from geobft.simnet import FaultPlan, NodeFault, Simulator, Topology
@@ -393,3 +402,34 @@ def _conflicting_sequences(seed):
     "sequence."))
 def test_reordering_links_never_deliver_two_batches_at_one_sequence():
     assert [seed for seed in range(1, 21) if _conflicting_sequences(seed)] == []
+
+
+def _proof(provider, s, batch, preprepare_by, prepared_by, view=0):
+    """A PreparedProof of batch at (view, s): its pre-prepare signed by
+    preprepare_by, its prepare by each of prepared_by."""
+    pp, prep = ObPrePrepare(view, s, batch), ObPrepare(view, s, provider.digest(batch))
+    return PreparedProof(view, s, batch, provider.sign(preprepare_by, pp),
+                         tuple(provider.sign(m, prep) for m in prepared_by))
+
+
+def test_new_view_leaves_out_an_invalid_prepared_proof():
+    """A prepared proof whose pre-prepare a non-leader signed, or that holds
+    only 2f prepare signatures, does not enter the re-proposal set: its
+    sequence, below a valid proof's, is filled with a null batch."""
+    sim, hosts, provider, client = build_group()
+    ob = hosts[1].ordering
+    members, leader = ob.members, ob.leader_of(0)
+    one, two = ((make_request(provider, client, t),) for t in (1, 2))
+    above = _proof(provider, 2, two, leader, members[:3])
+
+    def proposals(*proofs):
+        vc = ObViewChange(1, 0, proofs)
+        return ob._new_view_proposals((VcRecord(vc, provider.sign(members[1], vc)),))
+
+    valid = _proof(provider, 1, one, leader, members[:3])
+    assert ob._valid_proof(valid) and ob._valid_proof(above)
+    assert proposals(valid, above) == (0, ((1, one), (2, two)))
+    for invalid in (_proof(provider, 1, one, members[1], members[:3]),
+                    _proof(provider, 1, one, leader, members[:2])):
+        assert not ob._valid_proof(invalid)
+        assert proposals(invalid, above) == (0, ((1, ()), (2, two)))

@@ -1,10 +1,12 @@
 """End-to-end protocol behavior at small scale."""
+import copy
 import json
 
 import pytest
 
 from geobft.agreement import AgreementReplica
-from geobft.application import PLACEHOLDER, get_op, put_op
+from geobft.application import PLACEHOLDER, RESUBMIT, get_op, put_op
+from geobft.audit import AuditView, audit_trace, check_liveness
 from geobft.core import ClientId, GroupKey, hash_bytes
 from geobft.core.messages import AddGroup, ChMove, Envelope, ReadWeak, Request, Result, Write
 from geobft.execution import ExecutionReplica
@@ -13,6 +15,7 @@ from geobft.irmc.base import SenderEndpoint
 from geobft.protocol import MIN_RETRY_MS
 from geobft.runtime import REQ_CAPACITY, build
 from geobft.scenario import SCENARIO_DIR, load_scenario
+from geobft.simnet import read_trace
 from tests.conftest import NetSpy
 
 
@@ -237,6 +240,38 @@ def test_resubmit_indicator_for_skipped_read(mini_run, net_spy):
     assert resubmits  # and the last one carries the resubmit indicator
     assert resubmits[-1].resubmit
     assert replica.u[c] == (t_c, PLACEHOLDER)
+
+
+def test_client_resubmits_a_strong_read_its_group_skipped(tmp_path):
+    """f_e+1 replies with the resubmit indicator to an outstanding strong
+    read: the client records client_resubmit, re-issues the read under its
+    next counter, and liveness counts the first counter as resolved. The
+    trace reads back from its file."""
+    cfg = mini_scenario(clients=[{"count": 1, "region": "V", "rate_per_s": 8,
+                                  "mix": {"read_strong": 1.0}}])
+    system = build(cfg, seed=4)
+    sim, client = system.sim, system.clients[0]
+    while client.outstanding is None:
+        sim.run_until(sim.now + 1.0)
+    first, op = client.outstanding["t_c"], client.outstanding["inner"].op
+    for replica in system.executions[client.group][:cfg.fault_params.f_e + 1]:
+        replica.send_mac(client.nid, Result(client.nid, first, RESUBMIT, resubmit=True))
+    trace = system.run()
+    resubmit = [r for r in trace.records if r[1] == "client_resubmit"]
+    assert [(r[2], r[4], r[6]) for r in resubmit] == [("c0", "read_strong", {"t_c": first})]
+    again = next(r for r in trace.records if r[1] == "client_issue" and r[6]["t_c"] == first + 1)
+    assert (again[0], again[4], again[6]["op"]) == (resubmit[0][0], "read_strong", op.hex())
+    assert not [r for r in trace.events("client_accept") if r[6]["t_c"] == first]
+    verdicts = audit_trace(trace, cfg)
+    assert all(ok for ok, _ in verdicts.values()), verdicts
+    # without its client_resubmit record, the first counter is unresolved
+    unresolved = copy.copy(trace)
+    unresolved.records = [r for r in trace.records if r[1] != "client_resubmit"]
+    assert check_liveness(AuditView(unresolved, cfg)).detail == \
+        f"1 strong requests unresolved, e.g. ('c0', {first})"
+    path = tmp_path / "run.trace"
+    trace.write(path)
+    assert read_trace(path).records == trace.records
 
 
 def test_registry_answers_need_quorum():
